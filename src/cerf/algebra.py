@@ -191,29 +191,52 @@ def _compare_values(left: Optional[Value], op: str, right: Optional[Value]) -> b
     return bool(fn(left, right))
 
 
+def declared_predicate(name: str, params: Sequence[str], left, op: str, right) -> Predicate:
+    """The predicate of a declaration `pred name(params): left op right`.
+
+    Each operand is ("lit", value) or ("attr", parameter index, attribute
+    name); the source is the declaration line, so it re-parses to the same
+    predicate."""
+
+    def resolver(operand):
+        if operand[0] == "lit":
+            value = operand[1]
+            return lambda events: value
+        _, index, attr = operand
+        return lambda events: events[index].get(attr)
+
+    resolve_left = resolver(left)
+    resolve_right = resolver(right)
+
+    def ev(*events: Event) -> bool:
+        return _compare_values(resolve_left(events), op, resolve_right(events))
+
+    def render(operand) -> str:
+        if operand[0] == "lit":
+            value = operand[1]
+            return f'"{value}"' if isinstance(value, str) else repr(value)
+        _, index, attr = operand
+        return f"{params[index]}.{attr}"
+
+    source = f"pred {name}({', '.join(params)}): {render(left)} {op} {render(right)}"
+    return Predicate(name, len(params), ev, source)
+
+
 def comparison_predicate(name: str, attr: str, op: str, constant: Value) -> Predicate:
     """Unary predicate comparing an attribute of the argument to a constant."""
-
-    def ev(event: Event) -> bool:
-        return _compare_values(event.get(attr), op, constant)
-
-    rendered = f'"{constant}"' if isinstance(constant, str) else repr(constant)
-    source = f"pred {name}(x): x.{attr} {op} {rendered}"
-    return Predicate(name, 1, ev, source)
+    return declared_predicate(name, ["x"], ("attr", 0, attr), op, ("lit", constant))
 
 
 def join_predicate(name: str, left_attr: str, op: str, right_attr: str) -> Predicate:
     """Binary predicate comparing an attribute of the first argument to an
     attribute of the second (typically ~ against a register's event)."""
-
-    def ev(left: Event, right: Event) -> bool:
-        return _compare_values(left.get(left_attr), op, right.get(right_attr))
-
-    source = f"pred {name}(x, y): x.{left_attr} {op} y.{right_attr}"
-    return Predicate(name, 2, ev, source)
+    left, right = ("attr", 0, left_attr), ("attr", 1, right_attr)
+    return declared_predicate(name, ["x", "y"], left, op, right)
 
 
-ALWAYS = Predicate("Always", 1, lambda event: True, "pred Always(x): x.Always == x.Always")
+# The pattern language cannot declare a tautology, so ALWAYS has no source
+# and an automaton using it cannot be serialized.
+ALWAYS = Predicate("Always", 1, lambda event: True)
 
 
 class PredicateLibrary:
@@ -314,6 +337,17 @@ def registers_of(condition: Condition) -> frozenset[Register]:
         return registers_of(condition.operand)
     if isinstance(condition, (And, Or)):
         return registers_of(condition.left) | registers_of(condition.right)
+    return frozenset()
+
+
+def predicates_of(condition: Condition) -> frozenset[Predicate]:
+    """Every predicate appearing in any atom."""
+    if isinstance(condition, Atom):
+        return frozenset((condition.predicate,))
+    if isinstance(condition, Not):
+        return predicates_of(condition.operand)
+    if isinstance(condition, (And, Or)):
+        return predicates_of(condition.left) | predicates_of(condition.right)
     return frozenset()
 
 

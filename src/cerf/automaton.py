@@ -4,8 +4,9 @@ and DOT export."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import (
     EMPTY_VALUATION,
@@ -157,15 +158,39 @@ def successors(a: Sra, c: Configuration, event: Optional[Event] = None) -> list[
     non-writing moves advance the index, and satisfied writing moves advance
     the index and store the event into the written registers.
     """
-    result = []
-    scope = EvalScope(c.valuation, strict=False) if event is not None else None
-    for t in a.out(c.state):
-        if t.is_epsilon:
-            result.append(Configuration(c.index, t.target, c.valuation))
-        elif event is not None and scope.evaluate(t.condition, event):
-            v = c.valuation.set_many(t.writes, event) if t.writes else c.valuation
-            result.append(Configuration(c.index + 1, t.target, v))
+    result = [Configuration(c.index, t.target, c.valuation) for t in a.out(c.state) if t.is_epsilon]
+    if event is not None:
+        fired = _fire(a, [(c.state, c.valuation)], event)
+        result += [Configuration(c.index + 1, t.target, v) for t, v in fired]
     return result
+
+
+def _fire(
+    a: Sra,
+    configs: Iterable[tuple[str, Valuation]],
+    event: Event,
+    counters: Optional[EvalCounters] = None,
+) -> Iterator[tuple[Transition, Valuation]]:
+    """The run rule every stepping loop shares: for each (state, valuation)
+    in turn, each non-ε outgoing transition whose condition holds on `event`
+    (an atom reading an empty register does not hold), with the valuation
+    after its writes. Lazy, so a caller that stops early evaluates no more."""
+    for state, v in configs:
+        scope = EvalScope(v, strict=False, counters=counters)
+        for t in a.out(state):
+            if t.condition is None:
+                continue
+            if counters is not None:
+                counters.condition_evals += 1
+            if scope.evaluate(t.condition, event):
+                yield t, v.set_many(t.writes, event) if t.writes else v
+
+
+def _check_cap(configs: set, cap: int) -> None:
+    if len(configs) > cap:
+        raise ConfigurationCapExceeded(
+            f"{len(configs)} live configurations exceed the cap of {cap}"
+        )
 
 
 def _epsilon_closure(a: Sra, configs: set[tuple[str, Valuation]]) -> set[tuple[str, Valuation]]:
@@ -188,23 +213,10 @@ def run_accepts(a: Sra, events: Sequence[Event], cap: int = 100_000) -> bool:
     Breadth-wise configuration-set search with ε-closure interleaving and
     (state, valuation) deduplication."""
     current = _epsilon_closure(a, {(a.start, EMPTY_VALUATION)})
-    if len(current) > cap:
-        raise ConfigurationCapExceeded(
-            f"{len(current)} live configurations exceed the cap of {cap}"
-        )
+    _check_cap(current, cap)
     for event in events:
-        advanced: set[tuple[str, Valuation]] = set()
-        for state, v in current:
-            scope = EvalScope(v, strict=False)
-            for t in a.out(state):
-                if not t.is_epsilon and scope.evaluate(t.condition, event):
-                    v2 = v.set_many(t.writes, event) if t.writes else v
-                    advanced.add((t.target, v2))
-        current = _epsilon_closure(a, advanced)
-        if len(current) > cap:
-            raise ConfigurationCapExceeded(
-                f"{len(current)} live configurations exceed the cap of {cap}"
-            )
+        current = _epsilon_closure(a, {(t.target, v) for t, v in _fire(a, current, event)})
+        _check_cap(current, cap)
         if not current:
             return False
     return any(state in a.finals for state, _ in current)
@@ -248,20 +260,21 @@ def is_deterministic(
 
     Per state, each pair of outgoing conditions is first checked
     syntactically (two sign-conjunctions sharing a base condition with
-    opposite signs cannot fire together). Pairs the syntactic check cannot
-    decide are evaluated exhaustively over the supplied universe and
-    valuations; without a universe such pairs raise UnverifiableDeterminism.
+    opposite signs cannot fire together). States with a pair the syntactic
+    check cannot decide are run over the supplied universe and valuations,
+    looking for more than one transition firing; without a universe such
+    states raise UnverifiableDeterminism.
     """
     if a.has_epsilon:
         return False
-    undecided: list[tuple[Condition, Condition]] = []
-    for state in a.states:
-        conds = [t.condition for t in a.out(state)]
-        for i in range(len(conds)):
-            for j in range(i + 1, len(conds)):
-                verdict = _syntactically_exclusive(conds[i], conds[j])
-                if verdict is None:
-                    undecided.append((conds[i], conds[j]))
+    undecided = [
+        state
+        for state in a.states
+        if any(
+            _syntactically_exclusive(t1.condition, t2.condition) is None
+            for t1, t2 in itertools.combinations(a.out(state), 2)
+        )
+    ]
     if not undecided:
         return True
     if universe is None:
@@ -277,11 +290,10 @@ def is_deterministic(
         vals = [EMPTY_VALUATION]
     else:
         vals = list(valuations)
-    for c1, c2 in undecided:
+    for state in undecided:
         for event in events:
             for v in vals:
-                scope = EvalScope(v, strict=False)
-                if scope.evaluate(c1, event) and scope.evaluate(c2, event):
+                if len(list(itertools.islice(_fire(a, [(state, v)], event), 2))) > 1:
                     return False
     return True
 
@@ -291,8 +303,9 @@ class StreamEngine:
 
     The automaton must be ε-free and should be a streaming automaton (a ⊤*
     prefix built in), so restarting at every index is the automaton's own
-    job; the engine never re-seeds. Configurations are deduplicated by
-    (state, valuation)."""
+    job; the engine never re-seeds. One step advances the whole live
+    configuration set through the shared run kernel `_fire`, and the result
+    is deduplicated by (state, valuation)."""
 
     def __init__(self, automaton: Sra, cap: int = 100_000) -> None:
         if automaton.has_epsilon:
@@ -314,17 +327,8 @@ class StreamEngine:
     def step(self, event: Event) -> bool:
         """Consume one event; report whether a match completes at this index."""
         a = self.automaton
-        advanced: set[tuple[str, Valuation]] = set()
-        for state, v in self._configs:
-            scope = EvalScope(v, strict=False)
-            for t in a.out(state):
-                if scope.evaluate(t.condition, event):
-                    v2 = v.set_many(t.writes, event) if t.writes else v
-                    advanced.add((t.target, v2))
-        if len(advanced) > self.cap:
-            raise ConfigurationCapExceeded(
-                f"{len(advanced)} live configurations exceed the cap of {self.cap}"
-            )
+        advanced = {(t.target, v) for t, v in _fire(a, self._configs, event)}
+        _check_cap(advanced, self.cap)
         self._configs = advanced
         self.consumed += 1
         return any(state in a.finals for state, _ in advanced)
@@ -334,8 +338,9 @@ class DeterministicRunner:
     """Single-configuration run over a deterministic automaton, optionally
     instrumented with evaluation counters.
 
-    One step tries the current state's outgoing conditions in order and takes
-    the first (only) one that fires, so it costs at most `outgoing
+    One step takes the first transition the shared run kernel `_fire` yields
+    for the current configuration. The kernel is lazy and tries the state's
+    outgoing conditions in order, so a step costs at most `outgoing
     conditions` condition evaluations; the per-event EvalScope caches
     register lookups, so at most `registers` register reads."""
 
@@ -355,17 +360,14 @@ class DeterministicRunner:
         return self.state in self.automaton.finals
 
     def step(self, event: Event) -> Transition:
-        scope = EvalScope(self.valuation, strict=False, counters=self.counters)
-        for t in self.automaton.out(self.state):
-            if self.counters is not None:
-                self.counters.condition_evals += 1
-            if scope.evaluate(t.condition, event):
-                self.state = t.target
-                if t.writes:
-                    self.valuation = self.valuation.set_many(t.writes, event)
-                self.consumed += 1
-                return t
-        raise NoTransition(f"no transition fires at {self.state} on {event}")
+        config = [(self.state, self.valuation)]
+        fired = next(_fire(self.automaton, config, event, self.counters), None)
+        if fired is None:
+            raise NoTransition(f"no transition fires at {self.state} on {event}")
+        t, self.valuation = fired
+        self.state = t.target
+        self.consumed += 1
+        return t
 
 
 def _dot_quote(text: str) -> str:

@@ -1,6 +1,6 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 pattern or input parse failure, 3 pipeline
+Exit codes: 0 success, 2 pattern, input or document parse failure, 3 pipeline
 precondition failure (window, determinism, completeness), 4 configuration
 cap exceeded, 5 not enough training data."""
 
@@ -23,28 +23,21 @@ from .automaton import (
     ConfigurationCapExceeded,
     DeterministicRunner,
     NoTransition,
-    NotDeterministic,
     Sra,
     StreamEngine,
-    UnverifiableDeterminism,
     to_dot,
 )
-from .compiler import (
-    NotUnrolled,
-    NotWindowed,
-    RegisterCollision,
-    WindowedInput,
-)
-from .forecast import InsufficientData, NotComplete, Pst, SymbolMap, symbolize
+from .compiler import NotWindowed
+from .forecast import InsufficientData, Pst, SymbolMap, symbolize
 from .pattern import (
     Expr,
     PatternSyntaxError,
     UnknownRegister,
     Window,
     parse,
-    to_streaming,
     unparse_pattern,
 )
+from .serialize import MalformedDocument
 
 
 class MalformedInput(ValueError):
@@ -68,20 +61,9 @@ def _mapped_errors():
         _fail(2, str(exc))
     except (UnknownPredicate, UnknownRegister) as exc:
         _fail(2, str(exc.args[0] if exc.args else exc))
-    except MalformedInput as exc:
+    except (MalformedInput, MalformedDocument) as exc:
         _fail(2, str(exc))
-    except (
-        WindowedInput,
-        NotWindowed,
-        NotUnrolled,
-        NotDeterministic,
-        NotComplete,
-        RegisterCollision,
-        UnverifiableDeterminism,
-        NoTransition,
-    ) as exc:
-        _fail(3, str(exc))
-    except ValueError as exc:
+    except (NoTransition, ValueError) as exc:
         _fail(3, str(exc))
 
 
@@ -107,6 +89,8 @@ def _event_from_json_line(line: str, lineno: int) -> Event:
     if not isinstance(record, dict) or not record:
         raise MalformedInput(f"line {lineno}: expected a non-empty JSON object")
     for name, value in record.items():
+        if not name:
+            raise MalformedInput(f"line {lineno}: attribute names must be non-empty")
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise MalformedInput(
                 f"line {lineno}: attribute {name!r} must be a string or number"
@@ -186,14 +170,11 @@ def _load_pattern(path: str, window: Optional[int]):
 
 
 def _build_stage(expr: Expr, stage: str) -> Sra:
-    windowed = isinstance(expr, Window)
     if stage == "sra":
-        if windowed:
-            a = compiler.compile_expr(expr.body)
-            return compiler.eliminate_epsilon(a)
-        return compiler.eliminate_epsilon(compiler.compile_expr(expr))
+        body = expr.body if isinstance(expr, Window) else expr
+        return compiler.eliminate_epsilon(compiler.compile_expr(body))
     if stage == "nsra-unrolled":
-        if not windowed:
+        if not isinstance(expr, Window):
             raise NotWindowed("unrolling needs a window (use 'within N' or --window)")
         return compiler.compile_windowed(expr)
     if stage == "dsra":
@@ -266,11 +247,8 @@ def recognize(pattern, input_path, fmt, window, cap, report_empty_match, strict)
     """Run a pattern over an event stream, reporting match indexes as JSONL."""
     with _mapped_errors():
         _, expr = _load_pattern(pattern, window)
-        if isinstance(expr, Window):
-            a = compiler.streaming_automaton(compiler.compile_windowed(expr))
-        else:
-            a = compiler.eliminate_epsilon(compiler.compile_expr(to_streaming(expr)))
-        engine = StreamEngine(a, cap=cap)
+        stage = "nsra-unrolled" if isinstance(expr, Window) else "sra"
+        engine = StreamEngine(compiler.streaming_automaton(_build_stage(expr, stage)), cap=cap)
         if report_empty_match and engine.matched_at_start:
             _emit_record({"index": 0})
         with contextlib.closing(_open_input(input_path)) as fp:

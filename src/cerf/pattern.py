@@ -35,13 +35,13 @@ from .algebra import (
     Event,
     Not,
     Or,
-    Predicate,
     PredicateLibrary,
     Register,
     TrueCondition,
     UnknownPredicate,
     Valuation,
-    _compare_values,
+    declared_predicate,
+    predicates_of,
     registers_of,
 )
 
@@ -303,7 +303,7 @@ class _Parser:
         right = self.parse_operand(params)
         if left[0] == "lit" and right[0] == "lit":
             raise self.error("a predicate must reference at least one parameter", op_tok)
-        self.library.define(_declared_predicate(name, params, left, op, right))
+        self.library.define(declared_predicate(name, params, left, op, right))
 
     def parse_operand(self, params: list[str]):
         tok = self.peek()
@@ -466,31 +466,6 @@ class _Parser:
         raise self.error("expected ~ or a register argument")
 
 
-def _declared_predicate(name: str, params: list[str], left, op: str, right) -> Predicate:
-    def resolver(operand):
-        if operand[0] == "lit":
-            value = operand[1]
-            return lambda events: value
-        _, index, attr = operand
-        return lambda events: events[index].get(attr)
-
-    resolve_left = resolver(left)
-    resolve_right = resolver(right)
-
-    def ev(*events: Event) -> bool:
-        return _compare_values(resolve_left(events), op, resolve_right(events))
-
-    def render(operand) -> str:
-        if operand[0] == "lit":
-            value = operand[1]
-            return f'"{value}"' if isinstance(value, str) else repr(value)
-        _, index, attr = operand
-        return f"{params[index]}.{attr}"
-
-    source = f"pred {name}({', '.join(params)}): {render(left)} {op} {render(right)}"
-    return Predicate(name, len(params), ev, source)
-
-
 def parse(text: str, library: Optional[PredicateLibrary] = None) -> tuple[PredicateLibrary, Expr]:
     """Parse a full pattern file: predicate declarations, one expression.
 
@@ -607,18 +582,9 @@ def unparse_pattern(library: PredicateLibrary, e: Expr) -> str:
     expression actually uses), then the expression."""
     used: set[str] = set()
 
-    def collect_cond(c: Condition) -> None:
-        if isinstance(c, Atom):
-            used.add(c.predicate.name)
-        elif isinstance(c, Not):
-            collect_cond(c.operand)
-        elif isinstance(c, (And, Or)):
-            collect_cond(c.left)
-            collect_cond(c.right)
-
     def collect(x: Expr) -> None:
         if isinstance(x, (Cond, CondWrite)):
-            collect_cond(x.condition)
+            used.update(p.name for p in predicates_of(x.condition))
         elif isinstance(x, (Concat, Alt)):
             collect(x.left)
             collect(x.right)

@@ -7,10 +7,11 @@ and re-parses each condition against them."""
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import IO, Union
 
-from .algebra import Atom, Condition, Not, And, Or, PredicateLibrary, Register
+from .algebra import PredicateLibrary, Register, predicates_of
 from .automaton import Sra, Transition
 from .forecast import Pst, SymbolMap
 from .pattern import parse_condition, parse_predicates, unparse_condition
@@ -21,21 +22,28 @@ FORMAT_MODEL = "cerf-model"
 VERSION = 1
 
 
-def _used_predicates(condition: Condition, into: set) -> None:
-    if isinstance(condition, Atom):
-        into.add(condition.predicate)
-    elif isinstance(condition, Not):
-        _used_predicates(condition.operand, into)
-    elif isinstance(condition, (And, Or)):
-        _used_predicates(condition.left, into)
-        _used_predicates(condition.right, into)
+class MalformedDocument(ValueError):
+    """A document that is not JSON, lacks a key or holds one of the wrong
+    type, or describes an automaton or tree that breaks its invariants."""
+
+
+def _validated(from_doc):
+    """Report any failure to rebuild a document as MalformedDocument."""
+
+    @functools.wraps(from_doc)
+    def checked(doc: dict):
+        try:
+            return from_doc(doc)
+        except MalformedDocument:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedDocument(f"malformed document ({type(exc).__name__}: {exc})") from exc
+
+    return checked
 
 
 def _predicate_sources(conditions) -> list[str]:
-    preds = set()
-    for cond in conditions:
-        if cond is not None:
-            _used_predicates(cond, preds)
+    preds = set().union(*(predicates_of(c) for c in conditions if c is not None))
     sources = []
     for pred in sorted(preds, key=lambda p: p.name):
         if not pred.source:
@@ -71,13 +79,17 @@ def automaton_to_doc(a: Sra) -> dict:
 
 def _check_header(doc: dict, expected: str) -> None:
     if not isinstance(doc, dict) or doc.get("format") != expected:
-        raise ValueError(f"not a {expected} document")
+        raise MalformedDocument(f"not a {expected} document")
     if doc.get("version") != VERSION:
-        raise ValueError(f"unsupported {expected} document version {doc.get('version')!r}")
+        raise MalformedDocument(f"unsupported {expected} document version {doc.get('version')!r}")
 
 
+@_validated
 def automaton_from_doc(doc: dict) -> tuple[Sra, PredicateLibrary]:
     _check_header(doc, FORMAT_SRA)
+    window = doc["window"]
+    if type(window) not in (int, type(None)) or type(doc["deterministic"]) is not bool:
+        raise TypeError("window must be an integer or null, deterministic a boolean")
     library = parse_predicates("\n".join(doc["predicates"]))
     register_names = list(doc["registers"])
     transitions = tuple(
@@ -97,7 +109,7 @@ def automaton_from_doc(doc: dict) -> tuple[Sra, PredicateLibrary]:
         finals=frozenset(doc["finals"]),
         registers=frozenset(Register(name) for name in register_names),
         transitions=transitions,
-        window=doc["window"],
+        window=window,
         deterministic=doc["deterministic"],
     )
     return a, library
@@ -132,6 +144,7 @@ def pst_to_doc(pst: Pst) -> dict:
     }
 
 
+@_validated
 def pst_from_doc(doc: dict) -> Pst:
     _check_header(doc, FORMAT_PST)
     nodes = {tuple(n["context"]): n["distribution"] for n in doc["nodes"]}
@@ -148,6 +161,7 @@ def model_to_doc(automaton: Sra, symbol_map: SymbolMap, pst: Pst) -> dict:
     }
 
 
+@_validated
 def model_from_doc(doc: dict) -> tuple[Sra, SymbolMap, Pst, PredicateLibrary]:
     _check_header(doc, FORMAT_MODEL)
     automaton, library = automaton_from_doc(doc["automaton"])
@@ -168,7 +182,10 @@ def dump(doc: dict, target: Union[str, IO[str]]) -> None:
 
 
 def load(source: Union[str, IO[str]]) -> dict:
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fp:
-            return json.load(fp)
-    return json.load(source)
+    try:
+        if isinstance(source, str):
+            with open(source, "r", encoding="utf-8") as fp:
+                return json.load(fp)
+        return json.load(source)
+    except ValueError as exc:
+        raise MalformedDocument(f"not a JSON document ({exc})") from exc

@@ -28,10 +28,12 @@ from cerf.automaton import (
     successors,
     to_dot,
 )
-from cerf import compiler
-from cerf.pattern import parse, to_streaming
+from random import Random
 
-from conftest import E1_TEXT, make_table1, make_t_then_h_automaton
+from cerf import compiler
+from cerf.pattern import Window, parse, to_streaming
+
+from conftest import E1_TEXT, E3_TEXT, make_table1, make_t_then_h_automaton
 from gen import UNIVERSE, universe_library
 
 R1 = Register("r1")
@@ -236,6 +238,23 @@ class TestDeterminism:
         events = [Event.of(sym="a"), Event.of(sym="b")]
         assert is_deterministic(two_state_dfa, universe=events) is True
 
+    def test_one_overlapping_event_is_a_witness(self):
+        # KindA and NumIs1 are not syntactically exclusive and fire together
+        # on the universe's (A, 1) event only
+        a = Sra(
+            states=frozenset({"s", "t"}),
+            start="s",
+            finals=frozenset({"t"}),
+            registers=frozenset(),
+            transitions=(
+                Transition("s", "t", _atom("KindA", CURRENT)),
+                Transition("s", "s", _atom("NumIs1", CURRENT)),
+            ),
+        )
+        assert is_deterministic(a, universe=UNIVERSE) is False
+        others = [ev for ev in UNIVERSE if ev != Event.of(kind="A", num=1)]
+        assert is_deterministic(a, universe=others) is True
+
     def test_register_conditions_need_valuations(self, t_then_h, table1):
         with pytest.raises(UnverifiableDeterminism):
             is_deterministic(t_then_h, universe=table1)
@@ -284,6 +303,26 @@ class TestDeterministicRunner:
         runner.step(UNIVERSE[0])
         assert counters.condition_evals >= 1
         assert counters.register_reads <= len(d.registers)
+
+
+    def test_step_stops_at_the_transition_that_fires(self):
+        # the step cost is exactly the 1-based position of the taken
+        # transition among the state's outgoing transitions
+        _, e3 = parse(E3_TEXT)
+        d = compiler.complete(compiler.determinize(Window(e3.body, 4)))
+        rng = Random(7)
+        positions = []
+        for _ in range(40):
+            counters = EvalCounters()
+            runner = DeterministicRunner(d, counters)
+            for _ in range(5):
+                ev = Event.of(type=rng.choice("TH"), id=rng.randint(1, 3))
+                state, before = runner.state, counters.condition_evals
+                taken = runner.step(ev)
+                position = d.out(state).index(taken) + 1
+                assert counters.condition_evals - before == position
+                positions.append(position)
+        assert max(positions) > 1
 
 
 class TestDot:

@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 from cerf.algebra import CURRENT, EMPTY_VALUATION, TRUE, Atom, Event, Register
-from cerf.automaton import Configuration, Sra, Transition, run_accepts, successors
+from cerf.automaton import Configuration, Sra, StreamEngine, Transition, run_accepts, successors
 from cerf.compiler import (
     NotUnrolled,
     NotWindowed,
@@ -442,3 +442,18 @@ class TestStreamingAutomaton:
         for k in range(1, len(stream) + 1):
             expected = any(accepts(e3, stream[i:k]) for i in range(k))
             assert run_accepts(a, stream[:k]) == expected
+
+    def test_unwindowed_route_matches_oracle(self):
+        # the automaton `cerf recognize` runs for an unwindowed pattern
+        lib = universe_library()
+        rng = Random(2024)
+        for _ in range(25):
+            e = random_expr(rng, 3, lib)
+            a = streaming_automaton(eliminate_epsilon(compile_expr(e)))
+            streaming = to_streaming(e)
+            for _ in range(4):
+                engine = StreamEngine(a)
+                assert engine.matched_at_start == accepts(streaming, []), unparse(e)
+                stream = [rng.choice(UNIVERSE) for _ in range(4)]
+                for k, ev in enumerate(stream, start=1):
+                    assert engine.step(ev) == accepts(streaming, stream[:k]), unparse(e)

@@ -82,6 +82,40 @@ class TestSerializeAutomaton:
         with pytest.raises(ValueError):
             serialize.automaton_to_doc(a)
 
+    def test_always_is_not_serializable(self):
+        from cerf.algebra import ALWAYS, CURRENT, Atom
+
+        a = Sra(
+            states=frozenset({"q"}),
+            start="q",
+            finals=frozenset({"q"}),
+            registers=frozenset(),
+            transitions=(Transition("q", "q", Atom(ALWAYS, (CURRENT,))),),
+        )
+        assert run_accepts(a, [Event.of(x=1)])
+        with pytest.raises(ValueError, match="cannot be serialized"):
+            serialize.automaton_to_doc(a)
+
+    def test_malformed_documents(self, tmp_path, two_state_dfa):
+        doc = serialize.automaton_to_doc(two_state_dfa)
+        broken = [
+            {k: v for k, v in doc.items() if k != "window"},
+            dict(doc, window="3"),
+            dict(doc, transitions=["1 -> 2"]),
+            dict(doc, start="nowhere"),
+        ]
+        for bad in broken:
+            with pytest.raises(serialize.MalformedDocument):
+                serialize.automaton_from_doc(bad)
+        with pytest.raises(serialize.MalformedDocument):
+            serialize.pst_from_doc({"format": "pst", "version": 1, "max_order": 1})
+        with pytest.raises(serialize.MalformedDocument):
+            serialize.model_from_doc({"format": "cerf-model", "version": 1, "automaton": doc})
+        target = tmp_path / "a.json"
+        target.write_text('{"format": ')
+        with pytest.raises(serialize.MalformedDocument):
+            serialize.load(str(target))
+
     def test_header_validation(self, two_state_dfa):
         doc = serialize.automaton_to_doc(two_state_dfa)
         wrong_format = dict(doc, format="something-else")
@@ -310,6 +344,19 @@ class TestRecognizeCommand:
         )
         assert strict.exit_code == 2
 
+    def test_empty_attribute_name_is_a_malformed_line(self, runner, workdir):
+        lines = TABLE1_JSONL.splitlines()
+        lines.insert(2, '{"": 1}')
+        Path("dirty.jsonl").write_text("\n".join(lines) + "\n")
+        tolerant = runner.invoke(main, ["recognize", "e1.pat", "--input", "dirty.jsonl"])
+        assert tolerant.exit_code == 0, tolerant.stderr
+        assert _indexes(tolerant.stdout) == [4, 5]
+        assert "line 3" in tolerant.stderr
+        strict = runner.invoke(
+            main, ["recognize", "e1.pat", "--input", "dirty.jsonl", "--strict"]
+        )
+        assert strict.exit_code == 2
+
     def test_report_empty_match(self, runner, workdir):
         Path("any.pat").write_text("TRUE*\n")
         result = runner.invoke(
@@ -346,6 +393,23 @@ class TestPipelineCommands:
         assert result.exit_code == 0, result.stderr
         doc = json.loads(result.stdout)
         assert doc["deterministic"] is True and len(doc["states"]) == 11
+
+    def test_document_missing_a_key(self, runner, workdir):
+        runner.invoke(main, ["compile", "e3.pat", "--stage", "nsra-unrolled", "--out", "u.json"])
+        doc = json.loads(Path("u.json").read_text())
+        del doc["window"]
+        Path("u.json").write_text(json.dumps(doc))
+        result = runner.invoke(main, ["determinize", "--automaton", "u.json"])
+        assert result.exit_code == 2
+        assert "error:" in result.stderr and "window" in result.stderr
+        Path("u.json").write_text("not json")
+        result = runner.invoke(main, ["determinize", "--automaton", "u.json"])
+        assert result.exit_code == 2 and "error:" in result.stderr
+
+    def test_precondition_failures_exit_3(self, runner, workdir):
+        runner.invoke(main, ["compile", "e3.pat", "--stage", "nsra-unrolled", "--out", "u.json"])
+        result = runner.invoke(main, ["complement", "--automaton", "u.json"])
+        assert result.exit_code == 3 and "error:" in result.stderr
 
     def test_pattern_and_automaton_are_exclusive(self, runner, workdir):
         result = runner.invoke(main, ["determinize", "e3.pat", "--automaton", "u.json"])
@@ -462,6 +526,23 @@ class TestLearnAndForecast:
         )
         records = [json.loads(line) for line in low.stdout.splitlines()]
         assert all(r["classification"] for r in records)
+
+
+    def test_incomplete_model_exits_3(self, runner, workdir):
+        self._train_file()
+        runner.invoke(
+            main,
+            ["learn", "e3.pat", "--train", "train.jsonl", "--max-order", "2",
+             "--out", "model.json"],
+        )
+        doc = json.loads(Path("model.json").read_text())
+        automaton = doc["automaton"]
+        automaton["transitions"] = [
+            t for t in automaton["transitions"] if t["source"] != automaton["start"]
+        ]
+        Path("model.json").write_text(json.dumps(doc))
+        result = runner.invoke(main, ["forecast", "--model", "model.json", "--input", "events.jsonl"])
+        assert result.exit_code == 3 and "no transition fires" in result.stderr
 
 
 class TestOracleCommand:
