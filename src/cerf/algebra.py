@@ -16,10 +16,6 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 Value = Union[str, int, float]
 
 
-class UnboundRegister(LookupError):
-    """A condition atom read a register that holds no event."""
-
-
 class NotAMinterm(ValueError):
     """The condition does not have the conjunct structure minterms() produces."""
 
@@ -110,12 +106,6 @@ class Valuation:
 
     entries: tuple[tuple[Register, Event], ...] = ()
 
-    def get(self, register: Register) -> Event:
-        for reg, event in self.entries:
-            if reg == register:
-                return event
-        raise UnboundRegister(register.name)
-
     def lookup(self, register: Register) -> Optional[Event]:
         for reg, event in self.entries:
             if reg == register:
@@ -173,22 +163,26 @@ class Predicate:
         return bool(self.evaluator(*events))
 
 
-def _compare_values(left: Optional[Value], op: str, right: Optional[Value]) -> bool:
+_COMPARISONS: dict[str, Callable[[Value, Value], bool]] = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _compare_values(
+    left: Optional[Value], compare: Callable[[Value, Value], bool], right: Optional[Value]
+) -> bool:
     if left is None or right is None:
         return False
     numeric = isinstance(left, (int, float)) and isinstance(right, (int, float))
     textual = isinstance(left, str) and isinstance(right, str)
     if not (numeric or textual):
         return False
-    fn = {
-        "==": operator.eq,
-        "!=": operator.ne,
-        "<": operator.lt,
-        "<=": operator.le,
-        ">": operator.gt,
-        ">=": operator.ge,
-    }[op]
-    return bool(fn(left, right))
+    return bool(compare(left, right))
 
 
 def declared_predicate(name: str, params: Sequence[str], left, op: str, right) -> Predicate:
@@ -207,9 +201,10 @@ def declared_predicate(name: str, params: Sequence[str], left, op: str, right) -
 
     resolve_left = resolver(left)
     resolve_right = resolver(right)
+    compare = _COMPARISONS[op]
 
     def ev(*events: Event) -> bool:
-        return _compare_values(resolve_left(events), op, resolve_right(events))
+        return _compare_values(resolve_left(events), compare, resolve_right(events))
 
     def render(operand) -> str:
         if operand[0] == "lit":
@@ -391,15 +386,8 @@ class EvalScope:
     read from the valuation at most once per consumed event, which is what
     keeps the deterministic step within k register reads."""
 
-    def __init__(
-        self,
-        valuation: Valuation,
-        *,
-        strict: bool = True,
-        counters: Optional[EvalCounters] = None,
-    ) -> None:
+    def __init__(self, valuation: Valuation, *, counters: Optional[EvalCounters] = None) -> None:
         self.valuation = valuation
-        self.strict = strict
         self.counters = counters
         self._cache: dict[Register, Optional[Event]] = {}
 
@@ -421,8 +409,6 @@ class EvalScope:
                 else:
                     event = self._read(arg)
                     if event is None:
-                        if self.strict:
-                            raise UnboundRegister(arg.name)
                         # Total semantics: an atom reading an empty register
                         # does not hold.
                         return False
@@ -441,21 +427,13 @@ class EvalScope:
         raise TypeError(f"not a condition: {condition!r}")
 
 
-def evaluate_condition(
-    condition: Condition,
-    current: Event,
-    valuation: Valuation,
-    *,
-    strict: bool = True,
-) -> bool:
+def evaluate_condition(condition: Condition, current: Event, valuation: Valuation) -> bool:
     """Truth value of a condition against the current element and valuation.
 
-    With strict=True (the default) an atom that reads an unbound register
-    raises UnboundRegister, signalling an ill-sequenced pattern. Engines and
-    the derivation oracle evaluate with strict=False, where such an atom is
-    simply false and Boolean operators stay classical.
-    """
-    return EvalScope(valuation, strict=strict).evaluate(condition, current)
+    An atom that reads an empty register is false, and the Boolean operators
+    stay classical (its negation is true). Reads of registers that nothing
+    writes are rejected when a pattern is parsed."""
+    return EvalScope(valuation).evaluate(condition, current)
 
 
 # ---------------------------------------------------------------------------

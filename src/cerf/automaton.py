@@ -176,7 +176,7 @@ def _fire(
     (an atom reading an empty register does not hold), with the valuation
     after its writes. Lazy, so a caller that stops early evaluates no more."""
     for state, v in configs:
-        scope = EvalScope(v, strict=False, counters=counters)
+        scope = EvalScope(v, counters=counters)
         for t in a.out(state):
             if t.condition is None:
                 continue
@@ -193,29 +193,29 @@ def _check_cap(configs: set, cap: int) -> None:
         )
 
 
-def _epsilon_closure(a: Sra, configs: set[tuple[str, Valuation]]) -> set[tuple[str, Valuation]]:
-    closure = set(configs)
-    stack = list(configs)
+def epsilon_closure(a: Sra, state: str) -> frozenset[str]:
+    """Every state reachable from `state` by ε-moves alone, itself included."""
+    closure = {state}
+    stack = [state]
     while stack:
-        state, v = stack.pop()
-        for t in a.out(state):
-            if t.is_epsilon:
-                item = (t.target, v)
-                if item not in closure:
-                    closure.add(item)
-                    stack.append(item)
-    return closure
+        for t in a.out(stack.pop()):
+            if t.is_epsilon and t.target not in closure:
+                closure.add(t.target)
+                stack.append(t.target)
+    return frozenset(closure)
 
 
 def run_accepts(a: Sra, events: Sequence[Event], cap: int = 100_000) -> bool:
     """Whether some run over exactly `events` ends in a final state.
 
     Breadth-wise configuration-set search with ε-closure interleaving and
-    (state, valuation) deduplication."""
-    current = _epsilon_closure(a, {(a.start, EMPTY_VALUATION)})
+    (state, valuation) deduplication. ε-moves write nothing, so closing a
+    configuration closes its state and keeps its valuation."""
+    current = {(q, EMPTY_VALUATION) for q in epsilon_closure(a, a.start)}
     _check_cap(current, cap)
     for event in events:
-        current = _epsilon_closure(a, {(t.target, v) for t, v in _fire(a, current, event)})
+        fired = {(t.target, v) for t, v in _fire(a, current, event)}
+        current = {(q, v) for state, v in fired for q in epsilon_closure(a, state)}
         _check_cap(current, cap)
         if not current:
             return False

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Hashable, Iterable, Optional, Union
 
 from .algebra import (
     And,
@@ -21,7 +21,7 @@ from .algebra import (
     registers_of,
     substitute_registers,
 )
-from .automaton import NotDeterministic, Sra, Transition
+from .automaton import NotDeterministic, Sra, Transition, epsilon_closure
 from .pattern import (
     Alt,
     Concat,
@@ -49,10 +49,6 @@ class NotWindowed(ValueError):
 
 class NotUnrolled(ValueError):
     """The operation needs an acyclic (unrolled) ε-free automaton."""
-
-
-class RegisterCollision(ValueError):
-    """Binary operands share register names and renaming is disabled."""
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +123,45 @@ def compile_expr(e: Expr) -> Sra:
 
 
 # ---------------------------------------------------------------------------
+# Reachable-state constructions
+
+
+Move = tuple[Optional[Condition], frozenset[Register], Hashable]
+
+
+def _reachable(
+    start: Hashable,
+    step: Callable[[Hashable], Iterable[Move]],
+    name: Callable[[Hashable], str],
+    is_final: Callable[[Hashable], bool],
+    **fields,
+) -> Sra:
+    """The automaton whose states are the keys reachable from `start`.
+
+    Keys are explored breadth-first and named by `name` when first reached;
+    each (condition, writes, target key) that `step(key)` yields becomes one
+    transition, in the order yielded. `fields` are the remaining Sra fields
+    (registers, window, deterministic)."""
+    names = {start: name(start)}
+    queue = deque((start,))
+    transitions = []
+    while queue:
+        key = queue.popleft()
+        for condition, writes, target in step(key):
+            if target not in names:
+                names[target] = name(target)
+                queue.append(target)
+            transitions.append(Transition(names[key], names[target], condition, writes))
+    return Sra(
+        states=frozenset(names.values()),
+        start=names[start],
+        finals=frozenset(n for key, n in names.items() if is_final(key)),
+        transitions=tuple(transitions),
+        **fields,
+    )
+
+
+# ---------------------------------------------------------------------------
 # ε-elimination
 
 
@@ -139,43 +174,21 @@ def eliminate_epsilon(a: Sra) -> Sra:
     reachable originals, each transition re-targeted to the closure of its
     target; a closure is final when it contains an original final."""
 
-    def enclose(state: str) -> frozenset[str]:
-        seen = {state}
-        stack = [state]
-        while stack:
-            for t in a.out(stack.pop()):
-                if t.is_epsilon and t.target not in seen:
-                    seen.add(t.target)
-                    stack.append(t.target)
-        return frozenset(seen)
+    def step(closure: frozenset[str]) -> Iterable[Move]:
+        # Identical moves out of one closure collapse into one transition.
+        return dict.fromkeys(
+            (t.condition, t.writes, epsilon_closure(a, t.target))
+            for member in sorted(closure)
+            for t in a.out(member)
+            if not t.is_epsilon
+        )
 
-    start = enclose(a.start)
-    names = {start: _set_name(start)}
-    order = [start]
-    queue = deque((start,))
-    transitions: list[Transition] = []
-    added: set[tuple[str, Condition, frozenset[Register], str]] = set()
-    while queue:
-        closure = queue.popleft()
-        for member in sorted(closure):
-            for t in a.out(member):
-                if t.is_epsilon:
-                    continue
-                target = enclose(t.target)
-                if target not in names:
-                    names[target] = _set_name(target)
-                    order.append(target)
-                    queue.append(target)
-                key = (names[closure], t.condition, t.writes, names[target])
-                if key not in added:
-                    added.add(key)
-                    transitions.append(Transition(key[0], key[3], t.condition, t.writes))
-    return Sra(
-        states=frozenset(names[c] for c in order),
-        start=names[start],
-        finals=frozenset(names[c] for c in order if c & a.finals),
+    return _reachable(
+        epsilon_closure(a, a.start),
+        step,
+        _set_name,
+        lambda closure: bool(closure & a.finals),
         registers=a.registers,
-        transitions=tuple(transitions),
         window=a.window,
     )
 
@@ -208,54 +221,36 @@ def to_single_register(a: Sra) -> Sra:
     slots = [Register(name) for name in slot_names]
     start_partition = (frozenset(originals),) + (frozenset(),) * (n - 1)
 
-    def partition_name(p: tuple[frozenset[Register], ...]) -> str:
-        return "/".join(
-            ",".join(sorted(r.name for r in block)) if block else "-" for block in p
-        )
+    def name(key) -> str:
+        q, p = key
+        blocks = (",".join(sorted(r.name for r in block)) if block else "-" for block in p)
+        return f"{q}[{'/'.join(blocks)}]"
 
-    def state_name(q: str, p) -> str:
-        return f"{q}[{partition_name(p)}]"
-
-    start_key = (a.start, start_partition)
-    names = {start_key: state_name(*start_key)}
-    order = [start_key]
-    queue = deque((start_key,))
-    transitions = []
-    while queue:
-        q, p = queue.popleft()
+    def step(key) -> Iterable[Move]:
+        q, p = key
         block_of = {r: i for i, block in enumerate(p) for r in block}
         for t in a.out(q):
             if t.is_epsilon:
-                condition = None
-                writes: frozenset[Register] = frozenset()
-                p2 = p
-            else:
-                mapping = {r: slots[block_of[r]] for r in registers_of(t.condition)}
-                condition = substitute_registers(t.condition, mapping)
-                if t.writes:
-                    k = next(i for i in range(n) if p[i] <= t.writes)
-                    p2 = tuple(
-                        (block | t.writes) if i == k else (block - t.writes)
-                        for i, block in enumerate(p)
-                    )
-                    writes = frozenset((slots[k],))
-                else:
-                    writes = frozenset()
-                    p2 = p
-            target_key = (t.target, p2)
-            if target_key not in names:
-                names[target_key] = state_name(*target_key)
-                order.append(target_key)
-                queue.append(target_key)
-            transitions.append(
-                Transition(names[(q, p)], names[target_key], condition, writes)
+                yield None, frozenset(), (t.target, p)
+                continue
+            mapping = {r: slots[block_of[r]] for r in registers_of(t.condition)}
+            condition = substitute_registers(t.condition, mapping)
+            if not t.writes:
+                yield condition, frozenset(), (t.target, p)
+                continue
+            k = next(i for i in range(n) if p[i] <= t.writes)
+            p2 = tuple(
+                (block | t.writes) if i == k else (block - t.writes)
+                for i, block in enumerate(p)
             )
-    return Sra(
-        states=frozenset(names[k] for k in order),
-        start=names[start_key],
-        finals=frozenset(names[(q, p)] for q, p in order if q in a.finals),
+            yield condition, frozenset((slots[k],)), (t.target, p2)
+
+    return _reachable(
+        (a.start, start_partition),
+        step,
+        name,
+        lambda key: key[0] in a.finals,
         registers=frozenset(slots),
-        transitions=tuple(transitions),
         window=a.window,
     )
 
@@ -296,11 +291,9 @@ def _relabel_states(a: Sra, fn: Callable[[str], str]) -> Sra:
     )
 
 
-def _disjoint_operands(a1: Sra, a2: Sra, rename: bool) -> tuple[Sra, Sra]:
+def _disjoint_operands(a1: Sra, a2: Sra) -> tuple[Sra, Sra]:
     shared = a1.registers & a2.registers
     if shared:
-        if not rename:
-            raise RegisterCollision(sorted(r.name for r in shared))
         avoid = {r.name for r in a1.registers | a2.registers}
         mapping = {}
         for reg in sorted(shared):
@@ -335,9 +328,9 @@ def _fresh_state(base: str, avoid: frozenset[str]) -> str:
     return name
 
 
-def union_of(a1: Sra, a2: Sra, rename: bool = True) -> Sra:
+def union_of(a1: Sra, a2: Sra) -> Sra:
     """Fresh start/final joined to both operands by ε-moves."""
-    b1, b2 = _disjoint_operands(a1, a2, rename)
+    b1, b2 = _disjoint_operands(a1, a2)
     states = b1.states | b2.states
     start = _fresh_state("s", frozenset(states))
     final = _fresh_state("f", frozenset(states | {start}))
@@ -352,9 +345,9 @@ def union_of(a1: Sra, a2: Sra, rename: bool = True) -> Sra:
     )
 
 
-def concat_of(a1: Sra, a2: Sra, rename: bool = True) -> Sra:
+def concat_of(a1: Sra, a2: Sra) -> Sra:
     """ε-moves from every final of the first operand into the second."""
-    b1, b2 = _disjoint_operands(a1, a2, rename)
+    b1, b2 = _disjoint_operands(a1, a2)
     eps = tuple(Transition(g, b2.start, None) for g in sorted(b1.finals))
     return Sra(
         states=b1.states | b2.states,
@@ -382,48 +375,29 @@ def star_of(a: Sra) -> Sra:
     )
 
 
-def intersect(a1: Sra, a2: Sra, rename: bool = True) -> Sra:
+def intersect(a1: Sra, a2: Sra) -> Sra:
     """Product construction over ε-free operands (ε-elimination is applied
-    first when needed): conditions conjoined, write sets unioned. The result
-    may write several registers per transition; normalize with
-    to_single_register when single-write form matters."""
+    first when needed): states are pairs of operand states, conditions
+    conjoined, write sets unioned, and shared register names renamed apart
+    in the second operand. The result may write several registers per
+    transition; normalize with to_single_register when single-write form
+    matters."""
     b1 = eliminate_epsilon(a1) if a1.has_epsilon else a1
     b2 = eliminate_epsilon(a2) if a2.has_epsilon else a2
-    b1, b2 = _disjoint_operands(b1, b2, rename)
+    b1, b2 = _disjoint_operands(b1, b2)
 
-    def name(q1: str, q2: str) -> str:
-        return f"({q1},{q2})"
+    def step(pair: tuple[str, str]) -> Iterable[Move]:
+        for t1 in b1.out(pair[0]):
+            for t2 in b2.out(pair[1]):
+                condition = And(t1.condition, t2.condition)
+                yield condition, t1.writes | t2.writes, (t1.target, t2.target)
 
-    start = (b1.start, b2.start)
-    seen = {start}
-    order = [start]
-    queue = deque((start,))
-    transitions = []
-    while queue:
-        q1, q2 = queue.popleft()
-        for t1 in b1.out(q1):
-            for t2 in b2.out(q2):
-                target = (t1.target, t2.target)
-                if target not in seen:
-                    seen.add(target)
-                    order.append(target)
-                    queue.append(target)
-                transitions.append(
-                    Transition(
-                        name(q1, q2),
-                        name(*target),
-                        And(t1.condition, t2.condition),
-                        t1.writes | t2.writes,
-                    )
-                )
-    return Sra(
-        states=frozenset(name(*pair) for pair in order),
-        start=name(*start),
-        finals=frozenset(
-            name(q1, q2) for q1, q2 in order if q1 in b1.finals and q2 in b2.finals
-        ),
+    return _reachable(
+        (b1.start, b2.start),
+        step,
+        lambda pair: f"({pair[0]},{pair[1]})",
+        lambda pair: pair[0] in b1.finals and pair[1] in b2.finals,
         registers=b1.registers | b2.registers,
-        transitions=tuple(transitions),
     )
 
 
@@ -564,7 +538,8 @@ def determinize(source: Union[Expr, Sra]) -> Sra:
     """Powerset construction with minterm labels over an unrolled automaton
     (or a windowed expression, which is compiled and unrolled first).
 
-    Per subset, the distinct outgoing conditions generate minterms; each
+    States are the sets of original states reachable from {start}. Per
+    subset, the distinct outgoing conditions generate minterms; each
     minterm that entails at least one original condition becomes one
     transition to the set of entailed targets, writing the union of their
     write registers. Exactly one minterm fires for any (event, valuation),
@@ -580,32 +555,21 @@ def determinize(source: Union[Expr, Sra]) -> Sra:
     if a.has_epsilon or not a.is_acyclic():
         raise NotUnrolled("determinize needs an acyclic epsilon-free automaton")
 
-    start = frozenset((a.start,))
-    names = {start: _set_name(start)}
-    order = [start]
-    queue = deque((start,))
-    transitions = []
-    while queue:
-        subset = queue.popleft()
+    def step(subset: frozenset[str]) -> Iterable[Move]:
         outgoing = [t for q in sorted(subset) for t in a.out(q)]
         conditions = list(dict.fromkeys(t.condition for t in outgoing))
         for mt in minterms(conditions):
             entailed = [t for t in outgoing if entails(mt, t.condition)]
-            if not entailed:
-                continue
-            targets = frozenset(t.target for t in entailed)
-            writes = frozenset().union(*(t.writes for t in entailed))
-            if targets not in names:
-                names[targets] = _set_name(targets)
-                order.append(targets)
-                queue.append(targets)
-            transitions.append(Transition(names[subset], names[targets], mt, writes))
-    return Sra(
-        states=frozenset(names[s] for s in order),
-        start=names[start],
-        finals=frozenset(names[s] for s in order if s & a.finals),
+            if entailed:
+                writes = frozenset().union(*(t.writes for t in entailed))
+                yield mt, writes, frozenset(t.target for t in entailed)
+
+    return _reachable(
+        frozenset((a.start,)),
+        step,
+        _set_name,
+        lambda subset: bool(subset & a.finals),
         registers=a.registers,
-        transitions=tuple(transitions),
         window=a.window,
         deterministic=True,
     )

@@ -246,7 +246,6 @@ def waiting_time(
     state: str,
     context: Sequence[str] = (),
     horizon: int = 32,
-    floor: float = 0.0,
 ) -> WaitingTimeDistribution:
     """Expand the joint (automaton state, recent-symbol context) future up to
     the horizon.
@@ -254,8 +253,8 @@ def waiting_time(
     Each edge carries the tree's probability of its symbol given the current
     context, renormalized over the symbols actually available at the state
     (identity when every state offers the whole alphabet); paths end at
-    final states, and mass that is still live at the horizon - or pruned by
-    the floor - is reported as residual."""
+    final states, and mass that is still live at the horizon is reported as
+    residual."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if not d.deterministic or d.has_epsilon:
@@ -284,9 +283,6 @@ def waiting_time(
             for sym, target in available:
                 p2 = p * dist.get(sym, 0.0) / z
                 if p2 <= 0.0:
-                    continue
-                if floor > 0.0 and p2 < floor:
-                    pruned += p2
                     continue
                 if target in d.finals:
                     mass += p2

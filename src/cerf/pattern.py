@@ -20,6 +20,7 @@ element currently being consumed.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -171,6 +172,32 @@ def to_streaming(e: Expr) -> Expr:
     return Concat(Star(TRUE_COND), e)
 
 
+# The deepest expression nesting `parse` accepts, counting the condition
+# inside each leaf. The recursive walks over a parsed pattern (compilation,
+# unparsing, the derivation oracle) stay within Python's default recursion
+# limit up to this depth.
+MAX_NESTING = 400
+
+
+def _nesting(e: Expr) -> int:
+    """Depth of the expression tree with each leaf's condition tree included;
+    iterative, so it can measure trees too deep to recurse over."""
+    deepest = 0
+    stack: list[tuple[object, int]] = [(e, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, (Concat, Alt, And, Or)):
+            stack += ((node.left, depth + 1), (node.right, depth + 1))
+        elif isinstance(node, (Star, Window)):
+            stack.append((node.body, depth + 1))
+        elif isinstance(node, (Cond, CondWrite)):
+            stack.append((node.condition, depth + 1))
+        elif isinstance(node, Not):
+            stack.append((node.operand, depth + 1))
+    return deepest
+
+
 # ---------------------------------------------------------------------------
 # Tokenizer
 
@@ -179,7 +206,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<comment>\#[^\n]*)
-  | (?P<number>-?\d+(?:\.\d+)?)
+  | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
   | (?P<string>"[^"\n]*")
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<arrow>->)
@@ -310,7 +337,12 @@ class _Parser:
         if tok.kind == "number":
             self.advance()
             text = tok.text
-            return ("lit", float(text) if "." in text else int(text))
+            if not any(c in text for c in ".eE"):
+                return ("lit", int(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise self.error(f"number {text} is out of range", tok)
+            return ("lit", value)
         if tok.kind == "string":
             self.advance()
             return ("lit", tok.text[1:-1])
@@ -329,7 +361,18 @@ class _Parser:
     # -- expression grammar
 
     def parse_expression(self) -> Expr:
-        expr = self.parse_alt()
+        first = self.peek()
+        try:
+            expr = self.parse_alt()
+        except RecursionError:
+            raise self.error("parentheses or negations nest too deeply to parse") from None
+        # Checked before a window wraps the body, which walks it recursively.
+        depth = _nesting(expr)
+        if depth > MAX_NESTING:
+            raise self.error(
+                f"the pattern nests {depth} levels deep; at most {MAX_NESTING} are supported",
+                first,
+            )
         if self.peek().text == "within":
             self.advance()
             tok = self.peek()
@@ -470,7 +513,8 @@ def parse(text: str, library: Optional[PredicateLibrary] = None) -> tuple[Predic
     """Parse a full pattern file: predicate declarations, one expression.
 
     Returns the library (extended with the declared predicates) and the AST.
-    Raises PatternSyntaxError, UnknownPredicate (via unknown atom names), or
+    Raises PatternSyntaxError (also for patterns nesting deeper than
+    MAX_NESTING), UnknownPredicate (via unknown atom names), or
     UnknownRegister when a register is read but never written anywhere in the
     pattern.
     """
@@ -622,10 +666,12 @@ def derive(
     memo: dict = {}
 
     def sat(cond: Condition, index: int, v: Valuation) -> bool:
-        return EvalScope(v, strict=False).evaluate(cond, events[index])
+        return EvalScope(v).evaluate(cond, events[index])
 
     def go(node: Expr, i: int, j: int, v: Valuation) -> frozenset[Valuation]:
-        key = (node, i, j, v)
+        # Keyed by node identity: every node stays alive for the whole call,
+        # and hashing a frozen-dataclass node would re-walk its subtree.
+        key = (id(node), i, j, v)
         hit = memo.get(key)
         if hit is not None:
             return hit

@@ -116,7 +116,7 @@ def reach(e, events, i, valuation):
         if i >= len(events):
             return set()
         event = events[i]
-        if not evaluate_condition(e.condition, event, valuation, strict=False):
+        if not evaluate_condition(e.condition, event, valuation):
             return set()
         if isinstance(e, CondWrite):
             return {(i + 1, valuation.set(e.register, event))}
@@ -179,7 +179,7 @@ def acceptance_dfs(a, universe, max_len: int) -> dict:
     def step(configs, event):
         advanced = set()
         for state, v in configs:
-            scope = EvalScope(v, strict=False)
+            scope = EvalScope(v)
             for t in a.out(state):
                 if not t.is_epsilon and scope.evaluate(t.condition, event):
                     advanced.add((t.target, v.set_many(t.writes, event) if t.writes else v))

@@ -160,7 +160,7 @@ def _assert_single_run(d, events):
     state = d.start
     valuation = EMPTY_VALUATION
     for event in events:
-        scope = EvalScope(valuation, strict=False)
+        scope = EvalScope(valuation)
         firing = [t for t in d.out(state) if scope.evaluate(t.condition, event)]
         assert len(firing) <= 1, f"{len(firing)} transitions fire at {state}"
         if not firing:
@@ -287,7 +287,7 @@ def test_acceptance_07_minterms_partition_every_scenario():
                 pool = [random_condition(rng, lib) for _ in range(size)]
                 parts = minterms(pool)
                 for event, valuation in grid:
-                    scope = EvalScope(valuation, strict=False)
+                    scope = EvalScope(valuation)
                     fired = sum(
                         1 for part in parts if scope.evaluate(part, event)
                     )

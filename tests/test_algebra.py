@@ -18,7 +18,6 @@ from cerf.algebra import (
     Or,
     PredicateLibrary,
     Register,
-    UnboundRegister,
     UnknownPredicate,
     Valuation,
     comparison_predicate,
@@ -59,14 +58,13 @@ class TestEvent:
 
 
 class TestValuation:
-    def test_empty_lookup_raises(self):
-        with pytest.raises(UnboundRegister):
-            EMPTY_VALUATION.get(R1)
+    def test_empty_lookup_is_none(self):
+        assert EMPTY_VALUATION.lookup(R1) is None
 
     def test_set_then_get(self):
         ev = Event.of(x=1)
         v = EMPTY_VALUATION.set(R1, ev)
-        assert v.get(R1) is ev
+        assert v.lookup(R1) is ev
         assert v.is_bound(R1)
         assert not v.is_bound(R2)
         assert EMPTY_VALUATION.lookup(R1) is None
@@ -75,13 +73,13 @@ class TestValuation:
         ev1, ev2 = Event.of(x=1), Event.of(x=2)
         v1 = EMPTY_VALUATION.set(R1, ev1)
         v2 = v1.set(R1, ev2)
-        assert v1.get(R1) is ev1
-        assert v2.get(R1) is ev2
+        assert v1.lookup(R1) is ev1
+        assert v2.lookup(R1) is ev2
 
     def test_set_many(self):
         ev = Event.of(x=1)
         v = EMPTY_VALUATION.set_many({R1, R2}, ev)
-        assert v.get(R1) is ev and v.get(R2) is ev
+        assert v.lookup(R1) is ev and v.lookup(R2) is ev
         assert v.bound_registers() == frozenset({R1, R2})
 
     def test_equality_is_structural(self):
@@ -153,16 +151,11 @@ class TestEvaluation:
         assert evaluate_condition(cond, Event.of(kind="B", num=1), v)
         assert not evaluate_condition(cond, Event.of(kind="B", num=2), v)
 
-    def test_unbound_register_strict_raises(self):
-        cond = _atom("SameNum", CURRENT, R1)
-        with pytest.raises(UnboundRegister):
-            evaluate_condition(cond, UNIVERSE[0], EMPTY_VALUATION)
-
     def test_unbound_register_total_semantics(self):
         cond = _atom("SameNum", CURRENT, R1)
-        assert not evaluate_condition(cond, UNIVERSE[0], EMPTY_VALUATION, strict=False)
+        assert not evaluate_condition(cond, UNIVERSE[0], EMPTY_VALUATION)
         # negation stays classical: the false atom makes the negation true
-        assert evaluate_condition(Not(cond), UNIVERSE[0], EMPTY_VALUATION, strict=False)
+        assert evaluate_condition(Not(cond), UNIVERSE[0], EMPTY_VALUATION)
 
     def test_boolean_operators(self):
         a = _atom("KindA", CURRENT)
@@ -176,13 +169,13 @@ class TestEvaluation:
         counters = EvalCounters()
         cond = And(_atom("SameNum", CURRENT, R1), _atom("SameKind", CURRENT, R1))
         v = EMPTY_VALUATION.set(R1, Event.of(kind="A", num=1))
-        scope = EvalScope(v, strict=False, counters=counters)
+        scope = EvalScope(v, counters=counters)
         scope.evaluate(cond, Event.of(kind="A", num=1))
         assert counters.register_reads == 1
         scope.evaluate(cond, Event.of(kind="A", num=1))
         assert counters.register_reads == 1
         # a new scope re-reads
-        EvalScope(v, strict=False, counters=counters).evaluate(
+        EvalScope(v, counters=counters).evaluate(
             cond, Event.of(kind="A", num=1)
         )
         assert counters.register_reads == 2
@@ -263,7 +256,7 @@ class TestMinterms:
             for ev, v in _grid():
                 fired = [
                     m for m in family
-                    if evaluate_condition(m, ev, v, strict=False)
+                    if evaluate_condition(m, ev, v)
                 ]
                 assert len(fired) == 1
 
@@ -312,8 +305,8 @@ class TestEntails:
                 if not entails(mt, cond):
                     continue
                 for ev, v in _grid():
-                    if evaluate_condition(mt, ev, v, strict=False):
-                        assert evaluate_condition(cond, ev, v, strict=False)
+                    if evaluate_condition(mt, ev, v):
+                        assert evaluate_condition(cond, ev, v)
 
 
 @given(st.integers(min_value=0, max_value=3), st.data())
@@ -330,6 +323,6 @@ def test_minterm_partition_property(n_conditions, data):
     bind = data.draw(st.sampled_from([None] + list(UNIVERSE)))
     v = EMPTY_VALUATION if bind is None else EMPTY_VALUATION.set(R1, bind)
     fired = [
-        m for m in minterms(conds) if evaluate_condition(m, ev, v, strict=False)
+        m for m in minterms(conds) if evaluate_condition(m, ev, v)
     ]
     assert len(fired) == 1

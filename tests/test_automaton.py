@@ -133,7 +133,7 @@ class TestRuns:
         stepped = successors(a, eps[0], ev)
         assert [c.state for c in stepped] == ["r"]
         assert stepped[0].index == 2
-        assert stepped[0].valuation.get(R1) == ev
+        assert stepped[0].valuation.lookup(R1) == ev
 
     def test_cap_exceeded(self):
         # every event spawns a fresh binding that never dies

@@ -7,7 +7,6 @@ from cerf.automaton import Configuration, Sra, StreamEngine, Transition, run_acc
 from cerf.compiler import (
     NotUnrolled,
     NotWindowed,
-    RegisterCollision,
     WindowedInput,
     compile_expr,
     compile_windowed,
@@ -301,7 +300,7 @@ class TestComplete:
 def _satisfied(cond, ev, v):
     from cerf.algebra import evaluate_condition
 
-    return evaluate_condition(cond, ev, v, strict=False)
+    return evaluate_condition(cond, ev, v)
 
 
 class TestComplement:
@@ -382,8 +381,6 @@ class TestClosures:
         a2 = compile_expr(CondWrite(phi, R1))
         product = intersect(a1, a2)
         assert len(product.registers) == 2
-        with pytest.raises(RegisterCollision):
-            intersect(a1, a2, rename=False)
 
     def test_union_on_register_expressions(self):
         lib = universe_library()

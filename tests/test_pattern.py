@@ -13,8 +13,10 @@ from cerf.algebra import (
     Or,
     Register,
     UnknownPredicate,
+    comparison_predicate,
 )
 from cerf.pattern import (
+    MAX_NESTING,
     Alt,
     Concat,
     Cond,
@@ -165,6 +167,23 @@ class TestParseErrors:
         with pytest.raises(PatternSyntaxError):
             parse("TRUE TRUE")
 
+    @pytest.mark.parametrize("joiner", [" ; ", " & "])
+    def test_nesting_bound(self, joiner):
+        lib = universe_library()
+        # n atoms joined left-deep nest n + 1 levels with the leaf's atom
+        at_bound = joiner.join(["KindA(~)"] * (MAX_NESTING - 1))
+        parse(at_bound, lib)
+        for count in (MAX_NESTING, 1500):
+            with pytest.raises(PatternSyntaxError) as err:
+                parse(joiner.join(["KindA(~)"] * count), lib)
+            assert f"at most {MAX_NESTING}" in str(err.value)
+
+    def test_deep_parentheses_are_a_syntax_error(self):
+        lib = universe_library()
+        with pytest.raises(PatternSyntaxError) as err:
+            parse("(" * 1500 + "KindA(~)" + ")" * 1500, lib)
+        assert "nest too deeply" in str(err.value)
+
 
 class TestRegisterHelpers:
     def test_top_and_written_registers(self):
@@ -206,7 +225,7 @@ class TestDerive:
         out = derive(e, [_ev("A", 2)])
         assert len(out) == 1
         (v,) = out
-        assert v.get(R1) == _ev("A", 2)
+        assert v.lookup(R1) == _ev("A", 2)
 
     def test_derive_threads_valuations_through_concat(self):
         lib = universe_library()
@@ -347,6 +366,19 @@ class TestParsePredicates:
         lib = parse_predicates('pred A(x): x.v == 1\npred B(x, y): x.v < y.v')
         assert "A" in lib and "B" in lib
         assert lib.get("B").arity == 2
+
+    @pytest.mark.parametrize("constant", [1e-05, 1e20, 0.1, -2.5])
+    def test_float_literals_round_trip(self, constant):
+        p = comparison_predicate("P", "value", ">", constant)
+        reloaded = parse_predicates(p.source).get("P")
+        assert reloaded.source == p.source
+        for value in (-3.0, 0.0, 1e-06, 0.5, 1e21):
+            ev = Event.of(value=value)
+            assert reloaded(ev) == p(ev)
+
+    def test_out_of_range_literal_rejected(self):
+        with pytest.raises(PatternSyntaxError):
+            parse_predicates("pred P(x): x.value > 1e999")
 
     def test_redeclaration_conflicts(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from cerf.automaton import Sra, Transition, run_accepts
 from cerf.cli import MalformedInput, main, read_events
 from cerf.compiler import complete, determinize
 from cerf.forecast import Pst, SymbolMap
-from cerf.pattern import accepts, parse
+from cerf.pattern import MAX_NESTING, accepts, parse
 
 from conftest import E1_TEXT, E3_TEXT, make_table1, make_two_state_dfa
 
@@ -367,6 +367,19 @@ class TestRecognizeCommand:
         plain = runner.invoke(main, ["recognize", "any.pat", "--input", "events.jsonl"])
         assert _indexes(plain.stdout) == [1, 2, 3, 4, 5, 6]
 
+    @pytest.mark.parametrize("joiner", [" ; ", " & "])
+    def test_nesting_bound(self, runner, workdir, joiner):
+        declarations = 'pred TypeIsT(x): x.type == "T"\n\n'
+        Path("deep.pat").write_text(declarations + joiner.join(["TypeIsT(~)"] * 1500))
+        result = runner.invoke(main, ["recognize", "deep.pat", "--input", "events.jsonl"])
+        assert result.exit_code == 2
+        assert f"at most {MAX_NESTING}" in result.stderr
+        at_bound = joiner.join(["TypeIsT(~)"] * (MAX_NESTING - 1))
+        Path("deep.pat").write_text(declarations + at_bound)
+        for command in ("recognize", "oracle"):
+            result = runner.invoke(main, [command, "deep.pat", "--input", "events.jsonl"])
+            assert result.exit_code == 0, result.stderr
+
     def test_cap_exceeded(self, runner, workdir):
         result = runner.invoke(
             main, ["recognize", "e1.pat", "--input", "events.jsonl", "--cap", "1"]
@@ -393,6 +406,19 @@ class TestPipelineCommands:
         assert result.exit_code == 0, result.stderr
         doc = json.loads(result.stdout)
         assert doc["deterministic"] is True and len(doc["states"]) == 11
+
+    def test_float_literals_survive_a_saved_document(self, runner, workdir):
+        Path("tiny.pat").write_text(
+            "pred Tiny(x): x.value > 0.00001\n"
+            "pred Huge(x): x.value < 100000000000000000000.0\n\n"
+            "(Tiny(~) ; Huge(~)) within 2\n"
+        )
+        save = runner.invoke(
+            main, ["compile", "tiny.pat", "--stage", "nsra-unrolled", "--out", "u.json"]
+        )
+        assert save.exit_code == 0, save.stderr
+        result = runner.invoke(main, ["determinize", "--automaton", "u.json"])
+        assert result.exit_code == 0, result.stderr
 
     def test_document_missing_a_key(self, runner, workdir):
         runner.invoke(main, ["compile", "e3.pat", "--stage", "nsra-unrolled", "--out", "u.json"])
