@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 Value = Union[str, int, float]
 
@@ -261,9 +261,6 @@ class PredicateLibrary:
     def __iter__(self):
         return iter(self._by_name.values())
 
-    def names(self) -> list[str]:
-        return sorted(self._by_name)
-
 
 # ---------------------------------------------------------------------------
 # Conditions
@@ -324,26 +321,37 @@ def conjoin(conditions: Sequence[Condition]) -> Condition:
     return result
 
 
+def _walk(condition: Condition, through: tuple[type, ...] = (Not, And, Or)) -> Iterator[Condition]:
+    """Every node of a condition tree in preorder, left operands first,
+    descending only into nodes of the `through` types (And alone walks a
+    conjunction spine). Iterative, so it handles trees too deep to recurse
+    over."""
+    stack = [condition]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, through):
+            continue
+        if isinstance(node, Not):
+            stack.append(node.operand)
+        else:
+            stack += (node.right, node.left)
+
+
 def registers_of(condition: Condition) -> frozenset[Register]:
     """The register selection: every register appearing in any atom."""
-    if isinstance(condition, Atom):
-        return frozenset(a for a in condition.args if isinstance(a, Register))
-    if isinstance(condition, Not):
-        return registers_of(condition.operand)
-    if isinstance(condition, (And, Or)):
-        return registers_of(condition.left) | registers_of(condition.right)
-    return frozenset()
+    return frozenset(
+        arg
+        for node in _walk(condition)
+        if isinstance(node, Atom)
+        for arg in node.args
+        if isinstance(arg, Register)
+    )
 
 
 def predicates_of(condition: Condition) -> frozenset[Predicate]:
     """Every predicate appearing in any atom."""
-    if isinstance(condition, Atom):
-        return frozenset((condition.predicate,))
-    if isinstance(condition, Not):
-        return predicates_of(condition.operand)
-    if isinstance(condition, (And, Or)):
-        return predicates_of(condition.left) | predicates_of(condition.right)
-    return frozenset()
+    return frozenset(node.predicate for node in _walk(condition) if isinstance(node, Atom))
 
 
 def substitute_registers(condition: Condition, mapping: Mapping[Register, Register]) -> Condition:
@@ -465,13 +473,6 @@ def minterms(conditions: Sequence[Condition]) -> tuple[Condition, ...]:
     return tuple(out)
 
 
-def _and_closure(condition: Condition, acc: set) -> None:
-    acc.add(condition)
-    if isinstance(condition, And):
-        _and_closure(condition.left, acc)
-        _and_closure(condition.right, acc)
-
-
 def entails(minterm: Condition, condition: Condition) -> bool:
     """Whether a minterm entails one of the conditions it was built from.
 
@@ -485,6 +486,4 @@ def entails(minterm: Condition, condition: Condition) -> bool:
         raise NotAMinterm(repr(minterm))
     if condition == TRUE:
         return True
-    acc: set = set()
-    _and_closure(minterm, acc)
-    return condition in acc
+    return any(node == condition for node in _walk(minterm, (And,)))

@@ -20,6 +20,7 @@ from .algebra import (
     Register,
     TrueCondition,
     Valuation,
+    _walk,
     registers_of,
 )
 from .pattern import unparse_condition
@@ -225,17 +226,10 @@ def run_accepts(a: Sra, events: Sequence[Event], cap: int = 100_000) -> bool:
 def _literals(cond: Condition) -> Optional[list[tuple[Condition, bool]]]:
     """Flatten a conjunction into (base, sign) literals, or None when the
     shape is not a plain sign-conjunction."""
-    if isinstance(cond, And):
-        left = _literals(cond.left)
-        right = _literals(cond.right)
-        if left is None or right is None:
-            return None
-        return left + right
-    if isinstance(cond, Not):
-        return [(cond.operand, False)]
-    if isinstance(cond, (TrueCondition, Or)):
-        return None if isinstance(cond, Or) else []
-    return [(cond, True)]
+    conjuncts = [c for c in _walk(cond, (And,)) if not isinstance(c, (And, TrueCondition))]
+    if any(isinstance(c, Or) for c in conjuncts):
+        return None
+    return [(c.operand, False) if isinstance(c, Not) else (c, True) for c in conjuncts]
 
 
 def _syntactically_exclusive(c1: Condition, c2: Condition) -> Optional[bool]:

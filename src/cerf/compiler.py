@@ -228,13 +228,12 @@ def to_single_register(a: Sra) -> Sra:
 
     def step(key) -> Iterable[Move]:
         q, p = key
-        block_of = {r: i for i, block in enumerate(p) for r in block}
+        slot_of = {r: slots[i] for i, block in enumerate(p) for r in block}
         for t in a.out(q):
             if t.is_epsilon:
                 yield None, frozenset(), (t.target, p)
                 continue
-            mapping = {r: slots[block_of[r]] for r in registers_of(t.condition)}
-            condition = substitute_registers(t.condition, mapping)
+            condition = substitute_registers(t.condition, slot_of)
             if not t.writes:
                 yield condition, frozenset(), (t.target, p)
                 continue
@@ -486,10 +485,7 @@ def unroll(a: Sra, width: int) -> tuple[Sra, UnrollMaps]:
             target_distance = distance.get(t.target)
             if target_distance is None or depth + 1 + target_distance > width:
                 continue
-            mapping = {
-                r: lastwrite[r] for r in registers_of(t.condition) if r in lastwrite
-            }
-            condition = substitute_registers(t.condition, mapping)
+            condition = substitute_registers(t.condition, lastwrite)
             if t.writes:
                 written = next(iter(t.writes))
                 copy = mint(written)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .algebra import (
     CURRENT,
@@ -42,8 +42,6 @@ from .algebra import (
     UnknownPredicate,
     Valuation,
     declared_predicate,
-    predicates_of,
-    registers_of,
 )
 
 
@@ -127,13 +125,7 @@ class Window(Expr):
 
 
 def _contains_window(e: Expr) -> bool:
-    if isinstance(e, Window):
-        return True
-    if isinstance(e, (Concat, Alt)):
-        return _contains_window(e.left) or _contains_window(e.right)
-    if isinstance(e, Star):
-        return _contains_window(e.body)
-    return False
+    return any(isinstance(node, Window) for node, _ in _walk(e))
 
 
 EMPTY = Empty()
@@ -141,27 +133,32 @@ EPSILON = Epsilon()
 TRUE_COND = Cond(TRUE)
 
 
+def _walk(e: Expr) -> Iterator[tuple[object, int]]:
+    """(node, depth) for every node of the expression in preorder, left
+    operands first, entering the condition of each leaf; the root has depth
+    1. Iterative, so it handles trees too deep to recurse over."""
+    stack: list[tuple[object, int]] = [(e, 1)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        if isinstance(node, (Concat, Alt, And, Or)):
+            stack += ((node.right, depth + 1), (node.left, depth + 1))
+        elif isinstance(node, (Star, Window)):
+            stack.append((node.body, depth + 1))
+        elif isinstance(node, (Cond, CondWrite)):
+            stack.append((node.condition, depth + 1))
+        elif isinstance(node, Not):
+            stack.append((node.operand, depth + 1))
+
+
 def top_registers(e: Expr) -> frozenset[Register]:
     """Every register read or written anywhere in the expression."""
-    if isinstance(e, Cond):
-        return registers_of(e.condition)
-    if isinstance(e, CondWrite):
-        return registers_of(e.condition) | {e.register}
-    if isinstance(e, (Concat, Alt)):
-        return top_registers(e.left) | top_registers(e.right)
-    if isinstance(e, (Star, Window)):
-        return top_registers(e.body)
-    return frozenset()
+    read = (arg for node, _ in _walk(e) if isinstance(node, Atom) for arg in node.args)
+    return written_registers(e) | {arg for arg in read if isinstance(arg, Register)}
 
 
 def written_registers(e: Expr) -> frozenset[Register]:
-    if isinstance(e, CondWrite):
-        return frozenset((e.register,))
-    if isinstance(e, (Concat, Alt)):
-        return written_registers(e.left) | written_registers(e.right)
-    if isinstance(e, (Star, Window)):
-        return written_registers(e.body)
-    return frozenset()
+    return frozenset(node.register for node, _ in _walk(e) if isinstance(node, CondWrite))
 
 
 def to_streaming(e: Expr) -> Expr:
@@ -177,25 +174,6 @@ def to_streaming(e: Expr) -> Expr:
 # unparsing, the derivation oracle) stay within Python's default recursion
 # limit up to this depth.
 MAX_NESTING = 400
-
-
-def _nesting(e: Expr) -> int:
-    """Depth of the expression tree with each leaf's condition tree included;
-    iterative, so it can measure trees too deep to recurse over."""
-    deepest = 0
-    stack: list[tuple[object, int]] = [(e, 1)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        if isinstance(node, (Concat, Alt, And, Or)):
-            stack += ((node.left, depth + 1), (node.right, depth + 1))
-        elif isinstance(node, (Star, Window)):
-            stack.append((node.body, depth + 1))
-        elif isinstance(node, (Cond, CondWrite)):
-            stack.append((node.condition, depth + 1))
-        elif isinstance(node, Not):
-            stack.append((node.operand, depth + 1))
-    return deepest
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +338,11 @@ class _Parser:
 
     # -- expression grammar
 
-    def parse_expression(self) -> Expr:
+    def parse_pattern(self) -> Expr:
+        self.parse_declarations()
         first = self.peek()
-        try:
-            expr = self.parse_alt()
-        except RecursionError:
-            raise self.error("parentheses or negations nest too deeply to parse") from None
-        # Checked before a window wraps the body, which walks it recursively.
-        depth = _nesting(expr)
+        expr = self.parse_alt()
+        depth = max(depth for _, depth in _walk(expr))
         if depth > MAX_NESTING:
             raise self.error(
                 f"the pattern nests {depth} levels deep; at most {MAX_NESTING} are supported",
@@ -509,6 +484,23 @@ class _Parser:
         raise self.error("expected ~ or a register argument")
 
 
+_T = TypeVar("_T")
+
+
+def _parse_all(parser: _Parser, rule: Callable[[_Parser], _T]) -> _T:
+    """Run one grammar rule over the whole input. Parentheses or negations
+    too deep for the recursive-descent rules are a syntax error, as is any
+    input left over."""
+    try:
+        result = rule(parser)
+    except RecursionError:
+        raise parser.error("parentheses or negations nest too deeply to parse") from None
+    tok = parser.peek()
+    if tok.kind != "eof":
+        raise parser.error(f"unexpected trailing input {tok.text!r}")
+    return result
+
+
 def parse(text: str, library: Optional[PredicateLibrary] = None) -> tuple[PredicateLibrary, Expr]:
     """Parse a full pattern file: predicate declarations, one expression.
 
@@ -519,12 +511,7 @@ def parse(text: str, library: Optional[PredicateLibrary] = None) -> tuple[Predic
     pattern.
     """
     library = library if library is not None else PredicateLibrary()
-    parser = _Parser(_tokenize(text), library)
-    parser.parse_declarations()
-    expr = parser.parse_expression()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise parser.error(f"unexpected trailing input {tok.text!r}")
+    expr = _parse_all(_Parser(_tokenize(text), library), _Parser.parse_pattern)
     unwritten = {r.name for r in top_registers(expr)} - {
         r.name for r in written_registers(expr)
     }
@@ -538,11 +525,7 @@ def parse(text: str, library: Optional[PredicateLibrary] = None) -> tuple[Predic
 def parse_predicates(text: str, library: Optional[PredicateLibrary] = None) -> PredicateLibrary:
     """Parse declaration lines only (used when loading serialized automata)."""
     library = library if library is not None else PredicateLibrary()
-    parser = _Parser(_tokenize(text), library)
-    parser.parse_declarations()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise parser.error(f"unexpected trailing input {tok.text!r}")
+    _parse_all(_Parser(_tokenize(text), library), _Parser.parse_declarations)
     return library
 
 
@@ -553,11 +536,7 @@ def parse_condition(
     explicit name set (serialized automata may carry minted registers that do
     not follow the pattern-language rN rule)."""
     parser = _Parser(_tokenize(text), library, frozenset(register_names))
-    cond = parser.parse_condition()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise parser.error(f"unexpected trailing input {tok.text!r}")
-    return cond
+    return _parse_all(parser, _Parser.parse_condition)
 
 
 # ---------------------------------------------------------------------------
@@ -624,18 +603,7 @@ def unparse(e: Expr) -> str:
 def unparse_pattern(library: PredicateLibrary, e: Expr) -> str:
     """Render a complete pattern file: declarations (for the predicates the
     expression actually uses), then the expression."""
-    used: set[str] = set()
-
-    def collect(x: Expr) -> None:
-        if isinstance(x, (Cond, CondWrite)):
-            used.update(p.name for p in predicates_of(x.condition))
-        elif isinstance(x, (Concat, Alt)):
-            collect(x.left)
-            collect(x.right)
-        elif isinstance(x, (Star, Window)):
-            collect(x.body)
-
-    collect(e)
+    used = {node.predicate.name for node, _ in _walk(e) if isinstance(node, Atom)}
     lines = []
     for name in sorted(used):
         pred = library.get(name)
@@ -699,14 +667,16 @@ def derive(
         elif isinstance(node, Alt):
             out = go(node.left, i, j, v) | go(node.right, i, j, v)
         elif isinstance(node, Star):
-            if i == j:
-                out = frozenset((v,))
-            else:
-                acc = set()
-                for k in range(i + 1, j + 1):
-                    for mid in go(node.body, i, k, v):
-                        acc.update(go(node, k, j, mid))
-                out = frozenset(acc)
+            # after[k - i]: valuations after iterations covering [i, k); a
+            # loop over positions, so the depth does not grow with the input
+            after: list[set[Valuation]] = [{v}]
+            for k in range(i + 1, j + 1):
+                reached: set[Valuation] = set()
+                for m in range(i, k):
+                    for mid in after[m - i]:
+                        reached.update(go(node.body, m, k, mid))
+                after.append(reached)
+            out = frozenset(after[-1])
         elif isinstance(node, Window):
             if j - i <= node.width:
                 out = go(node.body, i, j, v)

@@ -168,6 +168,12 @@ def model_from_doc(doc: dict) -> tuple[Sra, SymbolMap, Pst, PredicateLibrary]:
     symbol_map = symbol_map_from_entries(
         doc["symbol_map"], library, doc["automaton"]["registers"]
     )
+    mapped = {condition for condition, _ in symbol_map.items()}
+    for t in automaton.transitions:
+        if t.condition is not None and t.condition not in mapped:
+            raise MalformedDocument(
+                f"the symbol map has no symbol for {unparse_condition(t.condition)}"
+            )
     pst = pst_from_doc(doc["pst"])
     return automaton, symbol_map, pst, library
 

@@ -26,6 +26,7 @@ from cerf.algebra import (
     evaluate_condition,
     join_predicate,
     minterms,
+    predicates_of,
     registers_of,
     substitute_registers,
 )
@@ -193,6 +194,19 @@ class TestConditionHelpers:
         cond = And(_atom("SameNum", CURRENT, R1), Not(_atom("SameKind", CURRENT, R2)))
         assert registers_of(cond) == frozenset({R1, R2})
         assert registers_of(TRUE) == frozenset()
+
+    def test_collectors_walk_deep_conjunctions(self):
+        # built directly: nothing bounds the depth of a condition in an
+        # automaton document
+        lib = universe_library()
+        registers = [Register(f"r{i}") for i in range(7)]
+        reads = [Atom(lib.get("SameNum"), (CURRENT, registers[i % 7])) for i in range(5000)]
+        kind_a = Atom(lib.get("KindA"), (CURRENT,))
+        chain = conjoin(reads + [Not(kind_a)])
+        assert registers_of(chain) == frozenset(registers)
+        assert predicates_of(chain) == frozenset({lib.get("SameNum"), lib.get("KindA")})
+        assert entails(chain, reads[0]) and entails(chain, Not(kind_a))
+        assert not entails(chain, kind_a)
 
     def test_substitute_registers(self):
         cond = _atom("SameNum", CURRENT, R1)

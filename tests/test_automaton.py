@@ -12,6 +12,7 @@ from cerf.algebra import (
     Register,
     Valuation,
     comparison_predicate,
+    conjoin,
 )
 from cerf.automaton import (
     Configuration,
@@ -228,6 +229,23 @@ class TestDeterminism:
             transitions=(
                 Transition("s", "t", phi),
                 Transition("s", "s", Not(phi)),
+            ),
+        )
+        assert is_deterministic(a) is True
+
+    def test_deep_minterm_family_verifies(self):
+        # built directly: nothing bounds the depth of a condition in an
+        # automaton document
+        phi = _atom("KindA", CURRENT)
+        shared = [_atom("NumIs1", CURRENT)] * 5000
+        a = Sra(
+            states=frozenset({"s", "t"}),
+            start="s",
+            finals=frozenset({"t"}),
+            registers=frozenset(),
+            transitions=(
+                Transition("s", "t", conjoin(shared + [phi])),
+                Transition("s", "s", conjoin(shared + [Not(phi)])),
             ),
         )
         assert is_deterministic(a) is True

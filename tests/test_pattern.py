@@ -184,6 +184,15 @@ class TestParseErrors:
             parse("(" * 1500 + "KindA(~)" + ")" * 1500, lib)
         assert "nest too deeply" in str(err.value)
 
+    def test_deep_condition_parentheses_are_a_syntax_error(self):
+        lib = universe_library()
+        with pytest.raises(PatternSyntaxError) as err:
+            parse_condition("(" * 1500 + "KindA(~)" + ")" * 1500, lib)
+        assert "nest too deeply" in str(err.value)
+        # long conjunctions in saved automata are not bounded by MAX_NESTING
+        chain = parse_condition(" & ".join(["KindA(~)"] * 1500), lib)
+        assert isinstance(chain, And)
+
 
 class TestRegisterHelpers:
     def test_top_and_written_registers(self):
@@ -191,6 +200,19 @@ class TestRegisterHelpers:
         _, e = parse("(KindA(~) -> r1) ; (KindB(~) -> r2)* ; SameNum(~, r1)", lib)
         assert written_registers(e) == frozenset({R1, R2})
         assert top_registers(e) == frozenset({R1, R2})
+
+    def test_helpers_walk_deep_expressions(self):
+        # built directly: parse bounds nesting at MAX_NESTING
+        lib = universe_library()
+        body = CondWrite(Atom(lib.get("KindA"), (CURRENT,)), R1)
+        read = Cond(Atom(lib.get("SameNum"), (CURRENT, R2)))
+        for _ in range(5000):
+            body = Concat(body, read)
+        assert written_registers(body) == frozenset({R1})
+        assert top_registers(body) == frozenset({R1, R2})
+        assert Window(body, 3).body is body
+        with pytest.raises(ValueError):
+            Window(Concat(body, Window(read, 1)), 3)
 
     def test_window_width_recorded(self):
         lib = universe_library()

@@ -432,6 +432,16 @@ class TestPipelineCommands:
         result = runner.invoke(main, ["determinize", "--automaton", "u.json"])
         assert result.exit_code == 2 and "error:" in result.stderr
 
+    def test_document_condition_nested_too_deeply(self, runner, workdir):
+        runner.invoke(main, ["compile", "e3.pat", "--stage", "nsra-unrolled", "--out", "u.json"])
+        doc = json.loads(Path("u.json").read_text())
+        t = doc["transitions"][0]
+        t["condition"] = "(" * 1500 + t["condition"] + ")" * 1500
+        Path("u.json").write_text(json.dumps(doc))
+        result = runner.invoke(main, ["determinize", "--automaton", "u.json"])
+        assert result.exit_code == 2
+        assert "nest too deeply" in result.stderr
+
     def test_precondition_failures_exit_3(self, runner, workdir):
         runner.invoke(main, ["compile", "e3.pat", "--stage", "nsra-unrolled", "--out", "u.json"])
         result = runner.invoke(main, ["complement", "--automaton", "u.json"])
@@ -570,6 +580,20 @@ class TestLearnAndForecast:
         result = runner.invoke(main, ["forecast", "--model", "model.json", "--input", "events.jsonl"])
         assert result.exit_code == 3 and "no transition fires" in result.stderr
 
+    def test_model_missing_a_symbol_exits_2(self, runner, workdir):
+        self._train_file()
+        runner.invoke(
+            main,
+            ["learn", "e3.pat", "--train", "train.jsonl", "--max-order", "2",
+             "--out", "model.json"],
+        )
+        doc = json.loads(Path("model.json").read_text())
+        dropped = doc["symbol_map"].pop()
+        Path("model.json").write_text(json.dumps(doc))
+        result = runner.invoke(main, ["forecast", "--model", "model.json", "--input", "events.jsonl"])
+        assert result.exit_code == 2
+        assert "no symbol for " + dropped["condition"] in result.stderr
+
 
 class TestOracleCommand:
     def test_membership(self, runner, workdir):
@@ -585,6 +609,13 @@ class TestOracleCommand:
         )
         first3 = runner.invoke(main, ["oracle", "e1.pat", "--input", "first3.jsonl"])
         assert json.loads(first3.stdout) == {"accepts": False}
+
+    def test_long_stream(self, runner, workdir):
+        Path("star.pat").write_text('pred TypeIsT(x): x.type == "T"\n\nTypeIsT(~)*\n')
+        Path("long.jsonl").write_text('{"type": "T"}\n' * 1200)
+        result = runner.invoke(main, ["oracle", "star.pat", "--input", "long.jsonl"])
+        assert result.exit_code == 0, result.stderr
+        assert json.loads(result.stdout) == {"accepts": True}
 
     def test_enumerate_counts_and_payloads(self, runner, workdir):
         Path("universe.jsonl").write_text(
