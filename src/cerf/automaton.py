@@ -31,16 +31,22 @@ class ConfigurationCapExceeded(RuntimeError):
     nondeterminism)."""
 
 
-class NotDeterministic(ValueError):
+class PreconditionFailed(ValueError):
+    """The input does not have the form the operation needs: windowed or
+    not, unrolled, deterministic or complete. The command line reports
+    these, and only these, with exit code 3."""
+
+
+class NotDeterministic(PreconditionFailed):
     """The operation needs a deterministic automaton."""
 
 
-class UnverifiableDeterminism(ValueError):
+class UnverifiableDeterminism(PreconditionFailed):
     """Determinism could not be decided syntactically and no test universe
     was supplied for exhaustive checking."""
 
 
-class NoTransition(RuntimeError):
+class NoTransition(PreconditionFailed, RuntimeError):
     """A deterministic run hit a state where no condition fires (the
     automaton is incomplete)."""
 

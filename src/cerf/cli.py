@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 pattern, input or document parse failure, 3 pipeline
-precondition failure (window, determinism, completeness), 4 configuration
-cap exceeded, 5 not enough training data."""
+Exit codes: 0 success, 2 bad option value or pattern, input or document
+parse failure, 3 pipeline precondition failure (window, determinism,
+completeness; any PreconditionFailed), 4 configuration cap exceeded, 5 not
+enough training data."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import contextlib
 import csv
 import itertools
 import json
+import math
 import random
 import sys
 from collections import deque
@@ -22,7 +24,7 @@ from .algebra import Event, UnknownPredicate
 from .automaton import (
     ConfigurationCapExceeded,
     DeterministicRunner,
-    NoTransition,
+    PreconditionFailed,
     Sra,
     StreamEngine,
     to_dot,
@@ -63,8 +65,19 @@ def _mapped_errors():
         _fail(2, str(exc.args[0] if exc.args else exc))
     except (MalformedInput, MalformedDocument) as exc:
         _fail(2, str(exc))
-    except (NoTransition, ValueError) as exc:
+    except PreconditionFailed as exc:
         _fail(3, str(exc))
+
+
+class _Range(click.FloatRange):
+    """A FloatRange that also refuses NaN, which compares false against
+    both bounds and so passes FloatRange."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if math.isnan(rv):
+            self.fail(f"{value!r} is not a number.", param, ctx)
+        return rv
 
 
 # --- event ingestion ---------------------------------------------------
@@ -330,10 +343,16 @@ def to_srem(pattern, automaton_path, out):
               show_default=True)
 @click.option("--window", type=click.IntRange(min=1), default=None)
 @click.option("--max-order", type=click.IntRange(min=0), default=5, show_default=True)
-@click.option("--p-min", type=float, default=0.001, show_default=True)
-@click.option("--ratio", type=float, default=1.05, show_default=True)
-@click.option("--gamma", type=float, default=0.01, show_default=True)
-@click.option("--alpha", type=float, default=0.0, show_default=True)
+@click.option("--p-min", type=_Range(0.0, 1.0), default=0.001, show_default=True,
+              help="Least empirical probability of a context in the tree.")
+@click.option("--ratio", type=_Range(min=1.0), default=1.05, show_default=True,
+              help="Least ratio of a next-symbol probability to the parent context's "
+                   "that makes a context meaningful.")
+@click.option("--gamma", type=_Range(0.0, 1.0), default=0.01, show_default=True,
+              help="Smoothing mass spread uniformly over the alphabet.")
+@click.option("--alpha", type=_Range(min=0.0), default=0.0, show_default=True,
+              help="Only next symbols at least (1+alpha)*gamma probable make a context "
+                   "meaningful.")
 @click.option("--strict", is_flag=True, help="Abort on the first malformed input line.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False, writable=True),
               help="Where to write the learned model document.")
@@ -370,14 +389,19 @@ def learn(pattern, train, fmt, window, max_order, p_min, ratio, gamma, alpha, st
 @click.option("--horizon", type=click.IntRange(min=1), default=32, show_default=True)
 @click.option("--classify-window", type=click.IntRange(min=1), default=1, show_default=True,
               help="How many future steps count as an imminent match.")
-@click.option("--threshold", type=click.FloatRange(0.0, 1.0), default=0.5, show_default=True)
+@click.option("--threshold", type=_Range(0.0, 1.0), default=0.5, show_default=True)
 @click.option("--emit-dist", is_flag=True, help="Include the waiting time distribution.")
 @click.option("--strict", is_flag=True, help="Abort on the first malformed input line.")
 def forecast_cmd(model, input_path, fmt, horizon, classify_window, threshold, emit_dist, strict):
     """Emit per-event match forecasts for an event stream."""
+    if classify_window > horizon:
+        raise click.UsageError(
+            f"--classify-window ({classify_window}) must not exceed --horizon ({horizon})"
+        )
     with _mapped_errors():
         d, symbol_map, pst, _library = serialize.model_from_doc(serialize.load(model))
         runner = DeterministicRunner(d)
+        waits = forecast.WaitingTimes(d, symbol_map, pst, horizon)
         history: deque = deque(maxlen=pst.max_order)
         index = 0
         with contextlib.closing(_open_input(input_path)) as fp:
@@ -385,9 +409,7 @@ def forecast_cmd(model, input_path, fmt, horizon, classify_window, threshold, em
                 taken = runner.step(event)
                 index += 1
                 history.append(symbol_map.symbol_for(taken.condition))
-                wd = forecast.waiting_time(
-                    d, symbol_map, pst, runner.state, tuple(history), horizon=horizon
-                )
+                wd = waits(runner.state, history)
                 record = {
                     "index": index,
                     "regression": forecast.forecast_regression(wd),

@@ -21,7 +21,7 @@ from .algebra import (
     registers_of,
     substitute_registers,
 )
-from .automaton import NotDeterministic, Sra, Transition, epsilon_closure
+from .automaton import NotDeterministic, PreconditionFailed, Sra, Transition, epsilon_closure
 from .pattern import (
     Alt,
     Concat,
@@ -38,16 +38,16 @@ from .pattern import (
 )
 
 
-class WindowedInput(ValueError):
+class WindowedInput(PreconditionFailed):
     """compile() takes unwindowed expressions; windows go through
     compile_windowed()."""
 
 
-class NotWindowed(ValueError):
+class NotWindowed(PreconditionFailed):
     """The operation needs a windowed expression."""
 
 
-class NotUnrolled(ValueError):
+class NotUnrolled(PreconditionFailed):
     """The operation needs an acyclic (unrolled) ε-free automaton."""
 
 
@@ -602,8 +602,8 @@ def complete_and_complement(source: Union[Expr, Sra]) -> Sra:
     already be deterministic."""
     if isinstance(source, Expr):
         source = determinize(source)
-    elif not source.deterministic:
-        raise NotDeterministic("complement needs a deterministic automaton")
+    elif not source.deterministic or source.has_epsilon:
+        raise NotDeterministic("complement needs a deterministic epsilon-free automaton")
     completed = complete(source)
     return replace(completed, finals=completed.states - completed.finals)
 

@@ -11,14 +11,14 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import Condition, Event
-from .automaton import DeterministicRunner, NotDeterministic, Sra
+from .automaton import DeterministicRunner, NotDeterministic, PreconditionFailed, Sra
 
 
 class InsufficientData(ValueError):
     """Training sequence is shorter than the tree order allows."""
 
 
-class NotComplete(ValueError):
+class NotComplete(PreconditionFailed):
     """The automaton has a state with no outgoing transitions, so symbol
     paths cannot be expanded from it."""
 
@@ -239,6 +239,84 @@ class WaitingTimeDistribution:
             raise ValueError("waiting-time masses and residual must sum to 1")
 
 
+class WaitingTimes:
+    """The waiting-time distributions of one model, computed on request and
+    kept.
+
+    A distribution depends only on the automaton state and the last
+    max_order symbols, so `waits(state, context)` expands each distinct
+    (state, context) pair once and answers later requests at that pair
+    from a memo. The first request checks the automaton and builds its
+    symbol-labelled edge table. The memo grows by one distribution per
+    distinct pair requested and is never evicted."""
+
+    def __init__(self, d: Sra, symbol_map: SymbolMap, pst: Pst, horizon: int = 32) -> None:
+        if horizon < 1:
+            raise ValueError("horizon must be at least 1")
+        self.d = d
+        self.symbol_map = symbol_map
+        self.pst = pst
+        self.horizon = horizon
+        self._edges: Optional[dict[str, list[tuple[str, str]]]] = None
+        self._memo: dict[tuple[str, tuple[str, ...]], WaitingTimeDistribution] = {}
+
+    def __call__(self, state: str, context: Sequence[str] = ()) -> WaitingTimeDistribution:
+        m = self.pst.max_order
+        key = (state, tuple(context)[-m:] if m else ())
+        wd = self._memo.get(key)
+        if wd is None:
+            wd = self._memo[key] = self._expand(*key)
+        return wd
+
+    def _expand(self, state: str, origin_context: tuple[str, ...]) -> WaitingTimeDistribution:
+        """Expand the joint (automaton state, recent-symbol context) future up
+        to the horizon.
+
+        Each edge carries the tree's probability of its symbol given the
+        current context, renormalized over the symbols actually available at
+        the state (identity when every state offers the whole alphabet);
+        paths end at final states, and mass that is still live at the
+        horizon is reported as residual."""
+        d, pst, edges = self.d, self.pst, self._edges
+        if edges is None:
+            if not d.deterministic or d.has_epsilon:
+                raise NotDeterministic("waiting times need a deterministic automaton")
+            edges = {}
+            for q in d.states:
+                ts = d.out(q)
+                if not ts:
+                    raise NotComplete(f"state {q} has no outgoing transitions")
+                edges[q] = [(self.symbol_map.symbol_for(t.condition), t.target) for t in ts]
+            self._edges = edges
+        m = pst.max_order
+        frontier: dict[tuple[str, tuple[str, ...]], float] = {(state, origin_context): 1.0}
+        masses = []
+        pruned = 0.0
+        for _ in range(self.horizon):
+            mass = 0.0
+            advanced: dict[tuple[str, tuple[str, ...]], float] = {}
+            for (q, ctx), p in sorted(frontier.items()):
+                dist = pst.predict(ctx)
+                available = edges[q]
+                z = sum(dist.get(sym, 0.0) for sym, _ in available)
+                if z <= 0.0:
+                    pruned += p
+                    continue
+                for sym, target in available:
+                    p2 = p * dist.get(sym, 0.0) / z
+                    if p2 <= 0.0:
+                        continue
+                    if target in d.finals:
+                        mass += p2
+                    else:
+                        key = (target, (ctx + (sym,))[-m:] if m else ())
+                        advanced[key] = advanced.get(key, 0.0) + p2
+            masses.append(mass)
+            frontier = advanced
+        residual = sum(frontier.values()) + pruned
+        return WaitingTimeDistribution(state, origin_context, tuple(masses), residual)
+
+
 def waiting_time(
     d: Sra,
     symbol_map: SymbolMap,
@@ -247,52 +325,9 @@ def waiting_time(
     context: Sequence[str] = (),
     horizon: int = 32,
 ) -> WaitingTimeDistribution:
-    """Expand the joint (automaton state, recent-symbol context) future up to
-    the horizon.
-
-    Each edge carries the tree's probability of its symbol given the current
-    context, renormalized over the symbols actually available at the state
-    (identity when every state offers the whole alphabet); paths end at
-    final states, and mass that is still live at the horizon is reported as
-    residual."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if not d.deterministic or d.has_epsilon:
-        raise NotDeterministic("waiting times need a deterministic automaton")
-    edges: dict[str, list[tuple[str, str]]] = {}
-    for q in d.states:
-        ts = d.out(q)
-        if not ts:
-            raise NotComplete(f"state {q} has no outgoing transitions")
-        edges[q] = [(symbol_map.symbol_for(t.condition), t.target) for t in ts]
-    m = pst.max_order
-    origin_context = tuple(context)[-m:] if m else ()
-    frontier: dict[tuple[str, tuple[str, ...]], float] = {(state, origin_context): 1.0}
-    masses = []
-    pruned = 0.0
-    for _ in range(horizon):
-        mass = 0.0
-        advanced: dict[tuple[str, tuple[str, ...]], float] = {}
-        for (q, ctx), p in sorted(frontier.items()):
-            dist = pst.predict(ctx)
-            available = edges[q]
-            z = sum(dist.get(sym, 0.0) for sym, _ in available)
-            if z <= 0.0:
-                pruned += p
-                continue
-            for sym, target in available:
-                p2 = p * dist.get(sym, 0.0) / z
-                if p2 <= 0.0:
-                    continue
-                if target in d.finals:
-                    mass += p2
-                else:
-                    key = (target, (ctx + (sym,))[-m:] if m else ())
-                    advanced[key] = advanced.get(key, 0.0) + p2
-        masses.append(mass)
-        frontier = advanced
-    residual = sum(frontier.values()) + pruned
-    return WaitingTimeDistribution(state, origin_context, tuple(masses), residual)
+    """One waiting-time distribution; see WaitingTimes, which keeps them for
+    a stream of requests against the same model."""
+    return WaitingTimes(d, symbol_map, pst, horizon)(state, context)
 
 
 def forecast_regression(wd: WaitingTimeDistribution) -> int:

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from cerf.algebra import CURRENT, Atom, Event, comparison_predicate
-from cerf.automaton import NoTransition, NotDeterministic, Sra, Transition
+from cerf.automaton import DeterministicRunner, NoTransition, NotDeterministic, Sra, Transition
 from cerf.compiler import complete, determinize
 from cerf.forecast import (
     InsufficientData,
@@ -13,13 +13,14 @@ from cerf.forecast import (
     Pst,
     SymbolMap,
     WaitingTimeDistribution,
+    WaitingTimes,
     forecast_classification,
     forecast_regression,
     log_loss,
     symbolize,
     waiting_time,
 )
-from cerf.pattern import parse
+from cerf.pattern import Window, parse
 
 from conftest import (
     E3_TEXT,
@@ -110,8 +111,6 @@ class TestSymbolize:
     def test_state_sequence_matches_symbol_replay(self, two_state_dfa, dfa_symbol_map):
         # replaying the symbol string on the relabeled classical automaton
         # visits exactly the states of the run on the original events
-        from cerf.automaton import DeterministicRunner
-
         events = _sym_events("aabba")
         runner = DeterministicRunner(two_state_dfa)
         visited = [runner.state]
@@ -232,37 +231,55 @@ class TestLogLoss:
             log_loss(pst, [])
 
 
-def _chain_probability(pst, context, string):
-    p = 1.0
-    ctx = tuple(context)
-    for sym in string:
-        p *= pst.predict(ctx)[sym]
-        ctx = (ctx + (sym,))[-pst.max_order:]
-    return p
-
-
 def _brute_force_waiting(d, smap, pst, state, context, horizon):
-    """Enumerate all symbol strings of exactly `horizon` symbols and bucket
-    their probability mass by the depth of the first final-state visit."""
-    edges = {}
+    """Enumerate every symbol path of up to `horizon` steps the automaton can
+    take from the state, stopping at the first final-state visit. Each step
+    weighs its symbol by the tree's probability renormalized over the
+    symbols the state offers (identity when every state offers the whole
+    alphabet); each path's mass is bucketed by the depth of its first
+    final-state visit, or goes to the residual."""
+    offered = {}
     for t in d.transitions:
-        edges[(t.source, smap.symbol_for(t.condition))] = t.target
+        offered.setdefault(t.source, []).append((smap.symbol_for(t.condition), t.target))
+    m = pst.max_order
     masses = [0.0] * horizon
     residual = 0.0
-    for string in itertools.product(smap.symbols, repeat=horizon):
-        p = _chain_probability(pst, context, string)
-        here = state
-        hit = None
-        for depth, sym in enumerate(string, start=1):
-            here = edges[(here, sym)]
-            if here in d.finals:
-                hit = depth
-                break
-        if hit is None:
+
+    def walk(here, ctx, p, depth):
+        nonlocal residual
+        if depth == horizon:
             residual += p
-        else:
-            masses[hit - 1] += p
+            return
+        dist = pst.predict(ctx)
+        z = sum(dist.get(sym, 0.0) for sym, _ in offered[here])
+        if z <= 0.0:
+            residual += p
+            return
+        for sym, target in offered[here]:
+            step = p * dist.get(sym, 0.0) / z
+            if target in d.finals:
+                masses[depth] += step
+            else:
+                walk(target, (ctx + (sym,))[-m:] if m else (), step, depth + 1)
+
+    walk(state, tuple(context)[-m:] if m else (), 1.0, 0)
     return masses, residual
+
+
+def _learned_e3_model():
+    """E3 within 4, completed, with a tree learned from the symbols of many
+    short seeded streams, each run from the start state."""
+    _, e3 = parse(E3_TEXT)
+    d = complete(determinize(Window(e3.body, 4)))
+    smap = SymbolMap.for_automaton(d)
+    rng = Random(8)
+    symbols = []
+    for _ in range(300):
+        stream = [
+            Event.of(type=rng.choice("TH"), id=rng.randint(1, 2), value=0) for _ in range(5)
+        ]
+        symbols += symbolize(d, stream, smap)
+    return d, smap, Pst.learn(symbols, max_order=2, alphabet=smap.symbols)
 
 
 class TestWaitingTime:
@@ -333,6 +350,51 @@ class TestWaitingTime:
         )
         with pytest.raises(NotComplete):
             waiting_time(dangling, dfa_symbol_map, reference_pst, "1", (), horizon=2)
+
+    def test_memo_agrees_with_brute_force_on_a_learned_model(self, table1):
+        d, smap, pst = _learned_e3_model()
+        assert len(pst.nodes) > 1
+        waits = WaitingTimes(d, smap, pst, horizon=6)
+        runner = DeterministicRunner(d)
+        visited = {(runner.state, ())}
+        history = []
+        for event in table1 + list(reversed(table1)):
+            history.append(smap.symbol_for(runner.step(event).condition))
+            visited.add((runner.state, tuple(history[-2:])))
+        assert len(visited) > 5
+        for state, ctx in sorted(visited):
+            wd = waits(state, ctx)
+            assert wd.origin_state == state and wd.origin_context == ctx
+            masses, residual = _brute_force_waiting(d, smap, pst, state, ctx, 6)
+            assert wd.masses == pytest.approx(masses, abs=1e-9)
+            assert wd.residual == pytest.approx(residual, abs=1e-9)
+
+    def test_repeated_request_is_a_lookup(self, monkeypatch):
+        d, smap, pst = _learned_e3_model()
+        calls = []
+        predict = Pst.predict
+
+        def counted(self, recent):
+            calls.append(recent)
+            return predict(self, recent)
+
+        monkeypatch.setattr(Pst, "predict", counted)
+        waits = WaitingTimes(d, smap, pst, horizon=8)
+        first = waits(d.start, ("a", "b"))
+        assert calls
+        done = len(calls)
+        # the same key, and a longer context with the same last max_order symbols
+        assert waits(d.start, ("a", "b")) is first
+        assert waits(d.start, ("c", "a", "b")) is first
+        assert len(calls) == done
+        assert waits(d.start, ("b",)) == waiting_time(d, smap, pst, d.start, ("b",), 8)
+
+    def test_checks_wait_for_the_first_request(self, t_then_h, dfa_symbol_map, reference_pst):
+        waits = WaitingTimes(t_then_h, dfa_symbol_map, reference_pst, horizon=2)
+        with pytest.raises(NotDeterministic):
+            waits("q_s", ())
+        with pytest.raises(ValueError):
+            WaitingTimes(t_then_h, dfa_symbol_map, reference_pst, horizon=0)
 
     def test_invariant_validation(self):
         with pytest.raises(ValueError):

@@ -12,10 +12,18 @@ from click.testing import CliRunner
 import cerf
 from cerf import serialize
 from cerf.algebra import Event, Predicate
-from cerf.automaton import Sra, Transition, run_accepts
+from cerf.automaton import (
+    NoTransition,
+    NotDeterministic,
+    PreconditionFailed,
+    Sra,
+    Transition,
+    UnverifiableDeterminism,
+    run_accepts,
+)
 from cerf.cli import MalformedInput, main, read_events
-from cerf.compiler import complete, determinize
-from cerf.forecast import Pst, SymbolMap
+from cerf.compiler import NotUnrolled, NotWindowed, WindowedInput, complete, determinize
+from cerf.forecast import NotComplete, Pst, SymbolMap
 from cerf.pattern import MAX_NESTING, accepts, parse
 
 from conftest import E1_TEXT, E3_TEXT, make_table1, make_two_state_dfa
@@ -447,6 +455,22 @@ class TestPipelineCommands:
         result = runner.invoke(main, ["complement", "--automaton", "u.json"])
         assert result.exit_code == 3 and "error:" in result.stderr
 
+    def test_complement_of_a_document_with_epsilon_moves_exits_3(self, runner, workdir):
+        runner.invoke(main, ["compile", "e3.pat", "--stage", "dsra", "--out", "d.json"])
+        doc = json.loads(Path("d.json").read_text())
+        doc["transitions"].append(
+            {"source": doc["start"], "target": doc["start"], "condition": None, "writes": []}
+        )
+        Path("d.json").write_text(json.dumps(doc))
+        result = runner.invoke(main, ["complement", "--automaton", "d.json"])
+        assert result.exit_code == 3 and "epsilon" in result.stderr
+
+    def test_precondition_errors_share_one_base(self):
+        for cls in (NotWindowed, NotUnrolled, NotDeterministic, NotComplete, WindowedInput,
+                    UnverifiableDeterminism, NoTransition):
+            assert issubclass(cls, PreconditionFailed), cls
+        assert issubclass(NoTransition, RuntimeError)
+
     def test_pattern_and_automaton_are_exclusive(self, runner, workdir):
         result = runner.invoke(main, ["determinize", "e3.pat", "--automaton", "u.json"])
         assert result.exit_code == 2
@@ -593,6 +617,45 @@ class TestLearnAndForecast:
         result = runner.invoke(main, ["forecast", "--model", "model.json", "--input", "events.jsonl"])
         assert result.exit_code == 2
         assert "no symbol for " + dropped["condition"] in result.stderr
+
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--gamma", "1.5"), ("--gamma", "nan"), ("--p-min", "-1"), ("--ratio", "0"),
+         ("--alpha", "-1")],
+    )
+    def test_learn_option_out_of_range_exits_2(self, runner, workdir, option, value):
+        self._train_file()
+        result = runner.invoke(
+            main,
+            ["learn", "e3.pat", "--train", "train.jsonl", option, value, "--out", "model.json"],
+        )
+        assert result.exit_code == 2
+        assert option in result.stderr
+        assert not Path("model.json").exists()
+
+    def test_classify_window_beyond_horizon_exits_2_before_reading(self, runner, workdir):
+        Path("model.json").write_text("not json")
+        result = runner.invoke(
+            main,
+            ["forecast", "--model", "model.json", "--input", "events.jsonl",
+             "--classify-window", "40", "--horizon", "32"],
+        )
+        assert result.exit_code == 2
+        assert "--classify-window" in result.stderr and "--horizon" in result.stderr
+        assert "not a JSON document" not in result.stderr
+
+    def test_internal_value_error_is_not_exit_3(self, runner, workdir, monkeypatch):
+        def broken(*_args):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr("cerf.cli.symbolize", broken)
+        self._train_file()
+        result = runner.invoke(
+            main, ["learn", "e3.pat", "--train", "train.jsonl", "--out", "model.json"]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, ValueError)
 
 
 class TestOracleCommand:
