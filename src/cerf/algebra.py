@@ -68,6 +68,13 @@ class Event:
     def as_dict(self) -> dict[str, Value]:
         return dict(self.attrs)
 
+    def project(self, names: frozenset[str]) -> "Event":
+        """The event cut down to the named attributes it has. A cut of a
+        valid event is valid, so this skips the constructor's checks."""
+        cut = object.__new__(Event)
+        object.__setattr__(cut, "attrs", tuple([pair for pair in self.attrs if pair[0] in names]))
+        return cut
+
     def __str__(self) -> str:
         return "(" + ",".join(str(v) for _, v in self.attrs) + ")"
 
@@ -102,7 +109,10 @@ Argument = Union[Register, CurrentElement]
 @dataclass(frozen=True)
 class Valuation:
     """Partial mapping from registers to events; an absent entry is an empty
-    register. Substitution returns a fresh valuation."""
+    register. Substitution returns a fresh valuation. The automaton runs
+    store in a register only the attributes its readers can observe (see
+    `Sra.observed_attributes`), so two runs that stored events alike in
+    those attributes hold equal valuations."""
 
     entries: tuple[tuple[Register, Event], ...] = ()
 
@@ -119,13 +129,13 @@ class Valuation:
         kept = tuple((r, e) for r, e in self.entries if r != register)
         return Valuation(tuple(sorted(kept + ((register, event),))))
 
-    def set_many(self, registers: Iterable[Register], event: Event) -> "Valuation":
-        targets = set(registers)
-        if not targets:
+    def set_many(self, stored: Iterable[tuple[Register, Event]]) -> "Valuation":
+        """Store each (register, event) pair at once."""
+        added = dict(stored)
+        if not added:
             return self
-        kept = tuple((r, e) for r, e in self.entries if r not in targets)
-        added = tuple((r, event) for r in sorted(targets))
-        return Valuation(tuple(sorted(kept + added)))
+        kept = tuple((r, e) for r, e in self.entries if r not in added)
+        return Valuation(tuple(sorted(kept + tuple(added.items()))))
 
     def bound_registers(self) -> frozenset[Register]:
         return frozenset(r for r, _ in self.entries)
@@ -146,16 +156,23 @@ EMPTY_VALUATION = Valuation()
 @dataclass(frozen=True)
 class Predicate:
     """A named n-ary relation over events. The evaluator must be a pure, total
-    function of its event arguments."""
+    function of its event arguments.
+
+    `footprint`, when known, holds per parameter the attribute names the
+    evaluator reads of that argument; it reads nothing else. None means
+    unknown: the evaluator may read the whole event."""
 
     name: str
     arity: int
     evaluator: Callable[..., bool] = field(compare=False)
     source: Optional[str] = field(default=None, compare=False)
+    footprint: Optional[tuple[frozenset[str], ...]] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.arity < 1:
             raise ValueError("predicate arity must be at least 1")
+        if self.footprint is not None and len(self.footprint) != self.arity:
+            raise ValueError("a predicate footprint needs one entry per parameter")
 
     def __call__(self, *events: Event) -> bool:
         if len(events) != self.arity:
@@ -214,7 +231,11 @@ def declared_predicate(name: str, params: Sequence[str], left, op: str, right) -
         return f"{params[index]}.{attr}"
 
     source = f"pred {name}({', '.join(params)}): {render(left)} {op} {render(right)}"
-    return Predicate(name, len(params), ev, source)
+    footprint = tuple(
+        frozenset(o[2] for o in (left, right) if o[0] == "attr" and o[1] == index)
+        for index in range(len(params))
+    )
+    return Predicate(name, len(params), ev, source, footprint)
 
 
 def comparison_predicate(name: str, attr: str, op: str, constant: Value) -> Predicate:

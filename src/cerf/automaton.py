@@ -4,6 +4,7 @@ and DOT export."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -11,6 +12,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .algebra import (
     EMPTY_VALUATION,
     And,
+    Atom,
     Condition,
     EvalCounters,
     EvalScope,
@@ -109,6 +111,25 @@ class Sra:
     def out(self, state: str) -> tuple[Transition, ...]:
         return self._out[state]  # type: ignore[attr-defined]
 
+    @functools.cached_property
+    def observed_attributes(self) -> dict[Register, Optional[frozenset[str]]]:
+        """Per register, the attribute names its readers can observe, or None
+        when the register must keep whole events: some atom reads it through
+        a predicate without a footprint, or nothing reads it at all. Built on
+        first use, because most constructed automata are never run."""
+        observed: dict[Register, Optional[frozenset[str]]] = {}
+        for t in self.transitions:
+            for atom in () if t.condition is None else _walk(t.condition):
+                if not isinstance(atom, Atom):
+                    continue
+                footprint = atom.predicate.footprint
+                for index, arg in enumerate(atom.args):
+                    if isinstance(arg, Register):
+                        seen = observed.get(arg, frozenset())
+                        opaque = footprint is None or seen is None
+                        observed[arg] = None if opaque else seen | footprint[index]
+        return {r: observed.get(r) for r in self.registers}
+
     @property
     def has_epsilon(self) -> bool:
         return any(t.is_epsilon for t in self.transitions)
@@ -181,7 +202,13 @@ def _fire(
     """The run rule every stepping loop shares: for each (state, valuation)
     in turn, each non-ε outgoing transition whose condition holds on `event`
     (an atom reading an empty register does not hold), with the valuation
-    after its writes. Lazy, so a caller that stops early evaluates no more."""
+    after its writes. Lazy, so a caller that stops early evaluates no more.
+
+    A write stores `event` cut down to the register's observed attributes
+    (`Sra.observed_attributes`), so valuations that no condition can tell
+    apart are equal and callers deduplicate them. Each cut is made once per
+    call."""
+    cuts: dict[frozenset[str], Event] = {}
     for state, v in configs:
         scope = EvalScope(v, counters=counters)
         for t in a.out(state):
@@ -190,7 +217,23 @@ def _fire(
             if counters is not None:
                 counters.condition_evals += 1
             if scope.evaluate(t.condition, event):
-                yield t, v.set_many(t.writes, event) if t.writes else v
+                yield t, _store(a, v, t.writes, event, cuts) if t.writes else v
+
+
+def _store(
+    a: Sra, v: Valuation, writes: frozenset[Register], event: Event, cuts: dict
+) -> Valuation:
+    """`v` after writing `event` into `writes`, each register keeping its
+    observed attributes; `cuts` holds the cuts of `event` made so far."""
+    observed = a.observed_attributes
+    stored = []
+    for register in writes:
+        names = observed[register]
+        cut = event if names is None else cuts.get(names)
+        if cut is None:
+            cut = cuts[names] = event.project(names)
+        stored.append((register, cut))
+    return v.set_many(stored)
 
 
 def _check_cap(configs: set, cap: int) -> None:
@@ -305,7 +348,10 @@ class StreamEngine:
     prefix built in), so restarting at every index is the automaton's own
     job; the engine never re-seeds. One step advances the whole live
     configuration set through the shared run kernel `_fire`, and the result
-    is deduplicated by (state, valuation)."""
+    is deduplicated by (state, valuation). Registers hold only the
+    attributes their readers observe, so the set grows with the distinct
+    values the pattern can tell apart, not with the distinct events seen;
+    the cap bounds its size."""
 
     def __init__(self, automaton: Sra, cap: int = 100_000) -> None:
         if automaton.has_epsilon:

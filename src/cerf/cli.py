@@ -84,14 +84,17 @@ class _Range(click.FloatRange):
 
 
 def _coerce_csv_value(text: str):
+    """A CSV cell as an integer, else a finite float, else the text itself
+    (so `nan` and `inf` stay text)."""
     try:
         return int(text)
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         return text
+    return value if math.isfinite(value) else text
 
 
 def _event_from_json_line(line: str, lineno: int) -> Event:
@@ -108,6 +111,11 @@ def _event_from_json_line(line: str, lineno: int) -> Event:
             raise MalformedInput(
                 f"line {lineno}: attribute {name!r} must be a string or number"
             )
+        # json reads NaN, Infinity and overflowing literals such as 1e400
+        # as non-finite floats; NaN never equals itself, so such an event
+        # would never deduplicate.
+        if isinstance(value, float) and not math.isfinite(value):
+            raise MalformedInput(f"line {lineno}: attribute {name!r} must be a finite number")
     return Event.from_mapping(record)
 
 

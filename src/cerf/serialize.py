@@ -11,7 +11,7 @@ import functools
 import json
 from typing import IO, Union
 
-from .algebra import PredicateLibrary, Register, predicates_of
+from .algebra import Condition, PredicateLibrary, Register, predicates_of
 from .automaton import Sra, Transition
 from .forecast import Pst, SymbolMap
 from .pattern import parse_condition, parse_predicates, unparse_condition
@@ -84,21 +84,40 @@ def _check_header(doc: dict, expected: str) -> None:
         raise MalformedDocument(f"unsupported {expected} document version {doc.get('version')!r}")
 
 
+def _condition_parser(library: PredicateLibrary, register_names: list[str]):
+    """parse_condition against one document's predicates and registers,
+    parsing each distinct text once. A text that is not a string goes
+    straight to parse_condition, which refuses it as it always has."""
+    memo: dict[str, Condition] = {}
+
+    def parsed(text) -> Condition:
+        if not isinstance(text, str) or text not in memo:
+            memo[text] = parse_condition(text, library, register_names)
+        return memo[text]
+
+    return parsed
+
+
 @_validated
 def automaton_from_doc(doc: dict) -> tuple[Sra, PredicateLibrary]:
+    a, library, _ = _read_automaton(doc)
+    return a, library
+
+
+def _read_automaton(doc: dict):
+    """The automaton, its predicate library and the condition parser used."""
     _check_header(doc, FORMAT_SRA)
     window = doc["window"]
     if type(window) not in (int, type(None)) or type(doc["deterministic"]) is not bool:
         raise TypeError("window must be an integer or null, deterministic a boolean")
     library = parse_predicates("\n".join(doc["predicates"]))
     register_names = list(doc["registers"])
+    parsed = _condition_parser(library, register_names)
     transitions = tuple(
         Transition(
             t["source"],
             t["target"],
-            None
-            if t["condition"] is None
-            else parse_condition(t["condition"], library, register_names),
+            None if t["condition"] is None else parsed(t["condition"]),
             frozenset(Register(name) for name in t["writes"]),
         )
         for t in doc["transitions"]
@@ -112,7 +131,7 @@ def automaton_from_doc(doc: dict) -> tuple[Sra, PredicateLibrary]:
         window=window,
         deterministic=doc["deterministic"],
     )
-    return a, library
+    return a, library, parsed
 
 
 def symbol_map_to_entries(symbol_map: SymbolMap) -> list[dict]:
@@ -125,10 +144,8 @@ def symbol_map_to_entries(symbol_map: SymbolMap) -> list[dict]:
 def symbol_map_from_entries(
     entries: list[dict], library: PredicateLibrary, register_names: list[str]
 ) -> SymbolMap:
-    return SymbolMap(
-        (parse_condition(e["condition"], library, register_names), e["symbol"])
-        for e in entries
-    )
+    parsed = _condition_parser(library, register_names)
+    return SymbolMap((parsed(e["condition"]), e["symbol"]) for e in entries)
 
 
 def pst_to_doc(pst: Pst) -> dict:
@@ -164,10 +181,10 @@ def model_to_doc(automaton: Sra, symbol_map: SymbolMap, pst: Pst) -> dict:
 @_validated
 def model_from_doc(doc: dict) -> tuple[Sra, SymbolMap, Pst, PredicateLibrary]:
     _check_header(doc, FORMAT_MODEL)
-    automaton, library = automaton_from_doc(doc["automaton"])
-    symbol_map = symbol_map_from_entries(
-        doc["symbol_map"], library, doc["automaton"]["registers"]
-    )
+    # The symbol map repeats the transitions' condition texts: share the
+    # parser, so each distinct text is parsed once.
+    automaton, library, parsed = _read_automaton(doc["automaton"])
+    symbol_map = SymbolMap((parsed(e["condition"]), e["symbol"]) for e in doc["symbol_map"])
     mapped = {condition for condition, _ in symbol_map.items()}
     for t in automaton.transitions:
         if t.condition is not None and t.condition not in mapped:

@@ -182,7 +182,7 @@ def acceptance_dfs(a, universe, max_len: int) -> dict:
             scope = EvalScope(v)
             for t in a.out(state):
                 if not t.is_epsilon and scope.evaluate(t.condition, event):
-                    advanced.add((t.target, v.set_many(t.writes, event) if t.writes else v))
+                    advanced.add((t.target, v.set_many((r, event) for r in t.writes)))
         return close(advanced)
 
     results = {}

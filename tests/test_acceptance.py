@@ -168,7 +168,7 @@ def _assert_single_run(d, events):
         taken = firing[0]
         state = taken.target
         if taken.writes:
-            valuation = valuation.set_many(taken.writes, event)
+            valuation = valuation.set_many((r, event) for r in taken.writes)
 
 
 def test_acceptance_04_windowed_determinization_and_complement():

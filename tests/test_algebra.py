@@ -16,6 +16,7 @@ from cerf.algebra import (
     Not,
     NotAMinterm,
     Or,
+    Predicate,
     PredicateLibrary,
     Register,
     UnknownPredicate,
@@ -30,6 +31,7 @@ from cerf.algebra import (
     registers_of,
     substitute_registers,
 )
+from cerf.pattern import parse_predicates
 
 from gen import UNIVERSE, universe_library
 
@@ -57,6 +59,12 @@ class TestEvent:
     def test_from_mapping(self):
         assert Event.from_mapping({"x": 1}) == Event.of(x=1)
 
+    def test_project_keeps_the_named_attributes_it_has(self):
+        ev = Event.of(type="T", id=1, value=22)
+        cut = ev.project(frozenset({"id", "missing"}))
+        assert cut == Event.of(id=1) and hash(cut) == hash(Event.of(id=1))
+        assert ev.project(frozenset()) == Event(())
+
 
 class TestValuation:
     def test_empty_lookup_is_none(self):
@@ -79,9 +87,14 @@ class TestValuation:
 
     def test_set_many(self):
         ev = Event.of(x=1)
-        v = EMPTY_VALUATION.set_many({R1, R2}, ev)
+        v = EMPTY_VALUATION.set_many([(R1, ev), (R2, ev)])
         assert v.lookup(R1) is ev and v.lookup(R2) is ev
         assert v.bound_registers() == frozenset({R1, R2})
+        cut = Event.of(y=2)
+        w = v.set_many([(R2, cut)])
+        assert w.lookup(R1) is ev and w.lookup(R2) is cut
+        assert w == EMPTY_VALUATION.set(R2, cut).set(R1, ev)
+        assert v.set_many([]) is v
 
     def test_equality_is_structural(self):
         ev = Event.of(x=1)
@@ -119,6 +132,39 @@ class TestPredicates:
 
     def test_always(self):
         assert ALWAYS(Event.of(x=1))
+
+    def test_declared_predicates_carry_their_footprint(self):
+        assert comparison_predicate("T", "type", "==", "T").footprint == (frozenset({"type"}),)
+        assert join_predicate("J", "id", "<", "num").footprint == (
+            frozenset({"id"}),
+            frozenset({"num"}),
+        )
+        lib = parse_predicates(
+            'pred Both(x, y): x.a == x.b\npred Flip(x, y): "k" != y.c'
+        )
+        assert lib.get("Both").footprint == (frozenset({"a", "b"}), frozenset())
+        assert lib.get("Flip").footprint == (frozenset(), frozenset({"c"}))
+
+    def test_footprint_survives_reparsing_the_source(self):
+        declared = [
+            comparison_predicate("Small", "value", "<=", 1e-05),
+            join_predicate("SameNum", "num", "!=", "num"),
+            *parse_predicates("pred Both(x, y): x.a == x.b"),
+        ]
+        for pred in declared:
+            back = parse_predicates(pred.source).get(pred.name)
+            assert back.footprint == pred.footprint, pred.source
+
+    def test_hand_built_predicates_have_no_footprint(self):
+        assert ALWAYS.footprint is None
+        assert Predicate("P", 2, lambda x, y: True).footprint is None
+        with pytest.raises(ValueError):
+            Predicate("P", 2, lambda x, y: True, footprint=(frozenset(),))
+
+    def test_footprint_does_not_affect_equality(self):
+        declared = comparison_predicate("P", "x", "==", 1)
+        bare = Predicate("P", 1, declared.evaluator)
+        assert declared == bare and hash(declared) == hash(bare)
 
     def test_library_conflicts_and_lookup(self):
         lib = PredicateLibrary()

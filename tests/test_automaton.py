@@ -9,6 +9,7 @@ from cerf.algebra import (
     EvalCounters,
     Event,
     Not,
+    Predicate,
     Register,
     Valuation,
     comparison_predicate,
@@ -32,7 +33,7 @@ from cerf.automaton import (
 from random import Random
 
 from cerf import compiler
-from cerf.pattern import Window, parse, to_streaming
+from cerf.pattern import Window, accepts, parse, to_streaming
 
 from conftest import E1_TEXT, E3_TEXT, make_table1, make_t_then_h_automaton
 from gen import UNIVERSE, universe_library
@@ -341,6 +342,101 @@ class TestDeterministicRunner:
                 assert counters.condition_evals - before == position
                 positions.append(position)
         assert max(positions) > 1
+
+
+def _sensor_events(seed: int, count: int) -> list[Event]:
+    rng = Random(seed)
+    return [
+        Event.of(type=rng.choice("TH"), id=rng.randint(1, 5), value=rng.randint(0, 100))
+        for _ in range(count)
+    ]
+
+
+class TestRegisterProjection:
+    """Runs store in a register only the attributes its readers declare."""
+
+    def test_e1_keeps_a_bounded_configuration_set(self):
+        _, e1 = parse(E1_TEXT)
+        a = compiler.streaming_automaton(compiler.eliminate_epsilon(compiler.compile_expr(e1)))
+        assert a.observed_attributes == {R1: frozenset({"id"})}
+        engine = StreamEngine(a)
+        peak = 0
+        for ev in _sensor_events(5, 5000):
+            engine.step(ev)
+            peak = max(peak, len(engine.live_configurations))
+        assert peak <= len(a.states) * 5
+        assert {v.lookup(R1) for _, v in engine.live_configurations} - {None} <= {
+            Event.of(id=i) for i in range(1, 6)
+        }
+
+    def test_register_read_without_footprint_keeps_whole_events(self):
+        declared = _atom("SameNum", CURRENT, R1)
+        bare = Atom(Predicate("SameTag", 2, lambda x, y: x.get("tag") == y.get("tag")), (CURRENT, R1))
+        for condition, names in ((declared, frozenset({"num"})), (And(declared, bare), None)):
+            a = Sra(
+                states=frozenset({"s", "t", "f"}),
+                start="s",
+                finals=frozenset({"f"}),
+                registers=frozenset({R1}),
+                transitions=(
+                    Transition("s", "t", TRUE, frozenset({R1})),
+                    Transition("t", "f", condition),
+                ),
+            )
+            assert a.observed_attributes == {R1: names}
+            first = Event.of(kind="A", num=1, tag="x")
+            (stepped,) = successors(a, Configuration(1, "s", EMPTY_VALUATION), first)
+            kept = stepped.valuation.lookup(R1)
+            assert kept == (first if names is None else Event.of(num=1))
+            # the hand-built reader sees the attribute the declared one does not
+            assert run_accepts(a, [first, Event.of(num=1, tag="x")])
+            assert run_accepts(a, [first, Event.of(num=1, tag="y")]) == (names is not None)
+
+    def test_unread_register_keeps_whole_events(self):
+        a = Sra(
+            states=frozenset({"s", "t"}),
+            start="s",
+            finals=frozenset({"t"}),
+            registers=frozenset({R1}),
+            transitions=(Transition("s", "t", _atom("KindA", CURRENT), frozenset({R1})),),
+        )
+        assert a.observed_attributes == {R1: None}
+        ev = Event.of(kind="A", num=2, tag="x")
+        engine = StreamEngine(a)
+        engine.step(ev)
+        assert {v.lookup(R1) for _, v in engine.live_configurations} == {ev}
+
+    def test_parameter_its_predicate_ignores_is_cut_to_nothing(self):
+        # the register stays bound, so the atom still holds on it
+        _, e = parse('pred NowA(x, y): x.kind == "A"\n\n(TRUE -> r1) ; NowA(~, r1)')
+        a = compiler.eliminate_epsilon(compiler.compile_expr(e))
+        (register,) = a.registers
+        assert a.observed_attributes == {register: frozenset()}
+        stream = [Event.of(kind="B", num=1), Event.of(kind="A", num=2)]
+        assert run_accepts(a, stream) and accepts(e, stream)
+
+    def test_map_is_built_on_first_write_only(self):
+        _, e3 = parse(E3_TEXT)
+        d = compiler.determinize(e3)
+        assert "observed_attributes" not in vars(d)
+        runner = DeterministicRunner(d)
+        runner.step(Event.of(type="H", id=1))
+        assert "observed_attributes" not in vars(d)
+        runner.step(Event.of(type="T", id=1))
+        assert "observed_attributes" in vars(d)
+
+    def test_each_event_is_cut_once_per_step(self, monkeypatch):
+        _, e3 = parse(E3_TEXT)
+        a = compiler.streaming_automaton(compiler.compile_windowed(Window(e3.body, 4)))
+        cuts = []
+        original = Event.project
+        monkeypatch.setattr(Event, "project", lambda ev, names: cuts.append(ev) or original(ev, names))
+        engine = StreamEngine(a)
+        for ev in _sensor_events(11, 300):
+            before = len(cuts)
+            engine.step(ev)
+            assert len(cuts) - before <= 1
+        assert len(cuts) > 50
 
 
 class TestDot:

@@ -458,16 +458,32 @@ class TestStreamingAutomaton:
             assert run_accepts(a, stream[:k]) == expected
 
     def test_unwindowed_route_matches_oracle(self):
-        # the automaton `cerf recognize` runs for an unwindowed pattern
+        # the automaton `cerf recognize` runs for an unwindowed pattern; most
+        # events carry attributes no predicate reads, which the engine's
+        # registers drop and the oracle's keep
         lib = universe_library()
         rng = Random(2024)
-        for _ in range(25):
+        rich = UNIVERSE + tuple(
+            Event.of(kind=kind, num=num, noise=noise, tag=tag)
+            for kind in "AB"
+            for num in (1, 2)
+            for noise in (0, 1, 2)
+            for tag in "xy"
+        )
+        for _ in range(100):
             e = random_expr(rng, 3, lib)
             a = streaming_automaton(eliminate_epsilon(compile_expr(e)))
             streaming = to_streaming(e)
             for _ in range(4):
                 engine = StreamEngine(a)
                 assert engine.matched_at_start == accepts(streaming, []), unparse(e)
-                stream = [rng.choice(UNIVERSE) for _ in range(4)]
+                stream = [rng.choice(rich) for _ in range(6)]
                 for k, ev in enumerate(stream, start=1):
                     assert engine.step(ev) == accepts(streaming, stream[:k]), unparse(e)
+                    for _, v in engine.live_configurations:
+                        for r, stored in v.entries:
+                            names = a.observed_attributes[r]
+                            if names is None:  # nothing reads r: whole events
+                                assert stored in stream[:k]
+                            else:
+                                assert set(stored.as_dict()) <= names <= {"kind", "num"}

@@ -68,6 +68,19 @@ class TestSerializeAutomaton:
         for n in range(4):
             assert run_accepts(back, stream[:n]) == run_accepts(d, stream[:n])
 
+    def test_round_trip_keeps_footprints(self):
+        _, e3 = parse(E3_TEXT)
+        d = determinize(e3)
+        back, library = serialize.automaton_from_doc(serialize.automaton_to_doc(d))
+        assert back.observed_attributes == d.observed_attributes
+        assert set(back.observed_attributes.values()) == {frozenset({"id"})}
+        footprints = {p.name: p.footprint for p in library}
+        assert footprints == {
+            "TypeIsT": (frozenset({"type"}),),
+            "TypeIsH": (frozenset({"type"}),),
+            "EqualId": (frozenset({"id"}), frozenset({"id"})),
+        }
+
     def test_doc_shape(self, two_state_dfa):
         doc = serialize.automaton_to_doc(two_state_dfa)
         assert doc["format"] == "sra" and doc["version"] == 1
@@ -164,6 +177,25 @@ class TestSerializeModel:
         assert back.alphabet == pst.alphabet
         assert back.nodes == pst.nodes
 
+    def test_model_parses_each_condition_text_once(self, monkeypatch):
+        doc = serialize.model_to_doc(*self._model())
+        texts = [t["condition"] for t in doc["automaton"]["transitions"] if t["condition"]]
+        texts += [e["condition"] for e in doc["symbol_map"]]
+        parsed = []
+        original = serialize.parse_condition
+        monkeypatch.setattr(
+            serialize, "parse_condition", lambda text, *a: parsed.append(text) or original(text, *a)
+        )
+        d, smap, _, _ = serialize.model_from_doc(doc)
+        assert sorted(parsed) == sorted(set(texts)) and len(parsed) < len(texts)
+        assert {c for c, _ in smap.items()} == {t.condition for t in d.transitions}
+
+    def test_model_with_a_non_text_condition_is_malformed(self):
+        doc = serialize.model_to_doc(*self._model())
+        doc["symbol_map"][0]["condition"] = ["TRUE"]
+        with pytest.raises(serialize.MalformedDocument, match="expected string"):
+            serialize.model_from_doc(doc)
+
     def test_model_round_trip(self):
         d, smap, pst = self._model()
         doc = serialize.model_to_doc(d, smap, pst)
@@ -205,6 +237,24 @@ class TestReadEvents:
         for line in ('{"a": true}', "[1, 2]", "{}", '"scalar"'):
             with pytest.raises(MalformedInput):
                 list(read_events(io.StringIO(line + "\n"), strict=True))
+
+    def test_jsonl_non_finite_numbers_are_malformed(self):
+        lines = ['{"a": NaN}', '{"a": Infinity}', '{"a": -Infinity}', '{"a": 1e400}']
+        for line in lines:
+            with pytest.raises(MalformedInput, match="finite"):
+                list(read_events(io.StringIO(line + "\n"), strict=True))
+        seen = []
+        fp = io.StringIO('{"a": 1}\n' + "\n".join(lines) + '\n{"a": 1.5}\n')
+        events = list(read_events(fp, on_error=seen.append))
+        assert [e.get("a") for e in events] == [1, 1.5]
+        assert len(seen) == 4 and "line 2" in seen[0] and "line 5" in seen[3]
+
+    def test_csv_non_finite_cells_stay_text(self):
+        fp = io.StringIO("a,b,c,d,e\nnan,inf,-Infinity,1e400,2e3\n")
+        (event,) = list(read_events(fp, fmt="csv"))
+        assert event.as_dict() == {
+            "a": "nan", "b": "inf", "c": "-Infinity", "d": "1e400", "e": 2000.0
+        }
 
     def test_csv_coercion(self):
         fp = io.StringIO("name,count,ratio\nalpha,3,0.5\n")
@@ -360,6 +410,19 @@ class TestRecognizeCommand:
         assert tolerant.exit_code == 0, tolerant.stderr
         assert _indexes(tolerant.stdout) == [4, 5]
         assert "line 3" in tolerant.stderr
+        strict = runner.invoke(
+            main, ["recognize", "e1.pat", "--input", "dirty.jsonl", "--strict"]
+        )
+        assert strict.exit_code == 2
+
+    def test_non_finite_value_is_a_malformed_line(self, runner, workdir):
+        lines = TABLE1_JSONL.splitlines()
+        lines.insert(2, '{"type": "T", "id": NaN, "value": 1}')
+        Path("dirty.jsonl").write_text("\n".join(lines) + "\n")
+        tolerant = runner.invoke(main, ["recognize", "e1.pat", "--input", "dirty.jsonl"])
+        assert tolerant.exit_code == 0, tolerant.stderr
+        assert _indexes(tolerant.stdout) == [4, 5]
+        assert "line 3" in tolerant.stderr and "finite" in tolerant.stderr
         strict = runner.invoke(
             main, ["recognize", "e1.pat", "--input", "dirty.jsonl", "--strict"]
         )
