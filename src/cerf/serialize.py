@@ -141,10 +141,9 @@ def symbol_map_to_entries(symbol_map: SymbolMap) -> list[dict]:
     ]
 
 
-def symbol_map_from_entries(
-    entries: list[dict], library: PredicateLibrary, register_names: list[str]
-) -> SymbolMap:
-    parsed = _condition_parser(library, register_names)
+def symbol_map_from_entries(entries: list[dict], parsed) -> SymbolMap:
+    """The symbol map, its conditions read by the condition parser of the
+    automaton document they belong to."""
     return SymbolMap((parsed(e["condition"]), e["symbol"]) for e in entries)
 
 
@@ -184,7 +183,7 @@ def model_from_doc(doc: dict) -> tuple[Sra, SymbolMap, Pst, PredicateLibrary]:
     # The symbol map repeats the transitions' condition texts: share the
     # parser, so each distinct text is parsed once.
     automaton, library, parsed = _read_automaton(doc["automaton"])
-    symbol_map = SymbolMap((parsed(e["condition"]), e["symbol"]) for e in doc["symbol_map"])
+    symbol_map = symbol_map_from_entries(doc["symbol_map"], parsed)
     mapped = {condition for condition, _ in symbol_map.items()}
     for t in automaton.transitions:
         if t.condition is not None and t.condition not in mapped:

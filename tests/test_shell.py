@@ -210,7 +210,8 @@ class TestSerializeModel:
         assert [e["symbol"] for e in entries] == ["a", "b"]
         lib_doc = serialize.automaton_to_doc(two_state_dfa)
         _, library = serialize.automaton_from_doc(lib_doc)
-        back = serialize.symbol_map_from_entries(entries, library, [])
+        parsed = serialize._condition_parser(library, [])
+        back = serialize.symbol_map_from_entries(entries, parsed)
         assert back.symbols == dfa_symbol_map.symbols
 
 
