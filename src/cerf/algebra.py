@@ -122,23 +122,9 @@ class Valuation:
                 return event
         return None
 
-    def is_bound(self, register: Register) -> bool:
-        return any(reg == register for reg, _ in self.entries)
-
     def set(self, register: Register, event: Event) -> "Valuation":
         kept = tuple((r, e) for r, e in self.entries if r != register)
         return Valuation(tuple(sorted(kept + ((register, event),))))
-
-    def set_many(self, stored: Iterable[tuple[Register, Event]]) -> "Valuation":
-        """Store each (register, event) pair at once."""
-        added = dict(stored)
-        if not added:
-            return self
-        kept = tuple((r, e) for r, e in self.entries if r not in added)
-        return Valuation(tuple(sorted(kept + tuple(added.items()))))
-
-    def bound_registers(self) -> frozenset[Register]:
-        return frozenset(r for r, _ in self.entries)
 
     def __str__(self) -> str:
         if not self.entries:
@@ -404,10 +390,6 @@ class EvalCounters:
 
     condition_evals: int = 0
     register_reads: int = 0
-
-    def reset(self) -> None:
-        self.condition_evals = 0
-        self.register_reads = 0
 
 
 class EvalScope:

@@ -76,10 +76,10 @@ class Transition:
 class Sra:
     """A symbolic register automaton.
 
-    Immutable; the outgoing-transition index and the acyclicity flag are
-    computed once at construction. `deterministic` is a constructor-asserted
-    flag (set by constructions that guarantee it); `is_deterministic` checks
-    the property.
+    Immutable; the outgoing-transition index is computed once at
+    construction, while `is_acyclic()` walks the graph on every call.
+    `deterministic` is a constructor-asserted flag (set by constructions
+    that guarantee it); `is_deterministic` checks the property.
     """
 
     states: frozenset[str]
@@ -165,34 +165,6 @@ class Sra:
         }
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """A point in a run: 1-based index of the next element to consume, the
-    current state, and the register contents."""
-
-    index: int
-    state: str
-    valuation: Valuation
-
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError("configuration index is 1-based")
-
-
-def successors(a: Sra, c: Configuration, event: Optional[Event] = None) -> list[Configuration]:
-    """All one-transition successors of a configuration.
-
-    ε-moves keep the index and valuation; with `event` supplied, satisfied
-    non-writing moves advance the index, and satisfied writing moves advance
-    the index and store the event into the written registers.
-    """
-    result = [Configuration(c.index, t.target, c.valuation) for t in a.out(c.state) if t.is_epsilon]
-    if event is not None:
-        fired = _fire(a, [(c.state, c.valuation)], event)
-        result += [Configuration(c.index + 1, t.target, v) for t, v in fired]
-    return result
-
-
 def _fire(
     a: Sra,
     configs: Iterable[tuple[str, Valuation]],
@@ -226,14 +198,13 @@ def _store(
     """`v` after writing `event` into `writes`, each register keeping its
     observed attributes; `cuts` holds the cuts of `event` made so far."""
     observed = a.observed_attributes
-    stored = []
     for register in writes:
         names = observed[register]
         cut = event if names is None else cuts.get(names)
         if cut is None:
             cut = cuts[names] = event.project(names)
-        stored.append((register, cut))
-    return v.set_many(stored)
+        v = v.set(register, cut)
+    return v
 
 
 def _check_cap(configs: set, cap: int) -> None:
@@ -400,10 +371,6 @@ class DeterministicRunner:
         self.state = automaton.start
         self.valuation = EMPTY_VALUATION
         self.consumed = 0
-
-    @property
-    def accepted(self) -> bool:
-        return self.state in self.automaton.finals
 
     def step(self, event: Event) -> Transition:
         config = [(self.state, self.valuation)]

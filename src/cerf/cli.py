@@ -128,7 +128,8 @@ def read_events(
     """Decode an event stream; every line becomes an event or a diagnostic.
 
     Malformed lines raise MalformedInput when strict, otherwise they are
-    reported through on_error and skipped."""
+    reported through on_error and skipped. One leading byte-order mark is
+    dropped, as a file or stdin saved with one reads like one without."""
 
     def report(exc: MalformedInput) -> None:
         if strict:
@@ -136,8 +137,12 @@ def read_events(
         if on_error is not None:
             on_error(str(exc))
 
+    lines = iter(fp)
+    first = next(lines, None)
+    if first is not None:
+        lines = itertools.chain([first.removeprefix("\ufeff")], lines)
     if fmt == "jsonl":
-        for lineno, line in enumerate(fp, start=1):
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
@@ -145,7 +150,7 @@ def read_events(
             except MalformedInput as exc:
                 report(exc)
     elif fmt == "csv":
-        reader = csv.reader(fp)
+        reader = csv.reader(lines)
         header: Optional[list[str]] = None
         for lineno, row in enumerate(reader, start=1):
             if not row:
@@ -183,7 +188,7 @@ def _stderr_diagnostic(message: str) -> None:
 def _load_pattern(path: str, window: Optional[int]):
     with open(path, "r", encoding="utf-8") as fp:
         text = fp.read()
-    library, expr = parse(text)
+    library, expr = parse(text.removeprefix("\ufeff"))
     if window is not None:
         body = expr.body if isinstance(expr, Window) else expr
         expr = Window(body, window)
@@ -435,6 +440,20 @@ def _event_payload(event: Event) -> dict:
     return event.as_dict()
 
 
+def _string_at(events: list[Event], index: int) -> list[Event]:
+    """The string at `index` in enumeration order over `events`: shorter
+    strings first, then as itertools.product orders them."""
+    length = 0
+    while index >= len(events) ** length:
+        index -= len(events) ** length
+        length += 1
+    string = []
+    for _ in range(length):
+        index, digit = divmod(index, len(events))
+        string.append(events[digit])
+    return string[::-1]
+
+
 @main.command()
 @click.argument("pattern", type=click.Path(exists=True, dir_okay=False))
 @click.option("--input", "input_path", default=None,
@@ -464,13 +483,18 @@ def oracle(pattern, input_path, fmt, enumerate_, universe, max_len, sample, seed
                 raise click.UsageError("--enumerate needs --universe")
             with contextlib.closing(_open_input(universe)) as fp:
                 events = list(read_events(fp, fmt, strict, _stderr_diagnostic))
-            strings = [
-                list(s)
-                for n in range(max_len + 1)
-                for s in itertools.product(events, repeat=n)
-            ]
-            if sample is not None and sample < len(strings):
-                strings = random.Random(seed).sample(strings, sample)
+            total = sum(len(events) ** n for n in range(max_len + 1))
+            if sample is not None and sample < total:
+                # sample() only indexes its population, so drawing indices
+                # picks the strings a drawn list of all strings would.
+                picked = random.Random(seed).sample(range(total), sample)
+                strings = (_string_at(events, index) for index in picked)
+            else:
+                strings = (
+                    list(s)
+                    for n in range(max_len + 1)
+                    for s in itertools.product(events, repeat=n)
+                )
             for s in strings:
                 _emit_record(
                     {"events": [_event_payload(ev) for ev in s], "accepts": accepts(expr, s)}

@@ -110,6 +110,11 @@ def _read_automaton(doc: dict):
     window = doc["window"]
     if type(window) not in (int, type(None)) or type(doc["deterministic"]) is not bool:
         raise TypeError("window must be an integer or null, deterministic a boolean")
+    # Names are sorted when written out, which mixed types cannot be.
+    names = [*doc["states"], doc["start"], *doc["finals"], *doc["registers"]]
+    names += [n for t in doc["transitions"] for n in (t["source"], t["target"], *t["writes"])]
+    if not all(isinstance(name, str) for name in names):
+        raise TypeError("state and register names must be strings")
     library = parse_predicates("\n".join(doc["predicates"]))
     register_names = list(doc["registers"])
     parsed = _condition_parser(library, register_names)

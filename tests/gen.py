@@ -182,7 +182,10 @@ def acceptance_dfs(a, universe, max_len: int) -> dict:
             scope = EvalScope(v)
             for t in a.out(state):
                 if not t.is_epsilon and scope.evaluate(t.condition, event):
-                    advanced.add((t.target, v.set_many((r, event) for r in t.writes)))
+                    stored = v
+                    for r in t.writes:
+                        stored = stored.set(r, event)
+                    advanced.add((t.target, stored))
         return close(advanced)
 
     results = {}

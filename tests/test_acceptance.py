@@ -167,8 +167,8 @@ def _assert_single_run(d, events):
             return
         taken = firing[0]
         state = taken.target
-        if taken.writes:
-            valuation = valuation.set_many((r, event) for r in taken.writes)
+        for r in taken.writes:
+            valuation = valuation.set(r, event)
 
 
 def test_acceptance_04_windowed_determinization_and_complement():

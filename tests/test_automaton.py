@@ -16,7 +16,6 @@ from cerf.algebra import (
     conjoin,
 )
 from cerf.automaton import (
-    Configuration,
     ConfigurationCapExceeded,
     DeterministicRunner,
     NoTransition,
@@ -25,9 +24,10 @@ from cerf.automaton import (
     StreamEngine,
     Transition,
     UnverifiableDeterminism,
+    _fire,
+    epsilon_closure,
     is_deterministic,
     run_accepts,
-    successors,
     to_dot,
 )
 from random import Random
@@ -116,7 +116,7 @@ class TestRuns:
         )
         assert run_accepts(accepting, [])
 
-    def test_successors_on_epsilon_and_event_moves(self):
+    def test_epsilon_closure_then_fire(self):
         a = Sra(
             states=frozenset({"p", "q", "r"}),
             start="p",
@@ -127,15 +127,18 @@ class TestRuns:
                 Transition("q", "r", TRUE, frozenset({R1})),
             ),
         )
-        c0 = Configuration(1, "p", EMPTY_VALUATION)
-        eps = successors(a, c0)
-        assert [c.state for c in eps] == ["q"]
-        assert eps[0].index == 1
+        # an ε-move consumes nothing and keeps the valuation
+        assert epsilon_closure(a, "p") == frozenset({"p", "q"})
+        assert epsilon_closure(a, "q") == frozenset({"q"})
+        assert not run_accepts(a, [])
         ev = Event.of(x=1)
-        stepped = successors(a, eps[0], ev)
-        assert [c.state for c in stepped] == ["r"]
-        assert stepped[0].index == 2
-        assert stepped[0].valuation.lookup(R1) == ev
+        closed = [(q, EMPTY_VALUATION) for q in sorted(epsilon_closure(a, "p"))]
+        stepped = [(t.target, v) for t, v in _fire(a, closed, ev)]
+        assert [state for state, _ in stepped] == ["r"]
+        assert stepped[0][1].lookup(R1) == ev
+        # the event move consumes exactly one element
+        assert run_accepts(a, [ev])
+        assert not run_accepts(a, [ev, ev])
 
     def test_cap_exceeded(self):
         # every event spawns a fresh binding that never dies
@@ -385,8 +388,11 @@ class TestRegisterProjection:
             )
             assert a.observed_attributes == {R1: names}
             first = Event.of(kind="A", num=1, tag="x")
-            (stepped,) = successors(a, Configuration(1, "s", EMPTY_VALUATION), first)
-            kept = stepped.valuation.lookup(R1)
+            engine = StreamEngine(a)
+            engine.step(first)
+            ((state, stored),) = engine.live_configurations
+            assert state == "t"
+            kept = stored.lookup(R1)
             assert kept == (first if names is None else Event.of(num=1))
             # the hand-built reader sees the attribute the declared one does not
             assert run_accepts(a, [first, Event.of(num=1, tag="x")])

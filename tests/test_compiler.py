@@ -4,7 +4,7 @@ import pytest
 
 from cerf import compiler
 from cerf.algebra import CURRENT, EMPTY_VALUATION, TRUE, Atom, Event, Register
-from cerf.automaton import Configuration, Sra, StreamEngine, Transition, run_accepts, successors
+from cerf.automaton import Sra, StreamEngine, Transition, run_accepts
 from cerf.compiler import (
     NotUnrolled,
     NotWindowed,
@@ -245,14 +245,10 @@ class TestDeterminize:
         assert d.deterministic
         stream = make_table1()
         for s in (stream[:2], stream[:3], stream[1:4]):
-            configs = {(d.start, EMPTY_VALUATION)}
+            engine = StreamEngine(d)
             for ev in s:
-                nxt = set()
-                for state, v in configs:
-                    c = Configuration(1, state, v)
-                    nxt |= {(n.state, n.valuation) for n in successors(d, c, ev)}
-                assert len(nxt) <= 1
-                configs = nxt
+                engine.step(ev)
+                assert len(engine.live_configurations) <= 1
 
     def test_start_state_minterm_split(self):
         _, e3 = parse(E3_TEXT)

@@ -1,9 +1,13 @@
+import contextlib
 import io
+import itertools
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -390,6 +394,26 @@ class TestRecognizeCommand:
         result = runner.invoke(main, ["recognize", "e1.pat"], input=TABLE1_JSONL)
         assert _indexes(result.stdout) == [4, 5]
 
+    @pytest.mark.parametrize(
+        "args, stdin",
+        [
+            (["e1.pat", "--input", "marked.csv", "--format", "csv"], None),
+            (["e1.pat", "--format", "csv"], "\ufeff" + TABLE1_CSV),
+            (["e1.pat", "--input", "marked.jsonl", "--strict"], None),
+            (["e1.pat", "--strict"], "\ufeff" + TABLE1_JSONL),
+            (["marked.pat", "--input", "events.jsonl"], None),
+        ],
+        ids=["csv-file", "csv-stdin", "jsonl-file", "jsonl-stdin", "pattern"],
+    )
+    def test_byte_order_mark_is_dropped(self, runner, workdir, args, stdin):
+        Path("marked.csv").write_text("\ufeff" + TABLE1_CSV, encoding="utf-8")
+        Path("marked.jsonl").write_text("\ufeff" + TABLE1_JSONL, encoding="utf-8")
+        Path("marked.pat").write_text("\ufeff" + E1_TEXT, encoding="utf-8")
+        result = runner.invoke(main, ["recognize", *args], input=stdin)
+        assert result.exit_code == 0, result.stderr
+        assert result.stderr == ""
+        assert _indexes(result.stdout) == [4, 5]
+
     def test_malformed_line_diagnostic_vs_strict(self, runner, workdir):
         lines = TABLE1_JSONL.splitlines()
         lines.insert(2, "not json")
@@ -528,6 +552,22 @@ class TestPipelineCommands:
         Path("d.json").write_text(json.dumps(doc))
         result = runner.invoke(main, ["complement", "--automaton", "d.json"])
         assert result.exit_code == 3 and "epsilon" in result.stderr
+
+    def test_document_with_integer_state_names_exits_2(self, runner, workdir):
+        save = runner.invoke(main, ["determinize", "e3.pat", "--window", "3", "--out", "d.json"])
+        assert save.exit_code == 0, save.stderr
+        doc = json.loads(Path("d.json").read_text())
+        number = {name: index for index, name in enumerate(doc["states"])}
+        doc["states"] = list(number.values())
+        doc["start"] = number[doc["start"]]
+        doc["finals"] = [number[q] for q in doc["finals"]]
+        for t in doc["transitions"]:
+            t["source"], t["target"] = number[t["source"]], number[t["target"]]
+        Path("d.json").write_text(json.dumps(doc))
+        for command in ("complement", "to-srem"):
+            result = runner.invoke(main, [command, "--automaton", "d.json"])
+            assert result.exit_code == 2, (command, result.output)
+            assert "names must be strings" in result.stderr
 
     def test_precondition_errors_share_one_base(self):
         for cls in (NotWindowed, NotUnrolled, NotDeterministic, NotComplete, WindowedInput,
@@ -773,6 +813,44 @@ class TestOracleCommand:
         assert first.stdout == second.stdout
         assert len(first.stdout.splitlines()) == 5
 
+    @staticmethod
+    def _four_event_universe():
+        rows = [{"type": t, "id": i, "value": 1} for t in "TH" for i in (1, 2)]
+        Path("universe.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        return [Event.from_mapping(r) for r in rows]
+
+    def test_enumerate_sample_draws_from_the_full_list(self, runner, workdir):
+        universe = self._four_event_universe()
+        _, expr = parse(E1_TEXT)
+        strings = [list(s) for n in range(4) for s in itertools.product(universe, repeat=n)]
+        for seed, size in ((0, 1), (3, 5), (7, 40), (11, 84)):
+            result = runner.invoke(
+                main,
+                ["oracle", "e1.pat", "--enumerate", "--universe", "universe.jsonl",
+                 "--max-len", "3", "--sample", str(size), "--seed", str(seed)],
+            )
+            assert result.exit_code == 0, result.stderr
+            want = [
+                json.dumps({"events": [e.as_dict() for e in s], "accepts": accepts(expr, s)})
+                for s in random.Random(seed).sample(strings, size)
+            ]
+            assert result.stdout.splitlines() == want
+
+    def test_enumerate_sample_does_not_build_every_string(self, runner, workdir):
+        self._four_event_universe()
+        args = ["oracle", "e1.pat", "--enumerate", "--universe", "universe.jsonl",
+                "--max-len", "9", "--sample", "5"]
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.stderr
+        assert len(result.stdout.splitlines()) == 5
+        # all 349,525 strings as lists would take tens of megabytes
+        assert peak < 5_000_000
+
     def test_enumerate_needs_universe(self, runner, workdir):
         result = runner.invoke(main, ["oracle", "e1.pat", "--enumerate"])
         assert result.exit_code == 2
@@ -780,6 +858,31 @@ class TestOracleCommand:
     def test_membership_needs_input(self, runner, workdir):
         result = runner.invoke(main, ["oracle", "e1.pat"])
         assert result.exit_code == 2
+
+
+class TestReadme:
+    @staticmethod
+    def _library_code():
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Library", 1)[1]
+        return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+    @pytest.mark.parametrize("text", [E1_TEXT, E3_TEXT], ids=["e1", "e3"])
+    def test_library_example_matches_recognize(self, runner, workdir, text):
+        rng = random.Random(8)
+        rows = [
+            {"type": rng.choice("TH"), "id": rng.randint(1, 3), "value": rng.randint(0, 100)}
+            for _ in range(300)
+        ]
+        Path("pattern.pat").write_text(text)
+        Path("stream.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            exec(self._library_code(), {"events": [Event.from_mapping(r) for r in rows]})
+        found = [int(line.split()[-1]) for line in printed.getvalue().splitlines()]
+        result = runner.invoke(main, ["recognize", "pattern.pat", "--input", "stream.jsonl"])
+        assert result.exit_code == 0, result.stderr
+        assert found and found == _indexes(result.stdout)
 
 
 class TestEntryPoint:
