@@ -484,18 +484,12 @@ def oracle(pattern, input_path, fmt, enumerate_, universe, max_len, sample, seed
             with contextlib.closing(_open_input(universe)) as fp:
                 events = list(read_events(fp, fmt, strict, _stderr_diagnostic))
             total = sum(len(events) ** n for n in range(max_len + 1))
+            picked = range(total)
             if sample is not None and sample < total:
                 # sample() only indexes its population, so drawing indices
                 # picks the strings a drawn list of all strings would.
-                picked = random.Random(seed).sample(range(total), sample)
-                strings = (_string_at(events, index) for index in picked)
-            else:
-                strings = (
-                    list(s)
-                    for n in range(max_len + 1)
-                    for s in itertools.product(events, repeat=n)
-                )
-            for s in strings:
+                picked = random.Random(seed).sample(picked, sample)
+            for s in (_string_at(events, index) for index in picked):
                 _emit_record(
                     {"events": [_event_payload(ev) for ev in s], "accepts": accepts(expr, s)}
                 )

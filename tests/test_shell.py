@@ -823,18 +823,22 @@ class TestOracleCommand:
         universe = self._four_event_universe()
         _, expr = parse(E1_TEXT)
         strings = [list(s) for n in range(4) for s in itertools.product(universe, repeat=n)]
-        for seed, size in ((0, 1), (3, 5), (7, 40), (11, 84)):
-            result = runner.invoke(
-                main,
-                ["oracle", "e1.pat", "--enumerate", "--universe", "universe.jsonl",
-                 "--max-len", "3", "--sample", str(size), "--seed", str(seed)],
-            )
-            assert result.exit_code == 0, result.stderr
-            want = [
+        args = ["oracle", "e1.pat", "--enumerate", "--universe", "universe.jsonl",
+                "--max-len", "3"]
+
+        def lines(picked):
+            return [
                 json.dumps({"events": [e.as_dict() for e in s], "accepts": accepts(expr, s)})
-                for s in random.Random(seed).sample(strings, size)
+                for s in picked
             ]
-            assert result.stdout.splitlines() == want
+
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout.splitlines() == lines(strings)
+        for seed, size in ((0, 1), (3, 5), (7, 40), (11, 84)):
+            result = runner.invoke(main, args + ["--sample", str(size), "--seed", str(seed)])
+            assert result.exit_code == 0, result.stderr
+            assert result.stdout.splitlines() == lines(random.Random(seed).sample(strings, size))
 
     def test_enumerate_sample_does_not_build_every_string(self, runner, workdir):
         self._four_event_universe()
