@@ -8,6 +8,7 @@ conditions can be shared freely across threads and used as dictionary keys
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -82,12 +83,24 @@ class Event:
 _MISSING = object()
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
+@dataclass(frozen=True)
 class Register:
     """A named storage cell for one event. The name is the identity; callers
-    keep names unique within one expression/automaton scope."""
+    keep names unique within one expression/automaton scope.
+
+    Registers hash and order by their name string directly: valuations and
+    configuration sets hash and compare them on every write and lookup."""
 
     name: str
+
+    def __hash__(self) -> int:
+        return hash(self.name)
+
+    def __lt__(self, other: "Register") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name < other.name
 
     def __str__(self) -> str:
         return self.name
@@ -342,6 +355,25 @@ def _walk(condition: Condition, through: tuple[type, ...] = (Not, And, Or)) -> I
         if isinstance(node, Not):
             stack.append(node.operand)
         else:
+            stack += (node.right, node.left)
+
+
+def _walk_distinct(conditions: Iterable[Condition]) -> Iterator[Condition]:
+    """Every node object of the given condition trees once, however often
+    the trees share it (`determinize` and `complete` build conditions from
+    shared subtrees). Nodes are told apart by identity, which is stable
+    while the walk holds the roots and so every node below them."""
+    seen: set[int] = set()
+    stack = list(conditions)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node
+        if isinstance(node, Not):
+            stack.append(node.operand)
+        elif isinstance(node, (And, Or)):
             stack += (node.right, node.left)
 
 

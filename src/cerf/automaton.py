@@ -23,7 +23,7 @@ from .algebra import (
     TrueCondition,
     Valuation,
     _walk,
-    registers_of,
+    _walk_distinct,
 )
 from .pattern import unparse_condition
 
@@ -99,14 +99,23 @@ class Sra:
         for t in self.transitions:
             if t.source not in self.states or t.target not in self.states:
                 raise ValueError(f"transition endpoints must be states: {t}")
-            if t.condition is not None:
-                unknown = registers_of(t.condition) - self.registers
-                if unknown:
-                    raise ValueError(f"condition reads unknown registers: {unknown}")
             if not t.writes <= self.registers:
                 raise ValueError(f"transition writes unknown registers: {t.writes}")
             out[t.source].append(t)
+        unknown = {
+            arg
+            for atom in self._atoms()
+            for arg in atom.args
+            if isinstance(arg, Register) and arg not in self.registers
+        }
+        if unknown:
+            raise ValueError(f"condition reads unknown registers: {unknown}")
         object.__setattr__(self, "_out", {q: tuple(ts) for q, ts in out.items()})
+
+    def _atoms(self) -> Iterator[Atom]:
+        """Every distinct atom object of the transition conditions, once."""
+        conditions = (t.condition for t in self.transitions if t.condition is not None)
+        return (node for node in _walk_distinct(conditions) if isinstance(node, Atom))
 
     def out(self, state: str) -> tuple[Transition, ...]:
         return self._out[state]  # type: ignore[attr-defined]
@@ -118,16 +127,13 @@ class Sra:
         a predicate without a footprint, or nothing reads it at all. Built on
         first use, because most constructed automata are never run."""
         observed: dict[Register, Optional[frozenset[str]]] = {}
-        for t in self.transitions:
-            for atom in () if t.condition is None else _walk(t.condition):
-                if not isinstance(atom, Atom):
-                    continue
-                footprint = atom.predicate.footprint
-                for index, arg in enumerate(atom.args):
-                    if isinstance(arg, Register):
-                        seen = observed.get(arg, frozenset())
-                        opaque = footprint is None or seen is None
-                        observed[arg] = None if opaque else seen | footprint[index]
+        for atom in self._atoms():
+            footprint = atom.predicate.footprint
+            for index, arg in enumerate(atom.args):
+                if isinstance(arg, Register):
+                    seen = observed.get(arg, frozenset())
+                    opaque = footprint is None or seen is None
+                    observed[arg] = None if opaque else seen | footprint[index]
         return {r: observed.get(r) for r in self.registers}
 
     @property

@@ -33,6 +33,7 @@ from .compiler import NotWindowed
 from .forecast import InsufficientData, Pst, SymbolMap, symbolize
 from .pattern import (
     Expr,
+    Oracle,
     PatternSyntaxError,
     UnknownRegister,
     Window,
@@ -440,18 +441,51 @@ def _event_payload(event: Event) -> dict:
     return event.as_dict()
 
 
-def _string_at(events: list[Event], index: int) -> list[Event]:
-    """The string at `index` in enumeration order over `events`: shorter
-    strings first, then as itertools.product orders them."""
+# The most configurations `oracle --enumerate` keeps for deriving longer
+# strings from; the least recently used beyond this are dropped.
+_PREFIX_CACHE = 4096
+
+
+def _position(count: int, index: int) -> tuple[int, int]:
+    """(length, rank) of the string at `index` in enumeration order over
+    `count` events: shorter strings first, then as itertools.product orders
+    them, so the base-`count` digits of the rank index the string's
+    events."""
     length = 0
-    while index >= len(events) ** length:
-        index -= len(events) ** length
+    while index >= count**length:
+        index -= count**length
         length += 1
+    return length, index
+
+
+def _string_at(events: list[Event], length: int, rank: int) -> list[Event]:
     string = []
     for _ in range(length):
-        index, digit = divmod(index, len(events))
+        rank, digit = divmod(rank, len(events))
         string.append(events[digit])
     return string[::-1]
+
+
+def _derived(oracle: Oracle, events: list[Event], cache: dict, length: int, rank: int):
+    """The oracle's configuration after the string at (length, rank): the
+    nearest prefix `cache` holds (the empty string if none), stepped over
+    the rest. A loop walks back to that prefix, so any length works. Each
+    configuration reached is kept in `cache`, most recently used last."""
+    digits = []
+    while length and (length, rank) not in cache:
+        rank, digit = divmod(rank, len(events))
+        digits.append(digit)
+        length -= 1
+    key = (length, rank)
+    pairs = cache.pop(key) if key in cache else oracle.start()
+    cache[key] = pairs
+    for digit in reversed(digits):
+        pairs = oracle.step(pairs, events[digit])
+        length, rank = length + 1, rank * len(events) + digit
+        cache[(length, rank)] = pairs
+        if len(cache) > _PREFIX_CACHE:
+            del cache[next(iter(cache))]
+    return pairs
 
 
 @main.command()
@@ -473,11 +507,14 @@ def _string_at(events: list[Event], index: int) -> list[Event]:
 def oracle(pattern, input_path, fmt, enumerate_, universe, max_len, sample, seed, strict):
     """Decide membership directly from the pattern, without automata.
 
-    Slow but simple; meant as ground truth for checking the pipeline."""
+    The ground truth for checking the pipeline: it folds the pattern's
+    derivatives over each string, holding only the live (residual,
+    valuation) pairs. --input reads the stream once, in time linear in its
+    length. --enumerate derives each string from its one shorter prefix,
+    kept in a bounded cache of recent prefixes."""
     with _mapped_errors():
-        from .pattern import accepts
-
         _, expr = _load_pattern(pattern, None)
+        derivatives = Oracle(expr)
         if enumerate_:
             if universe is None:
                 raise click.UsageError("--enumerate needs --universe")
@@ -489,16 +526,24 @@ def oracle(pattern, input_path, fmt, enumerate_, universe, max_len, sample, seed
                 # sample() only indexes its population, so drawing indices
                 # picks the strings a drawn list of all strings would.
                 picked = random.Random(seed).sample(picked, sample)
-            for s in (_string_at(events, index) for index in picked):
+            cache: dict = {}
+            for index in picked:
+                length, rank = _position(len(events), index)
+                pairs = _derived(derivatives, events, cache, length, rank)
                 _emit_record(
-                    {"events": [_event_payload(ev) for ev in s], "accepts": accepts(expr, s)}
+                    {
+                        "events": [_event_payload(ev) for ev in _string_at(events, length, rank)],
+                        "accepts": bool(Oracle.derived(pairs)),
+                    }
                 )
         else:
             if input_path is None:
                 raise click.UsageError("give --input or --enumerate")
+            pairs = derivatives.start()
             with contextlib.closing(_open_input(input_path)) as fp:
-                events = list(read_events(fp, fmt, strict, _stderr_diagnostic))
-            _emit_record({"accepts": accepts(expr, events)})
+                for event in read_events(fp, fmt, strict, _stderr_diagnostic):
+                    pairs = derivatives.step(pairs, event)
+            _emit_record({"accepts": bool(Oracle.derived(pairs))})
 
 
 if __name__ == "__main__":

@@ -171,8 +171,7 @@ def to_streaming(e: Expr) -> Expr:
 
 # The deepest expression nesting `parse` accepts, counting the condition
 # inside each leaf. The recursive walks over a parsed pattern (compilation,
-# unparsing, the derivation oracle) stay within Python's default recursion
-# limit up to this depth.
+# unparsing) stay within Python's default recursion limit up to this depth.
 MAX_NESTING = 400
 
 
@@ -618,76 +617,192 @@ def unparse_pattern(library: PredicateLibrary, e: Expr) -> str:
 # Derivation oracle
 
 
+class _Residual:
+    """What an expression has left to match after some prefix: a node of an
+    `Oracle`'s hash-consed residual graph. Only the oracle's interner builds
+    them, so equal residuals are one object, and they compare and hash by
+    identity.
+
+    `kind` is one of "eps", "none", "cond" (left: the condition, right: the
+    register written or None), "cat", "alt", "star" (left: the body) and
+    "bounded" (left: the body, right: how many more elements it may
+    consume). `moves` is filled on first use: the (condition, register or
+    None, residual) triples by which the residual consumes one element."""
+
+    __slots__ = ("kind", "left", "right", "nullable", "moves")
+
+    def __init__(self, kind: str, left, right, nullable: bool) -> None:
+        self.kind = kind
+        self.left = left
+        self.right = right
+        self.nullable = nullable
+        self.moves: Optional[tuple] = None
+
+
+# One (residual, valuation) pair of a configuration set.
+Pair = tuple[_Residual, Valuation]
+
+
+class Oracle:
+    """The derivation relation of one expression, read left to right.
+
+    A configuration is a set of (residual, valuation) pairs: Antimirov's
+    partial derivatives (TCS 1996), each paired with the valuation the
+    consumed prefix produced. `step` consumes one element: a condition
+    leaf steps to the empty string when its condition holds, and a write
+    also stores the whole element; a concatenation steps its left side,
+    and its right side too when the left is nullable; an alternation steps
+    both sides; a star steps its body and then continues with the star;
+    a window steps to a bounded residual that carries the width left. A
+    pair whose residual is nullable has derived the prefix, whatever its
+    valuation, as an empty match writes nothing.
+
+    Residuals are interned per oracle, and each one's moves are built once,
+    so after the first visit a step only evaluates conditions. Both walks
+    are iterative, so no expression is too deep for them."""
+
+    def __init__(self, e: Expr) -> None:
+        self._table: dict[tuple, _Residual] = {}
+        self._eps = self._node("eps", None, None)
+        preorder, stack = [], [e]
+        while stack:
+            node = stack.pop()
+            preorder.append(node)
+            if isinstance(node, (Concat, Alt)):
+                stack += (node.left, node.right)
+            elif isinstance(node, (Star, Window)):
+                stack.append(node.body)
+        # Reversed preorder puts every node after its descendants. The ids
+        # key only this loop, during which `e` keeps every node alive.
+        converted: dict[int, _Residual] = {}
+        for node in reversed(preorder):
+            converted[id(node)] = self._convert(node, converted)
+        self.root = converted[id(e)]
+
+    def _node(self, kind: str, left, right) -> _Residual:
+        key = (kind, left, right)
+        node = self._table.get(key)
+        if node is None:
+            if kind in ("cat", "alt"):
+                both = left.nullable and right.nullable
+                nullable = both if kind == "cat" else left.nullable or right.nullable
+            elif kind == "bounded":
+                nullable = left.nullable
+            else:
+                nullable = kind in ("eps", "star")
+            node = self._table[key] = _Residual(kind, left, right, nullable)
+        return node
+
+    def _convert(self, e: Expr, converted: dict[int, _Residual]) -> _Residual:
+        if isinstance(e, Empty):
+            return self._node("none", None, None)
+        if isinstance(e, Epsilon):
+            return self._eps
+        if isinstance(e, Cond):
+            return self._node("cond", e.condition, None)
+        if isinstance(e, CondWrite):
+            return self._node("cond", e.condition, e.register)
+        if isinstance(e, (Concat, Alt)):
+            kind = "cat" if isinstance(e, Concat) else "alt"
+            return self._node(kind, converted[id(e.left)], converted[id(e.right)])
+        if isinstance(e, Star):
+            return self._node("star", converted[id(e.body)], None)
+        if isinstance(e, Window):
+            return self._bounded(converted[id(e.body)], e.width)
+        raise TypeError(f"not an expression: {e!r}")
+
+    def _cat(self, left: _Residual, right: _Residual) -> _Residual:
+        return right if left is self._eps else self._node("cat", left, right)
+
+    def _bounded(self, body: _Residual, width: int) -> _Residual:
+        return body if body is self._eps else self._node("bounded", body, width)
+
+    def _needs(self, node: _Residual) -> tuple[_Residual, ...]:
+        """The residuals whose moves make up `node`'s."""
+        if node.kind == "cat":
+            return (node.left, node.right) if node.left.nullable else (node.left,)
+        if node.kind == "alt":
+            return (node.left, node.right)
+        if node.kind == "star" or (node.kind == "bounded" and node.right > 0):
+            return (node.left,)
+        return ()
+
+    def _moves(self, node: _Residual) -> tuple:
+        """`node.moves`, building it and those it needs first, depth first
+        with an explicit stack."""
+        stack = [node]
+        while stack:
+            top = stack[-1]
+            pending = [n for n in self._needs(top) if n.moves is None]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            if top.moves is None:
+                top.moves = tuple(self._moves_of(top))
+        return node.moves  # type: ignore[return-value]
+
+    def _moves_of(self, node: _Residual) -> Iterator[tuple]:
+        kind = node.kind
+        if kind == "cond":
+            yield node.left, node.right, self._eps
+        elif kind == "cat":
+            for cond, reg, rest in node.left.moves:
+                yield cond, reg, self._cat(rest, node.right)
+            if node.left.nullable:
+                yield from node.right.moves
+        elif kind == "alt":
+            yield from node.left.moves
+            yield from node.right.moves
+        elif kind == "star":
+            for cond, reg, rest in node.left.moves:
+                yield cond, reg, self._cat(rest, node)
+        elif kind == "bounded" and node.right > 0:
+            for cond, reg, rest in node.left.moves:
+                yield cond, reg, self._bounded(rest, node.right - 1)
+
+    def start(self, valuation: Valuation = EMPTY_VALUATION) -> frozenset[Pair]:
+        """The configuration before any element is consumed."""
+        return frozenset(((self.root, valuation),))
+
+    def step(self, pairs: Iterable[Pair], event: Event) -> frozenset[Pair]:
+        """The configuration after consuming `event`. An atom reading an
+        empty register does not hold."""
+        out = set()
+        for node, v in pairs:
+            moves = node.moves if node.moves is not None else self._moves(node)
+            if not moves:
+                continue
+            scope = EvalScope(v)
+            for cond, reg, rest in moves:
+                if scope.evaluate(cond, event):
+                    out.add((rest, v if reg is None else v.set(reg, event)))
+        return frozenset(out)
+
+    @staticmethod
+    def derived(pairs: Iterable[Pair]) -> frozenset[Valuation]:
+        """The valuations with which the configuration has derived the
+        prefix consumed; empty when it has not derived it."""
+        return frozenset(v for node, v in pairs if node.nullable)
+
+
 def derive(
     e: Expr, events: Sequence[Event], valuation: Valuation = EMPTY_VALUATION
 ) -> frozenset[Valuation]:
     """All valuations the expression can produce by consuming exactly the
-    given string, starting from the given valuation.
+    given string, starting from the given valuation: a fold of
+    `Oracle.step` over the string.
 
-    Structural recursion over the expression with memoization on
-    (node, span, valuation). A Star iteration must consume at least one
-    element, which keeps the recursion finite on nullable bodies without
-    changing the language (an empty iteration leaves the valuation as it is).
-    Atoms reading unbound registers are simply unsatisfied.
-    """
-    events = tuple(events)
-    memo: dict = {}
-
-    def sat(cond: Condition, index: int, v: Valuation) -> bool:
-        return EvalScope(v).evaluate(cond, events[index])
-
-    def go(node: Expr, i: int, j: int, v: Valuation) -> frozenset[Valuation]:
-        # Keyed by node identity: every node stays alive for the whole call,
-        # and hashing a frozen-dataclass node would re-walk its subtree.
-        key = (id(node), i, j, v)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out: frozenset[Valuation]
-        if isinstance(node, Empty):
-            out = frozenset()
-        elif isinstance(node, Epsilon):
-            out = frozenset((v,)) if i == j else frozenset()
-        elif isinstance(node, Cond):
-            if j == i + 1 and sat(node.condition, i, v):
-                out = frozenset((v,))
-            else:
-                out = frozenset()
-        elif isinstance(node, CondWrite):
-            if j == i + 1 and sat(node.condition, i, v):
-                out = frozenset((v.set(node.register, events[i]),))
-            else:
-                out = frozenset()
-        elif isinstance(node, Concat):
-            acc = set()
-            for k in range(i, j + 1):
-                for mid in go(node.left, i, k, v):
-                    acc.update(go(node.right, k, j, mid))
-            out = frozenset(acc)
-        elif isinstance(node, Alt):
-            out = go(node.left, i, j, v) | go(node.right, i, j, v)
-        elif isinstance(node, Star):
-            # after[k - i]: valuations after iterations covering [i, k); a
-            # loop over positions, so the depth does not grow with the input
-            after: list[set[Valuation]] = [{v}]
-            for k in range(i + 1, j + 1):
-                reached: set[Valuation] = set()
-                for m in range(i, k):
-                    for mid in after[m - i]:
-                        reached.update(go(node.body, m, k, mid))
-                after.append(reached)
-            out = frozenset(after[-1])
-        elif isinstance(node, Window):
-            if j - i <= node.width:
-                out = go(node.body, i, j, v)
-            else:
-                out = frozenset()
-        else:
-            raise TypeError(f"not an expression: {node!r}")
-        memo[key] = out
-        return out
-
-    return go(e, 0, len(events), valuation)
+    A Star iteration must consume at least one element; this does not
+    change the language, as an empty iteration leaves the valuation as it
+    is. Atoms reading unbound registers are simply unsatisfied."""
+    oracle = Oracle(e)
+    pairs = oracle.start(valuation)
+    for event in events:
+        if not pairs:
+            break
+        pairs = oracle.step(pairs, event)
+    return Oracle.derived(pairs)
 
 
 def accepts(e: Expr, events: Sequence[Event]) -> bool:

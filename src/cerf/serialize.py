@@ -209,10 +209,14 @@ def dump(doc: dict, target: Union[str, IO[str]]) -> None:
 
 
 def load(source: Union[str, IO[str]]) -> dict:
+    """The JSON document in a file or stream. One leading byte-order mark is
+    dropped, as a document saved with one reads like one without."""
     try:
         if isinstance(source, str):
             with open(source, "r", encoding="utf-8") as fp:
-                return json.load(fp)
-        return json.load(source)
+                text = fp.read()
+        else:
+            text = source.read()
+        return json.loads(text.removeprefix("\ufeff"))
     except ValueError as exc:
         raise MalformedDocument(f"not a JSON document ({exc})") from exc

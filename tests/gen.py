@@ -1,7 +1,8 @@
 """Shared generators for the randomized suites: a small event universe with
 its predicate library, random expressions over it, exhaustive string
 enumeration, an independent forward-reachability matcher used to cross-check
-the span-based matcher, and a fixed order-2 Markov symbol source."""
+the derivation oracle, the oracle's derivations of every string by prefix
+sharing, and a fixed order-2 Markov symbol source."""
 
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from cerf.pattern import (
     CondWrite,
     EMPTY,
     EPSILON,
+    Oracle,
     Star,
     Window,
 )
@@ -111,7 +113,7 @@ def all_strings(universe, max_len: int):
 def reach(e, events, i, valuation):
     """Forward matcher: all (end index, valuation) pairs reachable by matching
     e against events starting at i. Used as an independent cross-check of the
-    span-tabulating matcher; deliberately a different algorithm."""
+    derivation oracle; deliberately a different algorithm."""
     if isinstance(e, Cond) or isinstance(e, CondWrite):
         if i >= len(events):
             return set()
@@ -198,6 +200,22 @@ def acceptance_dfs(a, universe, max_len: int) -> dict:
             walk(key + (idx,), step(configs, event) if configs else set())
 
     walk((), close({(a.start, EMPTY_VALUATION)}))
+    return results
+
+
+def oracle_dfs(e, universe, max_len: int) -> dict:
+    """The valuations with which the expression derives every string over
+    `universe` up to max_len, keyed by tuples of universe indexes. One
+    oracle serves every string, and each string is stepped from its one
+    shorter prefix."""
+    oracle = Oracle(e)
+    results = {}
+    frontier = [((), oracle.start())]
+    while frontier:
+        key, pairs = frontier.pop()
+        results[key] = Oracle.derived(pairs)
+        if len(key) < max_len:
+            frontier += ((key + (i,), oracle.step(pairs, ev)) for i, ev in enumerate(universe))
     return results
 
 

@@ -47,7 +47,6 @@ from cerf.pattern import (
     Concat,
     Cond,
     CondWrite,
-    accepts,
     parse,
     to_streaming,
 )
@@ -64,6 +63,7 @@ from gen import (
     UNIVERSE,
     acceptance_dfs,
     markov2_symbols,
+    oracle_dfs,
     random_condition,
     random_expr,
     random_windowed,
@@ -147,8 +147,9 @@ def test_acceptance_03_compilation_stages_match_direct_semantics():
                 acceptance_dfs(a, UNIVERSE, 5)
                 for a in (thompson, epsilon_free, single_write)
             ]
-            for key, events in EVENTS5.items():
-                want = accepts(e, events)
+            derived = oracle_dfs(e, UNIVERSE, 5)
+            for key in EVENTS5:
+                want = bool(derived[key])
                 assert stage_langs[0][key] == want
                 assert stage_langs[1][key] == want
                 assert stage_langs[2][key] == want
@@ -188,8 +189,9 @@ def test_acceptance_04_windowed_determinization_and_complement():
             keys = {k: v for k, v in EVENTS4.items() if len(k) <= width + 1}
             accepted = acceptance_dfs(d, UNIVERSE, width + 1)
             rejected = acceptance_dfs(c, UNIVERSE, width + 1)
+            derived = oracle_dfs(wexpr, UNIVERSE, width + 1)
             for key, events in keys.items():
-                want = accepts(wexpr, events)
+                want = bool(derived[key])
                 assert accepted[key] == want
                 assert rejected[key] == (not want)
                 _assert_single_run(d, events)
@@ -260,8 +262,9 @@ def test_acceptance_06_translation_back_to_expressions():
         for _ in range(200):
             e = random_expr(rng, 3, lib)
             back = sra_to_srem(compile_expr(e))
-            for key, events in EVENTS4.items():
-                assert accepts(back, events) == accepts(e, events)
+            derived, derived_back = oracle_dfs(e, UNIVERSE, 4), oracle_dfs(back, UNIVERSE, 4)
+            for key in EVENTS4:
+                assert bool(derived_back[key]) == bool(derived[key])
 
 
 def _valuation_grid():

@@ -66,6 +66,21 @@ class TestEvent:
         assert ev.project(frozenset()) == Event(())
 
 
+class TestRegister:
+    def test_hash_equality_and_order_follow_the_name(self):
+        names = ["r2", "r10", "r1", "b", "r1_0"]
+        registers = [Register(n) for n in names]
+        for n in names:
+            assert hash(Register(n)) == hash(Register(n))
+            assert Register(n) == Register(n) and repr(Register(n)) == f"Register(name={n!r})"
+        assert [r.name for r in sorted(registers)] == sorted(names)
+        assert Register("r1") < Register("r2") <= Register("r2") < Register("r3")
+        assert Register("r3") > Register("r2") >= Register("r2")
+        assert len({Register("r1"), Register("r1"), Register("r2")}) == 2
+        with pytest.raises(TypeError):
+            Register("r1") < "r2"
+
+
 class TestValuation:
     def test_empty_lookup_is_none(self):
         assert EMPTY_VALUATION.lookup(R1) is None

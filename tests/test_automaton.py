@@ -32,7 +32,7 @@ from cerf.automaton import (
 )
 from random import Random
 
-from cerf import compiler
+from cerf import algebra, automaton, compiler
 from cerf.pattern import Window, accepts, parse, to_streaming
 
 from conftest import E1_TEXT, E3_TEXT, make_table1, make_t_then_h_automaton
@@ -443,6 +443,28 @@ class TestRegisterProjection:
             engine.step(ev)
             assert len(cuts) - before <= 1
         assert len(cuts) > 50
+
+    def test_shared_condition_nodes_are_walked_once(self, monkeypatch):
+        _, e3 = parse(E3_TEXT)
+        d = compiler.complete(compiler.determinize(Window(e3.body, 4)))
+        conditions = [t.condition for t in d.transitions]
+        nodes = [node for c in conditions for node in algebra._walk(c)]
+        distinct = {id(node) for node in nodes}
+        observed = d.observed_attributes
+        visits = []
+
+        def counting(roots):
+            for node in algebra._walk_distinct(roots):
+                visits.append(node)
+                yield node
+
+        monkeypatch.setattr(automaton, "_walk_distinct", counting)
+        a = Sra(d.states, d.start, d.finals, d.registers, d.transitions, d.window, d.deterministic)
+        assert len(visits) == len(distinct)
+        assert a.observed_attributes == observed
+        assert len(visits) == 2 * len(distinct)
+        # complete and determinize share subtrees, so most nodes repeat
+        assert len(distinct) * 3 < len(nodes)
 
 
 class TestDot:

@@ -1,3 +1,5 @@
+import gc
+import sys
 from random import Random
 
 import pytest
@@ -23,6 +25,7 @@ from cerf.pattern import (
     CondWrite,
     EMPTY,
     EPSILON,
+    Oracle,
     PatternSyntaxError,
     Star,
     UnknownRegister,
@@ -41,7 +44,16 @@ from cerf.pattern import (
 )
 
 from conftest import E1_TEXT, E3_TEXT, make_table1
-from gen import UNIVERSE, all_strings, random_expr, reach_accepts, universe_library
+from gen import (
+    UNIVERSE,
+    all_strings,
+    oracle_dfs,
+    random_expr,
+    random_windowed,
+    reach_accepts,
+    universe_library,
+)
+import span_derive
 
 R1 = Register("r1")
 R2 = Register("r2")
@@ -303,6 +315,92 @@ class TestDerive:
             e = random_expr(rng, 3, lib)
             for s in all_strings(UNIVERSE, 3):
                 assert accepts(e, s) == reach_accepts(e, s), unparse(e)
+
+
+def _random_pool(rng, lib, count):
+    """`count` each of unwindowed, windowed and streaming expressions."""
+    pool = []
+    for _ in range(count):
+        pool.append(random_expr(rng, 4, lib))
+        pool.append(random_windowed(rng, lib))
+        inner = random_windowed(rng, lib) if rng.random() < 0.5 else random_expr(rng, 3, lib)
+        pool.append(to_streaming(inner))
+    return pool
+
+
+class TestOracle:
+    """The left-to-right oracle against the span-memo reference."""
+
+    def test_agrees_with_the_reference_on_valuations(self):
+        lib = universe_library()
+        strings = {tuple(UNIVERSE.index(ev) for ev in s): s for s in all_strings(UNIVERSE, 4)}
+        for e in _random_pool(Random(4242), lib, 12):
+            walked = oracle_dfs(e, UNIVERSE, 4)
+            assert walked.keys() == strings.keys()
+            for key, s in strings.items():
+                want = span_derive.derive(e, s)
+                assert walked[key] == want, e
+                assert derive(e, s) == want
+                assert accepts(e, s) == bool(want)
+
+    def test_initial_valuation_is_threaded_like_the_reference(self):
+        lib = universe_library()
+        rng = Random(77)
+        start = EMPTY_VALUATION.set(R1, UNIVERSE[1]).set(R2, UNIVERSE[2])
+        for _ in range(20):
+            e = random_expr(rng, 3, lib)
+            for s in all_strings(UNIVERSE, 3):
+                assert derive(e, s, start) == span_derive.derive(e, s, start)
+
+    def test_garbage_collection_changes_no_verdict(self):
+        lib = universe_library()
+        rng = Random(9)
+        strings = list(all_strings(UNIVERSE, 2)) + [list(UNIVERSE) * 2]
+        for e in _random_pool(rng, lib, 2):
+            want = [span_derive.accepts(e, s) for s in strings]
+            shared = Oracle(e)
+            got_shared, got_fresh = [], []
+            for s in strings:
+                # the fresh oracle of the last fold is garbage by now
+                gc.collect()
+                pairs = shared.start()
+                for ev in s:
+                    pairs = shared.step(pairs, ev)
+                got_shared.append(bool(Oracle.derived(pairs)))
+                got_fresh.append(accepts(e, s))
+            assert got_shared == want and got_fresh == want
+
+    def test_equal_residuals_are_one_object(self):
+        _, e = parse('pred IsA(x): x.kind == "A"\n\n(IsA(~) ; IsA(~)*) + (IsA(~) ; IsA(~)*)')
+        oracle = Oracle(e)
+        pairs = oracle.start()
+        for _ in range(50):
+            pairs = oracle.step(pairs, _ev("A", 1))
+            assert len(pairs) == 1
+        assert bool(Oracle.derived(pairs))
+
+    def test_window_residual_counts_down(self):
+        lib = universe_library()
+        e = Window(Star(Cond(Atom(lib.get("KindA"), (CURRENT,)))), 3)
+        oracle = Oracle(e)
+        pairs = oracle.start()
+        verdicts = []
+        for _ in range(5):
+            pairs = oracle.step(pairs, _ev("A", 1))
+            verdicts.append(bool(Oracle.derived(pairs)))
+        assert verdicts == [True, True, True, False, False]
+        assert not pairs
+
+    def test_deep_expressions_step_without_recursion(self):
+        lib = universe_library()
+        leaf = Cond(Atom(lib.get("KindA"), (CURRENT,)))
+        n = 3 * sys.getrecursionlimit()
+        left = right = leaf
+        for _ in range(n - 1):
+            left, right = Concat(left, leaf), Concat(leaf, right)
+        s = [_ev("A", 1)] * (n // 100)
+        assert not accepts(left, s)
+        assert accepts(right, s * 100) and not accepts(right, s * 99)
 
 
 class TestStreaming:

@@ -7,6 +7,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from cerf.automaton import (
 from cerf.cli import MalformedInput, main, read_events
 from cerf.compiler import NotUnrolled, NotWindowed, WindowedInput, complete, determinize
 from cerf.forecast import NotComplete, Pst, SymbolMap
-from cerf.pattern import MAX_NESTING, accepts, parse
+from cerf.pattern import MAX_NESTING, Oracle, accepts, parse
 
 from conftest import E1_TEXT, E3_TEXT, make_table1, make_two_state_dfa
 
@@ -160,6 +161,15 @@ class TestSerializeAutomaton:
         buf = io.StringIO()
         serialize.dump(doc, buf)
         assert json.loads(buf.getvalue()) == doc
+
+    def test_load_drops_a_byte_order_mark(self, tmp_path, two_state_dfa):
+        doc = serialize.automaton_to_doc(two_state_dfa)
+        buf = io.StringIO()
+        serialize.dump(doc, buf)
+        target = tmp_path / "marked.json"
+        target.write_text("\ufeff" + buf.getvalue(), encoding="utf-8")
+        assert serialize.load(str(target)) == doc
+        assert serialize.load(io.StringIO("\ufeff" + buf.getvalue())) == doc
 
 
 class TestSerializeModel:
@@ -590,6 +600,16 @@ class TestPipelineCommands:
         assert result.exit_code == 0, result.stderr
         assert len(json.loads(result.stdout)["finals"]) == 7
 
+    def test_complement_saved_dsra_with_a_byte_order_mark(self, runner, workdir):
+        runner.invoke(main, ["compile", "e3.pat", "--stage", "dsra", "--out", "d.json"])
+        Path("marked.json").write_text(
+            "\ufeff" + Path("d.json").read_text(encoding="utf-8"), encoding="utf-8"
+        )
+        plain = runner.invoke(main, ["complement", "--automaton", "d.json"])
+        marked = runner.invoke(main, ["complement", "--automaton", "marked.json"])
+        assert marked.exit_code == 0, marked.stderr
+        assert marked.stdout == plain.stdout
+
     def test_to_srem_round_trip(self, runner, workdir):
         result = runner.invoke(main, ["to-srem", "e1.pat"])
         assert result.exit_code == 0, result.stderr
@@ -777,12 +797,40 @@ class TestOracleCommand:
         first3 = runner.invoke(main, ["oracle", "e1.pat", "--input", "first3.jsonl"])
         assert json.loads(first3.stdout) == {"accepts": False}
 
-    def test_long_stream(self, runner, workdir):
+    def test_long_stream(self, runner, workdir, monkeypatch):
         Path("star.pat").write_text('pred TypeIsT(x): x.type == "T"\n\nTypeIsT(~)*\n')
-        Path("long.jsonl").write_text('{"type": "T"}\n' * 1200)
+        Path("long.jsonl").write_text('{"type": "T"}\n' * 20_000)
+        live = []
+        step = Oracle.step
+
+        def counted(self, pairs, event):
+            pairs = step(self, pairs, event)
+            live.append(len(pairs))
+            return pairs
+
+        monkeypatch.setattr(Oracle, "step", counted)
+        started = time.monotonic()
         result = runner.invoke(main, ["oracle", "star.pat", "--input", "long.jsonl"])
+        elapsed = time.monotonic() - started
         assert result.exit_code == 0, result.stderr
         assert json.loads(result.stdout) == {"accepts": True}
+        assert len(live) == 20_000 and max(live) == 1
+        # the span-memo oracle took 3.4 s on 1,200 of these events
+        assert elapsed < 10.0
+
+    def test_enumerate_walks_long_prefixes_without_recursion(self, runner, workdir):
+        Path("star.pat").write_text('pred TypeIsT(x): x.type == "T"\n\nTypeIsT(~)*\n')
+        Path("one.jsonl").write_text('{"type": "T"}\n')
+        result = runner.invoke(
+            main,
+            ["oracle", "star.pat", "--enumerate", "--universe", "one.jsonl",
+             "--max-len", "3000", "--sample", "3", "--seed", "1"],
+        )
+        assert result.exit_code == 0, result.stderr
+        records = [json.loads(line) for line in result.stdout.splitlines()]
+        picked = random.Random(1).sample(range(3001), 3)
+        assert [len(r["events"]) for r in records] == picked
+        assert all(r["accepts"] for r in records)
 
     def test_enumerate_counts_and_payloads(self, runner, workdir):
         Path("universe.jsonl").write_text(
