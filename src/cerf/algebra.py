@@ -9,10 +9,9 @@ conditions can be shared freely across threads and used as dictionary keys
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 Value = Union[str, int, float]
 
@@ -152,24 +151,47 @@ EMPTY_VALUATION = Valuation()
 # Predicates
 
 
+class Declaration(NamedTuple):
+    """The body `left op right` of a declared predicate, as parsed. Each
+    operand is ("lit", value) or ("attr", parameter index, attribute name)."""
+
+    left: tuple
+    op: str
+    right: tuple
+
+
 @dataclass(frozen=True)
 class Predicate:
     """A named n-ary relation over events. The evaluator must be a pure, total
     function of its event arguments.
 
-    `footprint`, when known, holds per parameter the attribute names the
-    evaluator reads of that argument; it reads nothing else. None means
-    unknown: the evaluator may read the whole event."""
+    `declaration` is the parsed body of a declared predicate; None for one
+    built in Python. `footprint`, when known, holds per parameter the
+    attribute names the evaluator reads of that argument; it reads nothing
+    else. A declared predicate's footprint is derived from its declaration.
+    None means unknown: the evaluator may read the whole event."""
 
     name: str
     arity: int
     evaluator: Callable[..., bool] = field(compare=False)
     source: Optional[str] = field(default=None, compare=False)
     footprint: Optional[tuple[frozenset[str], ...]] = field(default=None, compare=False)
+    declaration: Optional[Declaration] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.arity < 1:
             raise ValueError("predicate arity must be at least 1")
+        if self.declaration is not None:
+            if self.footprint is not None:
+                raise ValueError("a declared predicate's footprint comes from its declaration")
+            operands = (self.declaration.left, self.declaration.right)
+            if any(o[0] == "attr" and not 0 <= o[1] < self.arity for o in operands):
+                raise ValueError("a declaration reads only the predicate's parameters")
+            footprint = tuple(
+                frozenset(o[2] for o in operands if o[0] == "attr" and o[1] == index)
+                for index in range(self.arity)
+            )
+            object.__setattr__(self, "footprint", footprint)
         if self.footprint is not None and len(self.footprint) != self.arity:
             raise ValueError("a predicate footprint needs one entry per parameter")
 
@@ -230,11 +252,7 @@ def declared_predicate(name: str, params: Sequence[str], left, op: str, right) -
         return f"{params[index]}.{attr}"
 
     source = f"pred {name}({', '.join(params)}): {render(left)} {op} {render(right)}"
-    footprint = tuple(
-        frozenset(o[2] for o in (left, right) if o[0] == "attr" and o[1] == index)
-        for index in range(len(params))
-    )
-    return Predicate(name, len(params), ev, source, footprint)
+    return Predicate(name, len(params), ev, source, declaration=Declaration(left, op, right))
 
 
 def comparison_predicate(name: str, attr: str, op: str, constant: Value) -> Predicate:
@@ -483,28 +501,98 @@ def evaluate_condition(condition: Condition, current: Event, valuation: Valuatio
 # Minterms
 
 
+_FLIPPED = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _literal_bounds(condition: Condition) -> tuple:
+    """The ((argument, attribute), (op, constant)) bounds a condition asserts
+    when it holds: one per atom on its conjunction spine whose declaration
+    compares one parameter's attribute to a text or number literal, turned
+    to read `attribute op constant`. Other atoms add no bound."""
+    bounds = []
+    for node in _walk(condition, (And,)):
+        if not isinstance(node, Atom) or node.predicate.declaration is None:
+            continue
+        left, op, right = node.predicate.declaration
+        if left[0] == "lit":
+            left, op, right = right, _FLIPPED[op], left
+        if left[0] == "attr" and right[0] == "lit" and isinstance(right[1], (str, int, float)):
+            bounds.append(((node.args[left[1]], left[2]), (op, right[1])))
+    return tuple(bounds)
+
+
+def _satisfiable(bounds: Sequence[tuple[str, Value]]) -> bool:
+    """Whether one attribute value can meet every (op, constant) bound under
+    `_compare_values`. Sound and partial: an open range low < value < high
+    counts as satisfiable whenever low < high."""
+    if len({isinstance(constant, str) for _, constant in bounds}) > 1:
+        return False  # text against number: every such comparison is false
+    for op, constant in bounds:
+        if op == "==":
+            return all(_compare_values(constant, _COMPARISONS[o], c) for o, c in bounds)
+    excluded = [constant for op, constant in bounds if op == "!="]
+    for low_op, low in bounds:
+        if low_op not in (">", ">="):
+            continue
+        for high_op, high in bounds:
+            if high_op not in ("<", "<=") or low < high:
+                continue
+            closed = low_op == ">=" and high_op == "<="
+            if not (closed and low == high and all(low != c for c in excluded)):
+                return False
+    return True
+
+
+def _narrowed(groups: dict, bounds: tuple) -> Optional[dict]:
+    """The bounds by (argument, attribute) with `bounds` added, or None when
+    a group they join becomes unsatisfiable."""
+    if not bounds:
+        return groups
+    groups = dict(groups)
+    for key, bound in bounds:
+        groups[key] = groups.get(key, ()) + (bound,)
+        if not _satisfiable(groups[key]):
+            return None
+    return groups
+
+
 def minterms(conditions: Sequence[Condition]) -> tuple[Condition, ...]:
     """Maximal satisfiable sign combinations of the given conditions.
 
-    Each input condition appears exactly once per raw minterm, positively or
-    negated. Simplification is syntactic only: positive TRUE conjuncts are
-    dropped and any minterm containing a negated TRUE is removed as
-    unsatisfiable. The returned minterms are pairwise mutually exclusive and
-    exhaustive: exactly one holds for any (event, valuation).
+    Each input condition appears exactly once per minterm, positively or
+    negated, with positive TRUE conjuncts dropped. Sign vectors are
+    generated depth first, positive branch first, so kept minterms come out
+    in `itertools.product((True, False), ...)` order. A prefix is cut, with
+    everything below it, as soon as it negates TRUE or its positive
+    literals conflict: they bound one attribute of one argument (`~` or a
+    register) to constants of different kinds, to unequal `==` constants,
+    or to an empty `== != < <= > >=` range. The check is sound and partial:
+    negated literals, `Or`, attribute-against-attribute atoms and
+    predicates without a declaration never cut, so a kept minterm may still
+    be unsatisfiable. The minterms are pairwise mutually exclusive and
+    exhaustive: exactly one holds for any (event, valuation). Minterms
+    sharing a prefix share its conjunction node.
     """
     base = list(dict.fromkeys(conditions))
     if not base:
         return (TRUE,)
+    bounds = [_literal_bounds(cond) for cond in base]
+    negated = [Not(cond) for cond in base]
     out: list[Condition] = []
-    for signs in itertools.product((True, False), repeat=len(base)):
-        if any(cond == TRUE and not positive for cond, positive in zip(base, signs)):
-            continue  # contains a negated TRUE: syntactically unsatisfiable
-        literals = [
-            cond if positive else Not(cond)
-            for cond, positive in zip(base, signs)
-            if cond != TRUE
-        ]
-        out.append(conjoin(literals))
+    # (depth, conjunction of the literals so far or None, bounds so far)
+    stack: list[tuple[int, Optional[Condition], dict]] = [(0, None, {})]
+    while stack:
+        depth, prefix, groups = stack.pop()
+        if depth == len(base):
+            out.append(TRUE if prefix is None else prefix)
+            continue
+        cond = base[depth]
+        if isinstance(cond, TrueCondition):
+            stack.append((depth + 1, prefix, groups))  # a negated TRUE never holds
+            continue
+        for literal, kept in ((negated[depth], groups), (cond, _narrowed(groups, bounds[depth]))):
+            if kept is not None:
+                stack.append((depth + 1, literal if prefix is None else And(prefix, literal), kept))
     return tuple(out)
 
 

@@ -535,7 +535,8 @@ def determinize(source: Union[Expr, Sra]) -> Sra:
     (or a windowed expression, which is compiled and unrolled first).
 
     States are the sets of original states reachable from {start}. Per
-    subset, the distinct outgoing conditions generate minterms; each
+    subset, the distinct outgoing conditions generate minterms, less those
+    whose positive literals conflict (see `minterms`); each
     minterm that entails at least one original condition becomes one
     transition to the set of entailed targets, writing the union of their
     write registers. Exactly one minterm fires for any (event, valuation),

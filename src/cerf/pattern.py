@@ -151,6 +151,19 @@ def _walk(e: Expr) -> Iterator[tuple[object, int]]:
             stack.append((node.operand, depth + 1))
 
 
+def _factors(e: Concat) -> list[Expr]:
+    """The factors of a concatenation tree, left to right: its maximal
+    subexpressions that are not concatenations."""
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Concat):
+            stack += (node.right, node.left)
+        else:
+            out.append(node)
+    return out
+
+
 def top_registers(e: Expr) -> frozenset[Register]:
     """Every register read or written anywhere in the expression."""
     read = (arg for node, _ in _walk(e) if isinstance(node, Atom) for arg in node.args)
@@ -542,24 +555,35 @@ def parse_condition(
 # Unparser
 
 
-def unparse_condition(cond: Condition, level: int = 0) -> str:
-    """Render a condition in pattern syntax. Levels: 0=or, 1=and, 2=unary."""
-    if isinstance(cond, TrueCondition):
-        return "TRUE"
-    if isinstance(cond, Atom):
-        args = ", ".join(
-            arg.name if isinstance(arg, Register) else "~" for arg in cond.args
-        )
-        return f"{cond.predicate.name}({args})"
-    if isinstance(cond, Not):
-        return f"!{unparse_condition(cond.operand, 2)}"
-    if isinstance(cond, And):
-        text = f"{unparse_condition(cond.left, 1)} & {unparse_condition(cond.right, 2)}"
-        return f"({text})" if level > 1 else text
-    if isinstance(cond, Or):
-        text = f"{unparse_condition(cond.left, 0)} | {unparse_condition(cond.right, 1)}"
-        return f"({text})" if level > 0 else text
-    raise TypeError(f"not a condition: {cond!r}")
+def unparse_condition(cond: Condition, level: int = 0, memo: Optional[dict] = None) -> str:
+    """Render a condition in pattern syntax. Levels: 0=or, 1=and, 2=unary.
+
+    With a `memo`, each node object is rendered once: a subtree shared by
+    many conditions (as `determinize` and `complete` build them) costs one
+    rendering. The memo is keyed by node identity, so the caller must hold
+    every rendered node while it keeps the memo."""
+    if memo is not None and id(cond) in memo:
+        text, own = memo[id(cond)]
+    else:
+        # `own` is the loosest level the text may appear at unparenthesized.
+        if isinstance(cond, TrueCondition):
+            text, own = "TRUE", 2
+        elif isinstance(cond, Atom):
+            args = ", ".join(arg.name if isinstance(arg, Register) else "~" for arg in cond.args)
+            text, own = f"{cond.predicate.name}({args})", 2
+        elif isinstance(cond, Not):
+            text, own = f"!{unparse_condition(cond.operand, 2, memo)}", 2
+        elif isinstance(cond, And):
+            left = unparse_condition(cond.left, 1, memo)
+            text, own = f"{left} & {unparse_condition(cond.right, 2, memo)}", 1
+        elif isinstance(cond, Or):
+            left = unparse_condition(cond.left, 0, memo)
+            text, own = f"{left} | {unparse_condition(cond.right, 1, memo)}", 0
+        else:
+            raise TypeError(f"not a condition: {cond!r}")
+        if memo is not None:
+            memo[id(cond)] = text, own
+    return f"({text})" if level > own else text
 
 
 def _unparse_cond_operand(cond: Condition) -> str:
@@ -624,7 +648,8 @@ class _Residual:
     identity.
 
     `kind` is one of "eps", "none", "cond" (left: the condition, right: the
-    register written or None), "cat", "alt", "star" (left: the body) and
+    register written or None), "cat" (its left side is never a "cat"),
+    "alt", "star" (left: the body) and
     "bounded" (left: the body, right: how many more elements it may
     consume). `moves` is filled on first use: the (condition, register or
     None, residual) triples by which the residual consumes one element."""
@@ -658,17 +683,24 @@ class Oracle:
     valuation, as an empty match writes nothing.
 
     Residuals are interned per oracle, and each one's moves are built once,
-    so after the first visit a step only evaluates conditions. Both walks
-    are iterative, so no expression is too deep for them."""
+    so after the first visit a step only evaluates conditions.
+    Concatenations are right-associated, so a chain of n factors, however
+    it nests, has O(n) residuals. Both walks are iterative, so no
+    expression is too deep for them."""
 
     def __init__(self, e: Expr) -> None:
         self._table: dict[tuple, _Residual] = {}
         self._eps = self._node("eps", None, None)
-        preorder, stack = [], [e]
+        # A concatenation tree is converted as a whole, from its factors,
+        # so its nested concatenations are never converted on their own.
+        preorder, factors, stack = [], {}, [e]
         while stack:
             node = stack.pop()
             preorder.append(node)
-            if isinstance(node, (Concat, Alt)):
+            if isinstance(node, Concat):
+                factors[id(node)] = _factors(node)
+                stack += factors[id(node)]
+            elif isinstance(node, Alt):
                 stack += (node.left, node.right)
             elif isinstance(node, (Star, Window)):
                 stack.append(node.body)
@@ -676,7 +708,13 @@ class Oracle:
         # key only this loop, during which `e` keeps every node alive.
         converted: dict[int, _Residual] = {}
         for node in reversed(preorder):
-            converted[id(node)] = self._convert(node, converted)
+            if isinstance(node, Concat):
+                residual = self._eps
+                for factor in reversed(factors[id(node)]):
+                    residual = self._cat(converted[id(factor)], residual)
+                converted[id(node)] = residual
+            else:
+                converted[id(node)] = self._convert(node, converted)
         self.root = converted[id(e)]
 
     def _node(self, kind: str, left, right) -> _Residual:
@@ -702,9 +740,8 @@ class Oracle:
             return self._node("cond", e.condition, None)
         if isinstance(e, CondWrite):
             return self._node("cond", e.condition, e.register)
-        if isinstance(e, (Concat, Alt)):
-            kind = "cat" if isinstance(e, Concat) else "alt"
-            return self._node(kind, converted[id(e.left)], converted[id(e.right)])
+        if isinstance(e, Alt):
+            return self._node("alt", converted[id(e.left)], converted[id(e.right)])
         if isinstance(e, Star):
             return self._node("star", converted[id(e.body)], None)
         if isinstance(e, Window):
@@ -712,7 +749,20 @@ class Oracle:
         raise TypeError(f"not an expression: {e!r}")
 
     def _cat(self, left: _Residual, right: _Residual) -> _Residual:
-        return right if left is self._eps else self._node("cat", left, right)
+        """The concatenation, right-associated: `left`'s factors are chained
+        onto `right` one by one, so a concatenation's left side is never
+        itself one, and each residual of a long chain is one new node."""
+        spine = []
+        while left.kind == "cat":
+            spine.append(left.left)
+            left = left.right
+        spine.append(left)
+        for factor in reversed(spine):
+            if right is self._eps:
+                right = factor
+            elif factor is not self._eps:
+                right = self._node("cat", factor, right)
+        return right
 
     def _bounded(self, body: _Residual, width: int) -> _Residual:
         return body if body is self._eps else self._node("bounded", body, width)

@@ -11,7 +11,7 @@ import functools
 import json
 from typing import IO, Union
 
-from .algebra import Condition, PredicateLibrary, Register, predicates_of
+from .algebra import Atom, Condition, PredicateLibrary, Register, _walk_distinct
 from .automaton import Sra, Transition
 from .forecast import Pst, SymbolMap
 from .pattern import parse_condition, parse_predicates, unparse_condition
@@ -43,7 +43,10 @@ def _validated(from_doc):
 
 
 def _predicate_sources(conditions) -> list[str]:
-    preds = set().union(*(predicates_of(c) for c in conditions if c is not None))
+    """The declaration lines of every predicate the conditions use, in one
+    walk over their distinct nodes."""
+    nodes = _walk_distinct(c for c in conditions if c is not None)
+    preds = {node.predicate for node in nodes if isinstance(node, Atom)}
     sources = []
     for pred in sorted(preds, key=lambda p: p.name):
         if not pred.source:
@@ -55,6 +58,8 @@ def _predicate_sources(conditions) -> list[str]:
 
 
 def automaton_to_doc(a: Sra) -> dict:
+    # `a` holds every condition node while the memo lives.
+    memo: dict[int, tuple[str, int]] = {}
     return {
         "format": FORMAT_SRA,
         "version": VERSION,
@@ -69,7 +74,7 @@ def automaton_to_doc(a: Sra) -> dict:
             {
                 "source": t.source,
                 "target": t.target,
-                "condition": None if t.condition is None else unparse_condition(t.condition),
+                "condition": None if t.condition is None else unparse_condition(t.condition, 0, memo),
                 "writes": sorted(r.name for r in t.writes),
             }
             for t in a.transitions

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from cerf import algebra
 from cerf.algebra import (
     ALWAYS,
     CURRENT,
@@ -175,6 +176,18 @@ class TestPredicates:
         with pytest.raises(ValueError):
             Predicate("P", 2, lambda x, y: True, footprint=(frozenset(),))
 
+    def test_declared_predicates_keep_their_declaration(self):
+        small = parse_predicates("pred Small(x, y): 5 > y.value").get("Small")
+        assert small.declaration == (("lit", 5), ">", ("attr", 1, "value"))
+        assert small.footprint == (frozenset(), frozenset({"value"}))
+        assert ALWAYS.declaration is None
+        with pytest.raises(ValueError):
+            Predicate("P", 1, small.evaluator, declaration=small.declaration)
+        with pytest.raises(ValueError):
+            Predicate(
+                "P", 2, small.evaluator, footprint=small.footprint, declaration=small.declaration
+            )
+
     def test_footprint_does_not_affect_equality(self):
         declared = comparison_predicate("P", "x", "==", 1)
         bare = Predicate("P", 1, declared.evaluator)
@@ -326,6 +339,207 @@ class TestMinterms:
                     if evaluate_condition(m, ev, v)
                 ]
                 assert len(fired) == 1
+
+
+def _declared(source: str) -> Predicate:
+    return parse_predicates(source).get(source.split()[1].split("(")[0])
+
+
+def _unary(source: str) -> Atom:
+    return Atom(_declared(source), (CURRENT,))
+
+
+ALWAYS_ATOM = Atom(ALWAYS, (CURRENT,))
+
+
+def _raw_minterms(conds):
+    """Every sign combination, in product order, without any cut."""
+    return [
+        conjoin([c if positive else Not(c) for c, positive in zip(conds, signs)])
+        for signs in itertools.product((True, False), repeat=len(conds))
+    ]
+
+
+class TestMintermCut:
+    """Sign vectors whose positive literals conflict are never generated."""
+
+    def test_conflicting_equalities_are_cut(self):
+        t, h = _unary('pred T(x): x.type == "T"'), _unary('pred H(x): x.type == "H"')
+        assert minterms([t, h]) == (And(t, Not(h)), And(Not(t), h), And(Not(t), Not(h)))
+
+    def test_text_against_number_is_cut(self):
+        t = _unary('pred T(x): x.type == "T"')
+        small = _unary("pred Small(x): x.type < 5")
+        assert And(t, small) not in minterms([t, small])
+        assert len(minterms([t, small])) == 3
+
+    def test_int_and_float_constants_agree(self):
+        one, one_float = _unary("pred One(x): x.n == 1"), _unary("pred OneF(x): x.n == 1.0")
+        assert minterms([one, one_float])[0] == And(one, one_float)
+        assert len(minterms([one, one_float])) == 4
+
+    @pytest.mark.parametrize(
+        "low, high, kept",
+        [
+            ("x.v > 50", "x.v < 10", False),
+            ("x.v > 10", "x.v < 50", True),
+            ("x.v >= 5", "x.v <= 5", True),
+            ("x.v > 5", "x.v <= 5", False),
+            ("5 <= x.v", "5 > x.v", False),
+            ('x.v > "b"', 'x.v < "a"', False),
+            ('x.v > "a"', 'x.v < "b"', True),
+        ],
+    )
+    def test_ordering_bounds(self, low, high, kept):
+        above, below = _unary(f"pred Above(x): {low}"), _unary(f"pred Below(x): {high}")
+        assert (And(above, below) in minterms([above, below])) is kept
+
+    def test_a_single_point_can_be_excluded(self):
+        conds = [
+            _unary("pred Low(x): x.v >= 5"),
+            _unary("pred High(x): x.v <= 5"),
+            _unary("pred NotFive(x): x.v != 5"),
+        ]
+        assert conjoin(conds) not in minterms(conds)
+        assert conjoin(conds[:2]) in {m.left for m in minterms(conds) if isinstance(m, And)}
+
+    def test_equality_against_other_bounds(self):
+        five = _unary("pred Five(x): x.v == 5")
+        for other, kept in (("x.v != 5", False), ("x.v < 5", False), ("x.v <= 5", True)):
+            bound = _unary(f"pred B(x): {other}")
+            assert (And(five, bound) in minterms([five, bound])) is kept
+
+    def test_registers_are_grouped_apart_from_the_current_element(self):
+        t = _declared('pred T(x): x.type == "T"')
+        h = _declared('pred H(x): x.type == "H"')
+        on_current, on_register = Atom(t, (CURRENT,)), Atom(h, (R1,))
+        assert len(minterms([on_current, on_register])) == 4
+        assert len(minterms([Atom(t, (R1,)), Atom(h, (R2,))])) == 4
+        assert len(minterms([Atom(t, (R1,)), on_register])) == 3
+        joined = _declared('pred J(x, y): y.type == "H"')
+        assert len(minterms([Atom(t, (R1,)), Atom(joined, (CURRENT, R1))])) == 3
+
+    def test_conflicts_inside_one_conjunction_are_cut(self):
+        t, h = _unary('pred T(x): x.type == "T"'), _unary('pred H(x): x.type == "H"')
+        k = _unary('pred K(x): x.kind == "k"')
+        assert minterms([And(k, t), h]) == (
+            And(And(k, t), Not(h)),
+            And(Not(And(k, t)), h),
+            And(Not(And(k, t)), Not(h)),
+        )
+
+    def test_what_the_check_does_not_read_is_never_cut(self):
+        t, h = _unary('pred T(x): x.type == "T"'), _unary('pred H(x): x.type == "H"')
+        same = _unary("pred Same(x): x.a == x.b")
+        differ = _unary("pred Differ(x): x.a != x.b")
+        join_eq = Atom(_declared("pred Eq(x, y): x.id == y.id"), (CURRENT, R1))
+        join_ne = Atom(_declared("pred Ne(x, y): x.id != y.id"), (CURRENT, R1))
+        built_t = Atom(Predicate("BT", 1, lambda e: e.get("type") == "T"), (CURRENT,))
+        built_h = Atom(Predicate("BH", 1, lambda e: e.get("type") == "H"), (CURRENT,))
+        for pair in (
+            [t, Not(t)],
+            [Not(t), Not(Not(h))],
+            [Or(t, t), h],
+            [same, differ],
+            [join_eq, join_ne],
+            [built_t, built_h],
+            [ALWAYS_ATOM, Not(ALWAYS_ATOM)],
+        ):
+            assert list(minterms(pair)) == _raw_minterms(pair), pair
+
+    def test_kept_minterms_follow_product_order(self):
+        conds = [
+            _unary('pred T(x): x.type == "T"'),
+            _unary("pred Big(x): x.v > 50"),
+            _unary('pred H(x): x.type == "H"'),
+            _unary("pred Small(x): x.v < 10"),
+        ]
+        kept = minterms(conds)
+        raw = _raw_minterms(conds)
+        assert list(kept) == [m for m in raw if m in set(kept)]
+        assert len(kept) == 9
+
+    def test_no_cut_subtree_is_enumerated(self, monkeypatch):
+        # Forty pairwise exclusive conditions: 2**40 sign vectors, of which
+        # the 41 with at most one positive literal survive. Each prefix the
+        # generator visits is narrowed once; only the 40*41/2 prefixes with
+        # at most one positive literal are ever visited.
+        conds = [_unary(f"pred V{i}(x): x.v == {i}") for i in range(40)]
+        visits = []
+        narrowed = algebra._narrowed
+        monkeypatch.setattr(
+            algebra, "_narrowed", lambda groups, bounds: visits.append(1) or narrowed(groups, bounds)
+        )
+        family = minterms(conds)
+        assert len(family) == 41
+        assert len(visits) == 40 * 41 // 2
+
+
+_CONSTANTS = (0, 1, 1.0, 1.5, 2, "0", "x", "y")
+_PREDICATE_NUMBERS = itertools.count()
+_VALUES = (None, 0, 1, 1.5, 2, "0", "x")
+
+
+def _grid_events():
+    for a in _VALUES:
+        for b in (None, 1, "x"):
+            yield Event.of(**{k: v for k, v in (("a", a), ("b", b)) if v is not None})
+
+
+_CUT_GRID = [
+    (ev, EMPTY_VALUATION if stored is None else EMPTY_VALUATION.set(R1, stored))
+    for ev in _grid_events()
+    for stored in [None, *list(_grid_events())[::3]]
+]
+
+
+@st.composite
+def _declared_atoms(draw):
+    op = draw(st.sampled_from(["==", "!=", "<", "<=", ">", ">="]))
+    attr = draw(st.sampled_from(["a", "b"]))
+    shape = draw(st.sampled_from(["lit-right", "lit-left", "join", "same-event"]))
+    if shape == "join":
+        body = f"x.{attr} {op} y.{draw(st.sampled_from(['a', 'b']))}"
+    elif shape == "same-event":
+        body = f"x.a {op} x.b"
+    else:
+        value = draw(st.sampled_from(_CONSTANTS))
+        literal = f'"{value}"' if isinstance(value, str) else repr(value)
+        body = f"x.{attr} {op} {literal}" if shape == "lit-right" else f"{literal} {op} x.{attr}"
+    # Predicates compare by name, so each drawn one needs its own.
+    name = f"P{next(_PREDICATE_NUMBERS)}"
+    pred = parse_predicates(f"pred {name}(x, y): {body}").get(name)
+    args = draw(st.sampled_from([(CURRENT, R1), (R1, CURRENT)]))
+    return Atom(pred, args)
+
+
+@given(st.lists(st.lists(_declared_atoms(), min_size=1, max_size=2), min_size=1, max_size=4))
+def test_every_cut_sign_vector_is_unsatisfiable(spines):
+    conds = [conjoin(spine) for spine in spines]
+    conds = list(dict.fromkeys(conds))
+    kept = set(minterms(conds))
+    for vector in _raw_minterms(conds):
+        if vector not in kept:
+            assert not any(evaluate_condition(vector, ev, v) for ev, v in _CUT_GRID), vector
+
+
+def test_every_cut_pair_of_bounds_is_unsatisfiable():
+    # Exhaustive over two literal comparisons of one attribute, each side
+    # of the operator, with constants that are equal across kinds (1, 1.0),
+    # ordered, and of mixed kinds; the grid holds every value between.
+    bodies = [
+        body
+        for op in ("==", "!=", "<", "<=", ">", ">=")
+        for literal in ("1", "1.0", "2", '"x"')
+        for body in (f"x.a {op} {literal}", f"{literal} {op} x.a")
+    ]
+    atoms = [_unary(f"pred P{i}(x): {body}") for i, body in enumerate(bodies)]
+    events = [Event.of(b=0)] + [Event.of(a=v) for v in (0, 1, 1.5, 2, 3, "0", "x", "y")]
+    for first, second in itertools.permutations(atoms, 2):
+        kept = set(minterms([first, second]))
+        for vector in _raw_minterms([first, second]):
+            if vector not in kept:
+                assert not any(evaluate_condition(vector, ev, EMPTY_VALUATION) for ev in events)
 
 
 class TestEntails:

@@ -41,7 +41,14 @@ from cerf.pattern import (
 )
 
 from conftest import E1_TEXT, E3_TEXT, make_table1
-from gen import UNIVERSE, all_strings, random_expr, universe_library
+from gen import (
+    UNIVERSE,
+    acceptance_dfs,
+    all_strings,
+    oracle_dfs,
+    random_expr,
+    universe_library,
+)
 
 R1 = Register("r1")
 R2 = Register("r2")
@@ -267,6 +274,36 @@ class TestDeterminize:
         u = compile_windowed(e3)
         for s in all_strings(sensor_events[:3], 3):
             assert run_accepts(d, s) == run_accepts(u, s) == accepts(e3, s)
+
+
+# Minterms whose positive literals conflict, such as TypeIsT(~) & TypeIsH(~),
+# are cut as they are generated (`algebra.minterms`).
+E3_SIZES = {3: (10, 12), 4: (27, 52), 5: (70, 222), 6: (183, 982), 7: (490, 4512)}
+
+# The E3 sensor attributes, plus an event with no type at all.
+E3_UNIVERSE = (
+    Event.of(type="T", id=1),
+    Event.of(type="H", id=1),
+    Event.of(type="H", id=2),
+    Event.of(id=1),
+)
+
+
+class TestPrunedDeterminize:
+    def test_e3_sizes_by_width(self):
+        _, e3 = parse(E3_TEXT)
+        sizes = {}
+        for width in E3_SIZES:
+            d = determinize(Window(e3.body, width))
+            sizes[width] = (len(d.states), len(d.transitions))
+        assert sizes == E3_SIZES
+
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_e3_agrees_with_the_oracle(self, width):
+        _, e3 = parse(E3_TEXT)
+        e = Window(e3.body, width)
+        want = {key: bool(v) for key, v in oracle_dfs(e, E3_UNIVERSE, width).items()}
+        assert acceptance_dfs(determinize(e), E3_UNIVERSE, width) == want
 
 
 class TestComplete:

@@ -391,6 +391,24 @@ class TestOracle:
         assert verdicts == [True, True, True, False, False]
         assert not pairs
 
+    @pytest.mark.parametrize("n", [25, 50, 100])
+    def test_concatenation_chains_intern_linearly_many_residuals(self, n):
+        # n distinct nullable factors, nested to the left as the parser
+        # builds `A0* ; A1* ; ...` and to the right. Right-associated, each
+        # factor adds its star, its condition leaf and one concatenation.
+        preds = [comparison_predicate(f"Min{i}", "num", ">=", i) for i in range(n)]
+        factors = [Star(Cond(Atom(p, (CURRENT,)))) for p in preds]
+        left, right = factors[0], factors[-1]
+        for i in range(1, n):
+            left, right = Concat(left, factors[i]), Concat(factors[n - i - 1], right)
+        for e in (left, right):
+            oracle = Oracle(e)
+            pairs = oracle.start()
+            for _ in range(3):
+                pairs = oracle.step(pairs, _ev("A", n))
+            assert len(pairs) == n and bool(Oracle.derived(pairs))
+            assert len(oracle._table) == 3 * n
+
     def test_deep_expressions_step_without_recursion(self):
         lib = universe_library()
         leaf = Cond(Atom(lib.get("KindA"), (CURRENT,)))

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -295,6 +296,22 @@ class TestReadEvents:
             list(read_events(io.StringIO(""), fmt="xml"))
 
 
+NOTHING_TO_CUT = {
+    "nocut": (
+        'pred TypeIsT(x): x.type == "T"\n'
+        "pred EqualId(x, y): x.id == y.id\n\n"
+        "(TRUE* ; (TypeIsT(~) -> r1) ; TRUE* ; EqualId(~, r1)) within 3\n"
+    ),
+    "range": (
+        "pred Above(x): x.value > 10\n"
+        "pred Below(x): x.value < 50\n"
+        "pred NotFive(x): x.value != 5\n"
+        "pred SameId(x, y): x.id == y.id\n\n"
+        "(TRUE* ; ((Above(~) & NotFive(~)) -> r1) ; TRUE* ; (Below(~) & SameId(~, r1))) within 3\n"
+    ),
+}
+
+
 @pytest.fixture()
 def runner():
     return CliRunner()
@@ -323,12 +340,32 @@ class TestCompileCommand:
         assert result.exit_code == 0, result.stderr
         doc = json.loads(result.stdout)
         assert doc["deterministic"] is True and doc["window"] == 3
-        assert len(doc["states"]) == 11 and len(doc["transitions"]) == 16
+        assert len(doc["states"]) == 10 and len(doc["transitions"]) == 12
+
+    @pytest.mark.parametrize(
+        "pattern, stage, width, digest",
+        [
+            ("nocut", "dsra", 4, "5bf57a81f669a4e2224e353505f5b279e48750379d576a2dd1258cba0c651e1a"),
+            ("nocut", "complement", 4, "2ea64dfc638595461c947169fa2e82630f12c1392f8b3f65eb8bd11ebd2066c3"),
+            ("range", "complement", 3, "8baea6fd4201d9f0929b9820dafa15cf6fad4f5f76bf71f3ad0cad8acfee3018"),
+        ],
+    )
+    def test_documents_with_nothing_to_cut_are_unchanged(
+        self, runner, workdir, pattern, stage, width, digest
+    ):
+        # Digests of the documents written before `minterms` cut conflicting
+        # sign vectors; no two positive literals of these patterns conflict.
+        Path(f"{pattern}.pat").write_text(NOTHING_TO_CUT[pattern])
+        result = runner.invoke(
+            main, ["compile", f"{pattern}.pat", "--stage", stage, "--window", str(width)]
+        )
+        assert result.exit_code == 0, result.stderr
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
     def test_complement_stage_pinned_shape(self, runner, workdir):
         result = runner.invoke(main, ["compile", "e3.pat", "--stage", "complement"])
         doc = json.loads(result.stdout)
-        assert len(doc["states"]) == 12 and len(doc["transitions"]) == 28
+        assert len(doc["states"]) == 11 and len(doc["transitions"]) == 23
         assert len(doc["finals"]) == 7
 
     def test_window_flag_overrides(self, runner, workdir):
@@ -374,7 +411,7 @@ class TestCompileCommand:
         assert result.stdout == ""
         assert json.loads(Path("a.json").read_text())["deterministic"] is True
         assert Path("a.dot").read_text().startswith("digraph")
-        assert "states=11" in result.stderr
+        assert "states=10" in result.stderr
 
 
 class TestRecognizeCommand:
@@ -511,7 +548,7 @@ class TestPipelineCommands:
         result = runner.invoke(main, ["determinize", "--automaton", "u.json"])
         assert result.exit_code == 0, result.stderr
         doc = json.loads(result.stdout)
-        assert doc["deterministic"] is True and len(doc["states"]) == 11
+        assert doc["deterministic"] is True and len(doc["states"]) == 10
 
     def test_float_literals_survive_a_saved_document(self, runner, workdir):
         Path("tiny.pat").write_text(
@@ -592,7 +629,8 @@ class TestPipelineCommands:
     def test_complement_pattern(self, runner, workdir):
         result = runner.invoke(main, ["complement", "e3.pat"])
         doc = json.loads(result.stdout)
-        assert len(doc["finals"]) == 7 and len(doc["states"]) == 12
+        assert len(doc["finals"]) == 7 and len(doc["states"]) == 11
+        assert len(doc["transitions"]) == 23
 
     def test_complement_saved_dsra(self, runner, workdir):
         runner.invoke(main, ["compile", "e3.pat", "--stage", "dsra", "--out", "d.json"])
