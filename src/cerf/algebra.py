@@ -169,14 +169,18 @@ class Predicate:
     built in Python. `footprint`, when known, holds per parameter the
     attribute names the evaluator reads of that argument; it reads nothing
     else. A declared predicate's footprint is derived from its declaration.
-    None means unknown: the evaluator may read the whole event."""
+    None means unknown: the evaluator may read the whole event.
+
+    Predicates compare and hash by name, arity and declaration, so two
+    declared predicates of one name but different bodies make different
+    atoms; Python-built ones compare by name and arity."""
 
     name: str
     arity: int
     evaluator: Callable[..., bool] = field(compare=False)
     source: Optional[str] = field(default=None, compare=False)
     footprint: Optional[tuple[frozenset[str], ...]] = field(default=None, compare=False)
-    declaration: Optional[Declaration] = field(default=None, compare=False)
+    declaration: Optional[Declaration] = None
 
     def __post_init__(self) -> None:
         if self.arity < 1:
@@ -556,44 +560,122 @@ def _narrowed(groups: dict, bounds: tuple) -> Optional[dict]:
     return groups
 
 
-def minterms(conditions: Sequence[Condition]) -> tuple[Condition, ...]:
-    """Maximal satisfiable sign combinations of the given conditions.
+def _folds(condition: Condition, base: Sequence[Condition], earlier: Sequence[int]) -> list:
+    """The sign vectors, as (index, sign) tuples over a prefix of the
+    `earlier` base indices, whose literals fold left into `condition`:
+    And(And(l0, l1), l2) for three literals, where a literal is b or Not(b)."""
+    vectors = []
+    rights: list[Condition] = []
+    node = condition
+    while isinstance(node, And) and len(rights) < len(earlier) - 1:
+        rights.append(node.right)
+        node = node.left
+        vector = []
+        for i, part in zip(earlier, [node, *reversed(rights)]):
+            if part == base[i]:
+                vector.append((i, True))
+            elif isinstance(part, Not) and part.operand == base[i]:
+                vector.append((i, False))
+            else:
+                break
+        else:
+            vectors.append(tuple(vector))
+    return vectors
+
+
+def _sign_clashes(base: Sequence[Condition]) -> list[tuple[list, list]]:
+    """Per base index j, the sign requirements on earlier bases under which
+    giving b_j the negative sign (first list) or the positive sign (second
+    list) is cut, each a tuple of (i, sign of b_i) pairs that must all hold.
+    They are the sign vectors whose minterm has on its conjunction spine a
+    base it negates (a node of an asserted base's spine, the literal
+    Not(b_i) or the conjunction of the literals before b_j), or that assert
+    both b_i and Not(b_i): such minterms never hold."""
+    index = {cond: k for k, cond in enumerate(base)}
+    clashes: list[tuple[list, list]] = [([], []) for _ in base]
+    earlier: list[int] = []  # indices of the bases before, TRUE left out
+    for i, cond in enumerate(base):
+        for node in _walk(cond, (And,)):
+            j = index.get(node, i)
+            if j > i:
+                clashes[j][False].append(((i, True),))
+            elif j < i:
+                clashes[i][True].append(((j, False),))
+        j = index.get(Not(cond))
+        if j is not None:
+            low, high = min(i, j), max(i, j)
+            clashes[high][False].append(((low, False),))
+            clashes[high][True].append(((low, True),))
+        clashes[i][False].extend(_folds(cond, base, earlier))
+        if not isinstance(cond, TrueCondition):
+            earlier.append(i)
+    return clashes
+
+
+def minterms(conditions: Sequence[Condition]) -> tuple[tuple[Condition, tuple[int, ...]], ...]:
+    """Maximal satisfiable sign combinations of the given conditions, each
+    with its signs: (minterm, positives) pairs, where `positives` are the
+    sorted indices, into the conditions deduplicated in first-seen order,
+    of the conditions the minterm asserts. TRUE is always asserted.
 
     Each input condition appears exactly once per minterm, positively or
     negated, with positive TRUE conjuncts dropped. Sign vectors are
     generated depth first, positive branch first, so kept minterms come out
     in `itertools.product((True, False), ...)` order. A prefix is cut, with
-    everything below it, as soon as it negates TRUE or its positive
-    literals conflict: they bound one attribute of one argument (`~` or a
-    register) to constants of different kinds, to unequal `==` constants,
-    or to an empty `== != < <= > >=` range. The check is sound and partial:
-    negated literals, `Or`, attribute-against-attribute atoms and
-    predicates without a declaration never cut, so a kept minterm may still
-    be unsatisfiable. The minterms are pairwise mutually exclusive and
-    exhaustive: exactly one holds for any (event, valuation). Minterms
-    sharing a prefix share its conjunction node.
+    everything below it, as soon as it negates TRUE, or its signs clash
+    structurally, or its positive literals conflict.
+    - Structural clash (precomputed per base list, see `_sign_clashes`):
+      the minterm would have on its conjunction spine a base it negates,
+      such as a base asserted b_i with b_j on b_i's spine and b_j negated,
+      or b and Not(b) both negated; or it asserts both b and Not(b). With
+      these cut, the signs are exact: a kept minterm has a base on its
+      spine exactly when it asserts it, which is what `entails` tests.
+    - Literal conflict: the positive literals bound one attribute of one
+      argument (`~` or a register) to constants of different kinds, to
+      unequal `==` constants, or to an empty `== != < <= > >=` range.
+    Both checks are sound and partial: negated literals, `Or`,
+    attribute-against-attribute atoms and predicates without a declaration
+    bound no range, so a kept minterm may still be unsatisfiable. The
+    minterms are pairwise mutually exclusive and exhaustive: exactly one
+    holds for any (event, valuation). Minterms sharing a prefix share its
+    conjunction node.
     """
     base = list(dict.fromkeys(conditions))
     if not base:
-        return (TRUE,)
+        return ((TRUE, ()),)
     bounds = [_literal_bounds(cond) for cond in base]
+    clashes = _sign_clashes(base)
     negated = [Not(cond) for cond in base]
-    out: list[Condition] = []
-    # (depth, conjunction of the literals so far or None, bounds so far)
-    stack: list[tuple[int, Optional[Condition], dict]] = [(0, None, {})]
+    out: list[tuple[Condition, tuple[int, ...]]] = []
+    # (depth, conjunction of the literals so far or None, positives so far,
+    # bounds so far)
+    stack: list[tuple[int, Optional[Condition], tuple[int, ...], dict]] = [(0, None, (), {})]
     while stack:
-        depth, prefix, groups = stack.pop()
+        depth, prefix, positives, groups = stack.pop()
         if depth == len(base):
-            out.append(TRUE if prefix is None else prefix)
+            out.append((TRUE if prefix is None else prefix, positives))
             continue
         cond = base[depth]
-        if isinstance(cond, TrueCondition):
-            stack.append((depth + 1, prefix, groups))  # a negated TRUE never holds
-            continue
-        for literal, kept in ((negated[depth], groups), (cond, _narrowed(groups, bounds[depth]))):
+        # a negated TRUE never holds, and a positive one adds no conjunct
+        is_true = isinstance(cond, TrueCondition)
+        for positive in (True,) if is_true else (False, True):
+            clash = clashes[depth][positive]
+            if clash and any(
+                all((i in positives) is sign for i, sign in vector) for vector in clash
+            ):
+                continue
+            if not positive:
+                stack.append((depth + 1, _conjoined(prefix, negated[depth]), positives, groups))
+                continue
+            kept = _narrowed(groups, bounds[depth])
             if kept is not None:
-                stack.append((depth + 1, literal if prefix is None else And(prefix, literal), kept))
+                conjunction = prefix if is_true else _conjoined(prefix, cond)
+                stack.append((depth + 1, conjunction, positives + (depth,), kept))
     return tuple(out)
+
+
+def _conjoined(prefix: Optional[Condition], literal: Condition) -> Condition:
+    return literal if prefix is None else And(prefix, literal)
 
 
 def entails(minterm: Condition, condition: Condition) -> bool:
@@ -604,6 +686,10 @@ def entails(minterm: Condition, condition: Condition) -> bool:
     (its conjunct is dropped during simplification, but everything implies
     TRUE). Descending the full spine rather than only the top-level fold
     keeps the test exact when a base condition is itself a conjunction.
+
+    `minterms` hands out each minterm's signs, which `determinize` reads
+    instead; this spine test is the independent reference they are checked
+    against.
     """
     if not isinstance(minterm, (TrueCondition, Atom, Not, And, Or)):
         raise NotAMinterm(repr(minterm))

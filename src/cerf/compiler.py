@@ -16,7 +16,7 @@ from .algebra import (
     Register,
     TRUE,
     conjoin,
-    entails,
+    entails,  # not called here; perfbench/tracing.py reads and rebinds compiler.entails
     minterms,
     registers_of,
     substitute_registers,
@@ -536,11 +536,13 @@ def determinize(source: Union[Expr, Sra]) -> Sra:
 
     States are the sets of original states reachable from {start}. Per
     subset, the distinct outgoing conditions generate minterms, less those
-    whose positive literals conflict (see `minterms`); each
-    minterm that entails at least one original condition becomes one
-    transition to the set of entailed targets, writing the union of their
-    write registers. Exactly one minterm fires for any (event, valuation),
-    so the result is deterministic."""
+    that cannot hold (see `minterms`); each minterm that asserts at least
+    one outgoing condition becomes one transition to the targets of the
+    transitions under the conditions it asserts, read off its signs,
+    writing the union of their write registers. Subsets with the same
+    outgoing conditions share one minterm family, generated once per call.
+    Exactly one minterm fires for any (event, valuation), so the result is
+    deterministic."""
     if isinstance(source, Expr):
         if not isinstance(source, Window):
             raise NotWindowed(
@@ -551,12 +553,19 @@ def determinize(source: Union[Expr, Sra]) -> Sra:
     a = source
     if a.has_epsilon or not a.is_acyclic():
         raise NotUnrolled("determinize needs an acyclic epsilon-free automaton")
+    families: dict[tuple[Condition, ...], tuple] = {}
 
     def step(subset: frozenset[str]) -> Iterable[Move]:
-        outgoing = [t for q in sorted(subset) for t in a.out(q)]
-        conditions = list(dict.fromkeys(t.condition for t in outgoing))
-        for mt in minterms(conditions):
-            entailed = [t for t in outgoing if entails(mt, t.condition)]
+        by_condition: dict[Condition, list[Transition]] = {}
+        for q in sorted(subset):
+            for t in a.out(q):
+                by_condition.setdefault(t.condition, []).append(t)
+        conditions = tuple(by_condition)
+        if conditions not in families:
+            families[conditions] = minterms(conditions)
+        groups = list(by_condition.values())
+        for mt, positives in families[conditions]:
+            entailed = [t for i in positives for t in groups[i]]
             if entailed:
                 writes = frozenset().union(*(t.writes for t in entailed))
                 yield mt, writes, frozenset(t.target for t in entailed)

@@ -288,7 +288,7 @@ def test_acceptance_07_minterms_partition_every_scenario():
         for size in (1, 2, 3, 4, 5):
             for _ in range(30):
                 pool = [random_condition(rng, lib) for _ in range(size)]
-                parts = minterms(pool)
+                parts = [m for m, _ in minterms(pool)]
                 for event, valuation in grid:
                     scope = EvalScope(valuation)
                     fired = sum(

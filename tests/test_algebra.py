@@ -191,7 +191,21 @@ class TestPredicates:
     def test_footprint_does_not_affect_equality(self):
         declared = comparison_predicate("P", "x", "==", 1)
         bare = Predicate("P", 1, declared.evaluator)
-        assert declared == bare and hash(declared) == hash(bare)
+        traced = Predicate("P", 1, declared.evaluator, footprint=(frozenset({"x"}),))
+        assert bare == traced and hash(bare) == hash(traced)
+        again = comparison_predicate("P", "x", "==", 1)
+        assert declared == again and hash(declared) == hash(again)
+
+    def test_distinct_declarations_make_distinct_atoms(self):
+        t = Atom(comparison_predicate("P", "type", "==", "T"), (CURRENT,))
+        h = Atom(comparison_predicate("P", "type", "==", "H"), (CURRENT,))
+        bare = Atom(Predicate("P", 1, t.predicate.evaluator), (CURRENT,))
+        assert t != h and t != bare
+        assert [m for m, _ in minterms([t, h])] == [
+            And(t, Not(h)),
+            And(Not(t), h),
+            And(Not(t), Not(h)),
+        ]
 
     def test_library_conflicts_and_lookup(self):
         lib = PredicateLibrary()
@@ -287,6 +301,11 @@ class TestConditionHelpers:
         assert conjoin([a, b]) == And(a, b)
 
 
+def _kept(conds):
+    """The minterms of `minterms`, without their signs."""
+    return tuple(m for m, _ in minterms(conds))
+
+
 def _grid():
     """Every (event, valuation) pair over the small universe with both
     registers optionally bound."""
@@ -304,21 +323,21 @@ def _grid():
 
 class TestMinterms:
     def test_empty_input_gives_true(self):
-        assert minterms([]) == (TRUE,)
+        assert _kept([]) == (TRUE,)
 
     def test_true_base_simplification(self):
         phi = _atom("KindA", CURRENT)
-        family = minterms([TRUE, phi])
+        family = _kept([TRUE, phi])
         assert set(family) == {phi, Not(phi)}
 
     def test_duplicate_conditions_collapse(self):
         phi = _atom("KindA", CURRENT)
-        assert set(minterms([phi, phi])) == {phi, Not(phi)}
+        assert set(_kept([phi, phi])) == {phi, Not(phi)}
 
     def test_two_conditions_give_four_minterms(self):
         phi = _atom("KindA", CURRENT)
         psi = _atom("NumIs1", CURRENT)
-        family = minterms([phi, psi])
+        family = _kept([phi, psi])
         assert len(family) == 4
 
     @pytest.mark.parametrize("size", [1, 2, 3])
@@ -332,7 +351,7 @@ class TestMinterms:
             TRUE,
         ]
         for conds in itertools.combinations(pool, size):
-            family = minterms(conds)
+            family = _kept(conds)
             for ev, v in _grid():
                 fired = [
                     m for m in family
@@ -365,18 +384,18 @@ class TestMintermCut:
 
     def test_conflicting_equalities_are_cut(self):
         t, h = _unary('pred T(x): x.type == "T"'), _unary('pred H(x): x.type == "H"')
-        assert minterms([t, h]) == (And(t, Not(h)), And(Not(t), h), And(Not(t), Not(h)))
+        assert _kept([t, h]) == (And(t, Not(h)), And(Not(t), h), And(Not(t), Not(h)))
 
     def test_text_against_number_is_cut(self):
         t = _unary('pred T(x): x.type == "T"')
         small = _unary("pred Small(x): x.type < 5")
-        assert And(t, small) not in minterms([t, small])
-        assert len(minterms([t, small])) == 3
+        assert And(t, small) not in _kept([t, small])
+        assert len(_kept([t, small])) == 3
 
     def test_int_and_float_constants_agree(self):
         one, one_float = _unary("pred One(x): x.n == 1"), _unary("pred OneF(x): x.n == 1.0")
-        assert minterms([one, one_float])[0] == And(one, one_float)
-        assert len(minterms([one, one_float])) == 4
+        assert _kept([one, one_float])[0] == And(one, one_float)
+        assert len(_kept([one, one_float])) == 4
 
     @pytest.mark.parametrize(
         "low, high, kept",
@@ -392,7 +411,7 @@ class TestMintermCut:
     )
     def test_ordering_bounds(self, low, high, kept):
         above, below = _unary(f"pred Above(x): {low}"), _unary(f"pred Below(x): {high}")
-        assert (And(above, below) in minterms([above, below])) is kept
+        assert (And(above, below) in _kept([above, below])) is kept
 
     def test_a_single_point_can_be_excluded(self):
         conds = [
@@ -400,29 +419,29 @@ class TestMintermCut:
             _unary("pred High(x): x.v <= 5"),
             _unary("pred NotFive(x): x.v != 5"),
         ]
-        assert conjoin(conds) not in minterms(conds)
-        assert conjoin(conds[:2]) in {m.left for m in minterms(conds) if isinstance(m, And)}
+        assert conjoin(conds) not in _kept(conds)
+        assert conjoin(conds[:2]) in {m.left for m in _kept(conds) if isinstance(m, And)}
 
     def test_equality_against_other_bounds(self):
         five = _unary("pred Five(x): x.v == 5")
         for other, kept in (("x.v != 5", False), ("x.v < 5", False), ("x.v <= 5", True)):
             bound = _unary(f"pred B(x): {other}")
-            assert (And(five, bound) in minterms([five, bound])) is kept
+            assert (And(five, bound) in _kept([five, bound])) is kept
 
     def test_registers_are_grouped_apart_from_the_current_element(self):
         t = _declared('pred T(x): x.type == "T"')
         h = _declared('pred H(x): x.type == "H"')
         on_current, on_register = Atom(t, (CURRENT,)), Atom(h, (R1,))
-        assert len(minterms([on_current, on_register])) == 4
-        assert len(minterms([Atom(t, (R1,)), Atom(h, (R2,))])) == 4
-        assert len(minterms([Atom(t, (R1,)), on_register])) == 3
+        assert len(_kept([on_current, on_register])) == 4
+        assert len(_kept([Atom(t, (R1,)), Atom(h, (R2,))])) == 4
+        assert len(_kept([Atom(t, (R1,)), on_register])) == 3
         joined = _declared('pred J(x, y): y.type == "H"')
-        assert len(minterms([Atom(t, (R1,)), Atom(joined, (CURRENT, R1))])) == 3
+        assert len(_kept([Atom(t, (R1,)), Atom(joined, (CURRENT, R1))])) == 3
 
     def test_conflicts_inside_one_conjunction_are_cut(self):
         t, h = _unary('pred T(x): x.type == "T"'), _unary('pred H(x): x.type == "H"')
         k = _unary('pred K(x): x.kind == "k"')
-        assert minterms([And(k, t), h]) == (
+        assert _kept([And(k, t), h]) == (
             And(And(k, t), Not(h)),
             And(Not(And(k, t)), h),
             And(Not(And(k, t)), Not(h)),
@@ -437,15 +456,13 @@ class TestMintermCut:
         built_t = Atom(Predicate("BT", 1, lambda e: e.get("type") == "T"), (CURRENT,))
         built_h = Atom(Predicate("BH", 1, lambda e: e.get("type") == "H"), (CURRENT,))
         for pair in (
-            [t, Not(t)],
             [Not(t), Not(Not(h))],
             [Or(t, t), h],
             [same, differ],
             [join_eq, join_ne],
             [built_t, built_h],
-            [ALWAYS_ATOM, Not(ALWAYS_ATOM)],
         ):
-            assert list(minterms(pair)) == _raw_minterms(pair), pair
+            assert list(_kept(pair)) == _raw_minterms(pair), pair
 
     def test_kept_minterms_follow_product_order(self):
         conds = [
@@ -454,7 +471,7 @@ class TestMintermCut:
             _unary('pred H(x): x.type == "H"'),
             _unary("pred Small(x): x.v < 10"),
         ]
-        kept = minterms(conds)
+        kept = _kept(conds)
         raw = _raw_minterms(conds)
         assert list(kept) == [m for m in raw if m in set(kept)]
         assert len(kept) == 9
@@ -470,9 +487,105 @@ class TestMintermCut:
         monkeypatch.setattr(
             algebra, "_narrowed", lambda groups, bounds: visits.append(1) or narrowed(groups, bounds)
         )
-        family = minterms(conds)
+        family = _kept(conds)
         assert len(family) == 41
         assert len(visits) == 40 * 41 // 2
+
+
+class TestStructuralCut:
+    """Sign vectors whose minterm has a base it negates on its conjunction
+    spine, or that assert both b and Not(b), are never generated, and every
+    kept minterm carries its positive indices."""
+
+    def test_positives_index_the_deduplicated_bases(self):
+        phi, psi = _atom("KindA", CURRENT), _atom("NumIs1", CURRENT)
+        assert minterms([]) == ((TRUE, ()),)
+        assert minterms([phi, TRUE, phi, psi]) == (
+            (And(phi, psi), (0, 1, 2)),
+            (And(phi, Not(psi)), (0, 1)),
+            (And(Not(phi), psi), (1, 2)),
+            (And(Not(phi), Not(psi)), (1,)),
+        )
+
+    @pytest.mark.parametrize("base", [_unary('pred T(x): x.type == "T"'), ALWAYS_ATOM])
+    def test_a_condition_and_its_negation_keep_two_minterms(self, base):
+        assert minterms([base, Not(base)]) == (
+            (And(base, Not(Not(base))), (0,)),
+            (And(Not(base), Not(base)), (1,)),
+        )
+
+    def test_a_conjunction_is_not_asserted_without_its_conjuncts(self):
+        k, t = _unary('pred K(x): x.kind == "k"'), _unary('pred T(x): x.type == "T"')
+        both = And(k, t)
+        assert minterms([both, t]) == (
+            (And(both, t), (0, 1)),
+            (And(Not(both), t), (1,)),
+            (And(Not(both), Not(t)), ()),
+        )
+        assert minterms([t, both]) == (
+            (And(t, both), (0, 1)),
+            (And(t, Not(both)), (0,)),
+            (And(Not(t), Not(both)), ()),
+        )
+
+    @pytest.mark.parametrize("negate", [False, True])
+    def test_the_conjunction_of_the_literals_so_far_is_asserted(self, negate):
+        # A third base equal to the conjunction of the first two literals:
+        # negating it after asserting both is cut.
+        k, t = _unary('pred K(x): x.kind == "k"'), _unary('pred T(x): x.type == "T"')
+        second = Not(t) if negate else t
+        both = And(k, second)
+        family = minterms([k, t, both])
+        assert (And(And(k, second), Not(both)), (0,) if negate else (0, 1)) not in family
+        assert [positives for _, positives in family] == (
+            [(0, 1, 2), (0, 1), (0, 2), (1,), ()] if negate else [(0, 1, 2), (0,), (1,), ()]
+        )
+
+
+_SIGN_ATOMS = (
+    TRUE,
+    ALWAYS_ATOM,
+    _atom("SameNum", CURRENT, R1),
+    _atom("SameKind", CURRENT, R2),
+    Atom(Predicate("BuiltA", 1, lambda e: e.get("kind") == "A"), (CURRENT,)),
+)
+
+
+@st.composite
+def _related_conditions(draw, atoms):
+    """Conditions built from earlier ones: negations, conjunctions and
+    disjunctions of them and of their negations, in a drawn order."""
+    conds = [draw(st.sampled_from(atoms))]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        earlier = st.sampled_from(conds + [Not(c) for c in conds])
+        shape = draw(st.sampled_from(["atom", "not", "and", "or"]))
+        if shape == "atom":
+            conds.append(draw(st.sampled_from(atoms)))
+        elif shape == "not":
+            conds.append(Not(draw(earlier)))
+        else:
+            conds.append((And if shape == "and" else Or)(draw(earlier), draw(earlier)))
+    return draw(st.permutations(conds))
+
+
+@given(_related_conditions(_SIGN_ATOMS + (_atom("KindA", CURRENT), _atom("KindB", CURRENT))))
+def test_signs_are_what_entails_finds(conds):
+    base = list(dict.fromkeys(conds))
+    for mt, positives in minterms(conds):
+        assert positives == tuple(i for i, c in enumerate(base) if entails(mt, c)), mt
+
+
+@given(_related_conditions(_SIGN_ATOMS))
+def test_every_structurally_cut_sign_vector_is_unsatisfiable(conds):
+    # None of these atoms bounds an attribute by a literal, so every cut
+    # here is structural.
+    conds = list(dict.fromkeys(conds))
+    kept = {positives for _, positives in minterms(conds)}
+    grid = list(_grid())
+    for signs in itertools.product((True, False), repeat=len(conds)):
+        if tuple(i for i, positive in enumerate(signs) if positive) not in kept:
+            vector = conjoin([c if positive else Not(c) for c, positive in zip(conds, signs)])
+            assert not any(evaluate_condition(vector, ev, v) for ev, v in grid), vector
 
 
 _CONSTANTS = (0, 1, 1.0, 1.5, 2, "0", "x", "y")
@@ -517,7 +630,7 @@ def _declared_atoms(draw):
 def test_every_cut_sign_vector_is_unsatisfiable(spines):
     conds = [conjoin(spine) for spine in spines]
     conds = list(dict.fromkeys(conds))
-    kept = set(minterms(conds))
+    kept = set(_kept(conds))
     for vector in _raw_minterms(conds):
         if vector not in kept:
             assert not any(evaluate_condition(vector, ev, v) for ev, v in _CUT_GRID), vector
@@ -536,7 +649,7 @@ def test_every_cut_pair_of_bounds_is_unsatisfiable():
     atoms = [_unary(f"pred P{i}(x): {body}") for i, body in enumerate(bodies)]
     events = [Event.of(b=0)] + [Event.of(a=v) for v in (0, 1, 1.5, 2, 3, "0", "x", "y")]
     for first, second in itertools.permutations(atoms, 2):
-        kept = set(minterms([first, second]))
+        kept = set(_kept([first, second]))
         for vector in _raw_minterms([first, second]):
             if vector not in kept:
                 assert not any(evaluate_condition(vector, ev, EMPTY_VALUATION) for ev in events)
@@ -581,7 +694,7 @@ class TestEntails:
             Atom(lib.get("NumIs1"), (CURRENT,)),
             And(Atom(lib.get("KindB"), (CURRENT,)), Atom(lib.get("SameNum"), (CURRENT, R1))),
         ]
-        for mt in minterms(bases):
+        for mt in _kept(bases):
             for cond in bases:
                 if not entails(mt, cond):
                     continue
@@ -604,6 +717,6 @@ def test_minterm_partition_property(n_conditions, data):
     bind = data.draw(st.sampled_from([None] + list(UNIVERSE)))
     v = EMPTY_VALUATION if bind is None else EMPTY_VALUATION.set(R1, bind)
     fired = [
-        m for m in minterms(conds) if evaluate_condition(m, ev, v)
+        m for m in _kept(conds) if evaluate_condition(m, ev, v)
     ]
     assert len(fired) == 1

@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from cerf import compiler
+from cerf import algebra, compiler
 from cerf.algebra import CURRENT, EMPTY_VALUATION, TRUE, Atom, Event, Register
 from cerf.automaton import Sra, StreamEngine, Transition, run_accepts
 from cerf.compiler import (
@@ -39,7 +39,9 @@ from cerf.pattern import (
     to_streaming,
     unparse,
 )
+from cerf.serialize import automaton_to_doc
 
+import entails_determinize
 from conftest import E1_TEXT, E3_TEXT, make_table1
 from gen import (
     UNIVERSE,
@@ -47,6 +49,7 @@ from gen import (
     all_strings,
     oracle_dfs,
     random_expr,
+    random_windowed,
     universe_library,
 )
 
@@ -232,7 +235,9 @@ class TestDeterminize:
 
     def test_minterms_and_entails_are_module_globals(self, monkeypatch):
         # perfbench/tracing.py measures the algebra layer by wrapping these
-        # two names on the compiler module
+        # two names on the compiler module. E3 within 3 has seven distinct
+        # tuples of outgoing conditions, and entailment is read off the
+        # minterms' signs.
         calls = {"minterms": 0, "entails": 0}
         for name in calls:
             original = getattr(compiler, name)
@@ -244,7 +249,9 @@ class TestDeterminize:
             monkeypatch.setattr(compiler, name, counting)
         _, e3 = parse(E3_TEXT)
         determinize(e3)
-        assert calls["minterms"] > 0 and calls["entails"] > 0
+        assert calls == {"minterms": 7, "entails": 0}
+        monkeypatch.undo()
+        assert compiler.entails is algebra.entails
 
     def test_deterministic_flag_and_single_run(self):
         _, e3 = parse(E3_TEXT)
@@ -304,6 +311,45 @@ class TestPrunedDeterminize:
         e = Window(e3.body, width)
         want = {key: bool(v) for key, v in oracle_dfs(e, E3_UNIVERSE, width).items()}
         assert acceptance_dfs(determinize(e), E3_UNIVERSE, width) == want
+
+
+class TestSignedDeterminize:
+    """`determinize` against the entails-based reference: equal documents
+    where nothing clashes structurally, never a larger automaton, and one
+    minterm family per distinct tuple of outgoing conditions."""
+
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_e3_documents_equal_the_reference(self, width):
+        _, e3 = parse(E3_TEXT)
+        e = Window(e3.body, width)
+        assert automaton_to_doc(determinize(e)) == automaton_to_doc(entails_determinize.determinize(e))
+
+    def test_random_expressions_are_no_larger_than_the_reference(self):
+        # Acceptance 04's generator, three times as far.
+        lib = universe_library()
+        rng = Random(41)
+        for _ in range(300):
+            width = rng.choice((1, 2, 3))
+            wexpr = random_windowed(rng, lib, width)
+            unrolled = compile_windowed(wexpr)
+            d = determinize(unrolled)
+            reference = entails_determinize.determinize(unrolled)
+            assert len(d.states) <= len(reference.states)
+            assert len(d.transitions) <= len(reference.transitions)
+            want = {key: bool(v) for key, v in oracle_dfs(wexpr, UNIVERSE, width + 1).items()}
+            assert acceptance_dfs(d, UNIVERSE, width + 1) == want
+
+    def test_one_minterm_family_per_condition_tuple(self, monkeypatch):
+        calls = []
+        original = compiler.minterms
+        monkeypatch.setattr(compiler, "minterms", lambda conds: calls.append(1) or original(conds))
+        _, e3 = parse(E3_TEXT)
+        generated = {}
+        for width in range(3, 8):
+            calls.clear()
+            determinize(Window(e3.body, width))
+            generated[width] = len(calls)
+        assert generated == {3: 7, 4: 14, 5: 28, 6: 59, 7: 118}
 
 
 class TestComplete:
