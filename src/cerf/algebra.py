@@ -162,14 +162,17 @@ class Declaration(NamedTuple):
 
 @dataclass(frozen=True)
 class Predicate:
-    """A named n-ary relation over events. The evaluator must be a pure, total
-    function of its event arguments.
+    """A named n-ary relation over events, total in its event arguments.
 
-    `declaration` is the parsed body of a declared predicate; None for one
-    built in Python. `footprint`, when known, holds per parameter the
-    attribute names the evaluator reads of that argument; it reads nothing
-    else. A declared predicate's footprint is derived from its declaration.
-    None means unknown: the evaluator may read the whole event.
+    A declared predicate is its `declaration`, the parsed body `left op
+    right`: a call reads each operand (the literal, or the named attribute
+    of the indexed argument) and compares them with `_compare_values`, the
+    rule the minterm cut reasons with. A predicate built in Python has a
+    pure, total `evaluator` instead. A predicate has exactly one of the two.
+
+    `footprint` holds per parameter the attribute names the declaration
+    reads of that argument. It is None for a Python-built predicate, whose
+    evaluator may read the whole event.
 
     Predicates compare and hash by name, arity and declaration, so two
     declared predicates of one name but different bodies make different
@@ -177,32 +180,37 @@ class Predicate:
 
     name: str
     arity: int
-    evaluator: Callable[..., bool] = field(compare=False)
+    evaluator: Optional[Callable[..., bool]] = field(default=None, compare=False)
     source: Optional[str] = field(default=None, compare=False)
-    footprint: Optional[tuple[frozenset[str], ...]] = field(default=None, compare=False)
     declaration: Optional[Declaration] = None
+    footprint: Optional[tuple[frozenset[str], ...]] = field(init=False, default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.arity < 1:
             raise ValueError("predicate arity must be at least 1")
+        if (self.evaluator is None) == (self.declaration is None):
+            raise ValueError("a predicate has exactly one of an evaluator and a declaration")
         if self.declaration is not None:
-            if self.footprint is not None:
-                raise ValueError("a declared predicate's footprint comes from its declaration")
             operands = (self.declaration.left, self.declaration.right)
             if any(o[0] == "attr" and not 0 <= o[1] < self.arity for o in operands):
                 raise ValueError("a declaration reads only the predicate's parameters")
+            if self.declaration.op not in _COMPARISONS:
+                raise ValueError(f"unknown comparison {self.declaration.op!r}")
             footprint = tuple(
                 frozenset(o[2] for o in operands if o[0] == "attr" and o[1] == index)
                 for index in range(self.arity)
             )
             object.__setattr__(self, "footprint", footprint)
-        if self.footprint is not None and len(self.footprint) != self.arity:
-            raise ValueError("a predicate footprint needs one entry per parameter")
 
     def __call__(self, *events: Event) -> bool:
         if len(events) != self.arity:
             raise TypeError(f"{self.name} expects {self.arity} arguments")
-        return bool(self.evaluator(*events))
+        if self.declaration is None:
+            return bool(self.evaluator(*events))
+        left, op, right = self.declaration
+        a = left[1] if left[0] == "lit" else events[left[1]].get(left[2])
+        b = right[1] if right[0] == "lit" else events[right[1]].get(right[2])
+        return _compare_values(a, _COMPARISONS[op], b)
 
 
 _COMPARISONS: dict[str, Callable[[Value, Value], bool]] = {
@@ -227,36 +235,23 @@ def _compare_values(
     return bool(compare(left, right))
 
 
+def _render(operand: tuple, params: Sequence[str]) -> str:
+    if operand[0] == "lit":
+        value = operand[1]
+        return f'"{value}"' if isinstance(value, str) else repr(value)
+    return f"{params[operand[1]]}.{operand[2]}"
+
+
 def declared_predicate(name: str, params: Sequence[str], left, op: str, right) -> Predicate:
-    """The predicate of a declaration `pred name(params): left op right`.
+    """The predicate of a declaration `pred name(params): left op right`:
+    its parsed body, which the predicate evaluates as it stands.
 
     Each operand is ("lit", value) or ("attr", parameter index, attribute
     name); the source is the declaration line, so it re-parses to the same
     predicate."""
-
-    def resolver(operand):
-        if operand[0] == "lit":
-            value = operand[1]
-            return lambda events: value
-        _, index, attr = operand
-        return lambda events: events[index].get(attr)
-
-    resolve_left = resolver(left)
-    resolve_right = resolver(right)
-    compare = _COMPARISONS[op]
-
-    def ev(*events: Event) -> bool:
-        return _compare_values(resolve_left(events), compare, resolve_right(events))
-
-    def render(operand) -> str:
-        if operand[0] == "lit":
-            value = operand[1]
-            return f'"{value}"' if isinstance(value, str) else repr(value)
-        _, index, attr = operand
-        return f"{params[index]}.{attr}"
-
-    source = f"pred {name}({', '.join(params)}): {render(left)} {op} {render(right)}"
-    return Predicate(name, len(params), ev, source, declaration=Declaration(left, op, right))
+    body = f"{_render(left, params)} {op} {_render(right, params)}"
+    source = f"pred {name}({', '.join(params)}): {body}"
+    return Predicate(name, len(params), source=source, declaration=Declaration(left, op, right))
 
 
 def comparison_predicate(name: str, attr: str, op: str, constant: Value) -> Predicate:

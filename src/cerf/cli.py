@@ -1,9 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 bad option value or pattern, input or document
-parse failure, 3 pipeline precondition failure (window, determinism,
-completeness; any PreconditionFailed), 4 configuration cap exceeded, 5 not
-enough training data."""
+Exit codes: 0 success, 2 bad option value (a path that cannot be opened
+among them) or pattern, input or document parse failure, 3 pipeline
+precondition failure (window, determinism, completeness; any
+PreconditionFailed), 4 configuration cap exceeded, 5 not enough training
+data."""
 
 from __future__ import annotations
 
@@ -85,8 +86,11 @@ class _Range(click.FloatRange):
 
 
 def _coerce_csv_value(text: str):
-    """A CSV cell as an integer, else a finite float, else the text itself
-    (so `nan` and `inf` stay text)."""
+    """A CSV cell as an integer, else a finite float, else the text itself.
+    Only plain ASCII numbers convert: `nan`, `inf`, `1_000` and non-ASCII
+    digits stay text, as they would be in JSON."""
+    if not text.isascii() or "_" in text:
+        return text
     try:
         return int(text)
     except ValueError:
@@ -173,10 +177,22 @@ def read_events(
         raise ValueError(f"unknown input format {fmt!r}")
 
 
+def _open(path: str, mode: str = "r") -> IO[str]:
+    """The named file as text; one that cannot be opened is a bad option
+    value, reported as one error line (exit 2)."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        _fail(2, f"cannot open {path}: {exc.strerror or exc}")
+
+
 def _open_input(path: str) -> IO[str]:
-    if path == "-":
-        return sys.stdin
-    return open(path, "r", encoding="utf-8")
+    return sys.stdin if path == "-" else _open(path)
+
+
+def _output(path: Optional[str]):
+    """A context holding the named file opened for writing, else stdout."""
+    return _open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _stderr_diagnostic(message: str) -> None:
@@ -187,7 +203,7 @@ def _stderr_diagnostic(message: str) -> None:
 
 
 def _load_pattern(path: str, window: Optional[int]):
-    with open(path, "r", encoding="utf-8") as fp:
+    with _open(path) as fp:
         text = fp.read()
     library, expr = parse(text.removeprefix("\ufeff"))
     if window is not None:
@@ -213,13 +229,12 @@ def _build_stage(expr: Expr, stage: str) -> Sra:
 
 def _emit_automaton(a: Sra, out: Optional[str], dot: Optional[str], stats: bool) -> None:
     doc = serialize.automaton_to_doc(a)
-    if out:
-        serialize.dump(doc, out)
-    else:
-        serialize.dump(doc, sys.stdout)
-    if dot:
-        with open(dot, "w", encoding="utf-8") as fp:
-            fp.write(to_dot(a))
+    # Both files are opened before either is written, so a path that cannot
+    # be opened leaves stdout empty.
+    with _output(out) as out_fp, _output(dot) as dot_fp:
+        serialize.dump(doc, out_fp)
+        if dot:
+            dot_fp.write(to_dot(a))
     if stats:
         parts = ", ".join(f"{k}={v}" for k, v in a.stats().items())
         click.echo(parts, err=True)
@@ -276,9 +291,9 @@ def recognize(pattern, input_path, fmt, window, cap, report_empty_match, strict)
         _, expr = _load_pattern(pattern, window)
         stage = "nsra-unrolled" if isinstance(expr, Window) else "sra"
         engine = StreamEngine(compiler.streaming_automaton(_build_stage(expr, stage)), cap=cap)
-        if report_empty_match and engine.matched_at_start:
-            _emit_record({"index": 0})
         with contextlib.closing(_open_input(input_path)) as fp:
+            if report_empty_match and engine.matched_at_start:
+                _emit_record({"index": 0})
             for event in read_events(fp, fmt, strict, _stderr_diagnostic):
                 if engine.step(event):
                     _emit_record({"index": engine.consumed})
@@ -343,7 +358,7 @@ def to_srem(pattern, automaton_path, out):
         expr_back = compiler.sra_to_srem(a)
         text = unparse_pattern(library, expr_back) + "\n"
         if out:
-            with open(out, "w", encoding="utf-8") as fp:
+            with _open(out, "w") as fp:
                 fp.write(text)
         else:
             click.echo(text, nl=False)
@@ -388,7 +403,9 @@ def learn(pattern, train, fmt, window, max_order, p_min, ratio, gamma, alpha, st
             alpha=alpha,
             alphabet=symbol_map.symbols,
         )
-        serialize.dump(serialize.model_to_doc(d, symbol_map, pst), out)
+        doc = serialize.model_to_doc(d, symbol_map, pst)
+        with _open(out, "w") as fp:
+            serialize.dump(doc, fp)
         click.echo(
             f"trained on {len(symbols)} symbols, tree has {len(pst.nodes)} contexts",
             err=True,

@@ -107,6 +107,11 @@ class Pst:
                 raise ValueError(f"tree is not suffix-closed at {ctx}")
             if not set(dist) <= known:
                 raise ValueError(f"distribution at {ctx} uses unknown symbols")
+            if not all(
+                isinstance(p, (int, float)) and not isinstance(p, bool) and math.isfinite(p)
+                for p in dist.values()
+            ):
+                raise ValueError(f"probability at {ctx} is not a finite number")
             if any(p < 0 for p in dist.values()):
                 raise ValueError(f"negative probability at {ctx}")
             if abs(sum(dist.values()) - 1.0) > 1e-9:

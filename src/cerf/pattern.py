@@ -296,6 +296,8 @@ class _Parser:
         name_tok = self.peek()
         if name_tok.kind != "name" or name_tok.text in _KEYWORDS:
             raise self.error("expected a predicate name")
+        if name_tok.text in self.library:
+            raise self.error(f"predicate {name_tok.text} is already declared")
         name = self.advance().text
         self.expect("(")
         params: list[str] = []

@@ -118,12 +118,73 @@ class TestValuation:
         assert a == b
 
 
+# Truth values of declared predicates, written out: each row is (group,
+# body, argument events as dicts, expected). "literal" rows compare an
+# attribute with a literal on either side, "join" rows two attributes, and
+# "kind" rows operands of different kinds or missing ones, which never hold.
+_TRUTH_TABLE = [
+    ("literal", "x.v == 3", [{"v": 3}], True),
+    ("literal", "x.v == 3", [{"v": 3.0}], True),
+    ("literal", "x.v == 3", [{"v": 4}], False),
+    ("literal", "x.v != 3", [{"v": 4}], True),
+    ("literal", "x.v != 3", [{"v": 3}], False),
+    ("literal", "x.v < 3", [{"v": 2.5}], True),
+    ("literal", "x.v < 3", [{"v": 3}], False),
+    ("literal", "x.v <= 2.5", [{"v": 2.5}], True),
+    ("literal", "x.v <= 2.5", [{"v": 3}], False),
+    ("literal", "x.v > 2.5", [{"v": 3}], True),
+    ("literal", "x.v > 2.5", [{"v": 2.5}], False),
+    ("literal", "x.v >= 3", [{"v": 3}], True),
+    ("literal", "x.v >= 3", [{"v": 2}], False),
+    ("literal", "3 < x.v", [{"v": 4}], True),
+    ("literal", "3 < x.v", [{"v": 2}], False),
+    ("literal", "2.5 >= x.v", [{"v": 2.5}], True),
+    ("literal", "2.5 >= x.v", [{"v": 3}], False),
+    ("literal", '"T" == x.type', [{"type": "T"}], True),
+    ("literal", '"T" != x.type', [{"type": "T"}], False),
+    ("literal", '"T" != x.type', [{"type": "H"}], True),
+    ("literal", 'x.type < "b"', [{"type": "a"}], True),
+    ("literal", 'x.type >= "b"', [{"type": "a"}], False),
+    ("literal", '"b" > x.type', [{"type": "a"}], True),
+    ("literal", '"b" <= x.type', [{"type": "ab"}], False),
+    ("join", "x.id == y.id", [{"id": 1}, {"id": 1, "other": 2}], True),
+    ("join", "x.id == y.id", [{"id": 1}, {"id": 2}], False),
+    ("join", "x.id != y.id", [{"id": 1}, {"id": 2}], True),
+    ("join", "x.id < y.num", [{"id": 1}, {"num": 1.5}], True),
+    ("join", "x.id <= y.num", [{"id": 2}, {"num": 1.5}], False),
+    ("join", "x.id > y.id", [{"id": "b"}, {"id": "a"}], True),
+    ("join", "y.id >= x.id", [{"id": "b"}, {"id": "a"}], False),
+    ("join", "x.a == x.b", [{"a": 1, "b": 1.0}, {}], True),
+    ("kind", "x.v < 10", [{"v": "abc"}], False),
+    ("kind", "x.v != 10", [{"v": "abc"}], False),
+    ("kind", 'x.v == "3"', [{"v": 3}], False),
+    ("kind", '"3" != x.v', [{"v": 3}], False),
+    ("kind", "x.v >= 0", [{"other": 1}], False),
+    ("kind", "x.v != 0", [{"other": 1}], False),
+    ("kind", '"T" == x.type', [{"other": 1}], False),
+    ("kind", "x.v < y.v", [{"v": 1}, {"v": "2"}], False),
+    ("kind", "x.v != y.v", [{"v": 1}, {"v": "1"}], False),
+    ("kind", "x.v != y.v", [{"other": 1}, {"v": 1}], False),
+    ("kind", "x.v == y.v", [{"other": 1}, {"other": 1}], False),
+]
+
+
+def _check_truth_table(group):
+    rows = [row for row in _TRUTH_TABLE if row[0] == group]
+    assert rows
+    for _, body, args, expected in rows:
+        params = ", ".join(["x", "y"][: len(args)])
+        pred = parse_predicates(f"pred P({params}): {body}").get("P")
+        assert pred(*(Event.from_mapping(a) for a in args)) is expected, (body, args)
+
+
 class TestPredicates:
     def test_comparison_predicate(self):
         p = comparison_predicate("TypeIsT", "type", "==", "T")
         assert p(Event.of(type="T"))
         assert not p(Event.of(type="H"))
         assert p.source == 'pred TypeIsT(x): x.type == "T"'
+        _check_truth_table("literal")
 
     def test_missing_attribute_is_false(self):
         p = comparison_predicate("TypeIsT", "type", "==", "T")
@@ -134,11 +195,13 @@ class TestPredicates:
         assert not p(Event.of(value="abc"))
         assert p(Event.of(value=3))
         assert p(Event.of(value=9.5))
+        _check_truth_table("kind")
 
     def test_join_predicate(self):
         p = join_predicate("EqualId", "id", "==", "id")
         assert p(Event.of(id=1), Event.of(id=1, other=2))
         assert not p(Event.of(id=1), Event.of(id=2))
+        _check_truth_table("join")
 
     def test_arity_enforced(self):
         p = join_predicate("EqualId", "id", "==", "id")
@@ -173,33 +236,36 @@ class TestPredicates:
     def test_hand_built_predicates_have_no_footprint(self):
         assert ALWAYS.footprint is None
         assert Predicate("P", 2, lambda x, y: True).footprint is None
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             Predicate("P", 2, lambda x, y: True, footprint=(frozenset(),))
 
     def test_declared_predicates_keep_their_declaration(self):
         small = parse_predicates("pred Small(x, y): 5 > y.value").get("Small")
         assert small.declaration == (("lit", 5), ">", ("attr", 1, "value"))
         assert small.footprint == (frozenset(), frozenset({"value"}))
-        assert ALWAYS.declaration is None
+        assert small.evaluator is None and ALWAYS.declaration is None
         with pytest.raises(ValueError):
-            Predicate("P", 1, small.evaluator, declaration=small.declaration)
+            Predicate("P", 1, declaration=small.declaration)
         with pytest.raises(ValueError):
-            Predicate(
-                "P", 2, small.evaluator, footprint=small.footprint, declaration=small.declaration
-            )
+            Predicate("P", 2, declaration=small.declaration._replace(op="=~"))
+        with pytest.raises(ValueError):
+            Predicate("P", 2, lambda x, y: True, declaration=small.declaration)
+        with pytest.raises(ValueError):
+            Predicate("P", 2)
 
     def test_footprint_does_not_affect_equality(self):
         declared = comparison_predicate("P", "x", "==", 1)
-        bare = Predicate("P", 1, declared.evaluator)
-        traced = Predicate("P", 1, declared.evaluator, footprint=(frozenset({"x"}),))
-        assert bare == traced and hash(bare) == hash(traced)
+        bare = Predicate("P", 1, lambda e: declared(e))
+        negated = Predicate("P", 1, lambda e: not declared(e))
+        assert bare.footprint is None and declared.footprint == (frozenset({"x"}),)
+        assert bare == negated and hash(bare) == hash(negated) and bare != declared
         again = comparison_predicate("P", "x", "==", 1)
         assert declared == again and hash(declared) == hash(again)
 
     def test_distinct_declarations_make_distinct_atoms(self):
         t = Atom(comparison_predicate("P", "type", "==", "T"), (CURRENT,))
         h = Atom(comparison_predicate("P", "type", "==", "H"), (CURRENT,))
-        bare = Atom(Predicate("P", 1, t.predicate.evaluator), (CURRENT,))
+        bare = Atom(Predicate("P", 1, lambda e: t.predicate(e)), (CURRENT,))
         assert t != h and t != bare
         assert [m for m, _ in minterms([t, h])] == [
             And(t, Not(h)),

@@ -171,6 +171,13 @@ class TestParseErrors:
         with pytest.raises(PatternSyntaxError):
             parse("pred P(x, x): x.a == x.b\n\nTRUE")
 
+    @pytest.mark.parametrize("second", ["x.a == 1", "x.b != 2"])
+    def test_repeated_predicate_name(self, second):
+        with pytest.raises(PatternSyntaxError) as err:
+            parse(f"pred P(x): x.a == 1\npred P(x): {second}\n\nP(~)")
+        assert (err.value.line, err.value.column) == (2, 6)
+        assert str(err.value) == "line 2, column 6: predicate P is already declared"
+
     def test_two_literal_operands_rejected(self):
         with pytest.raises(PatternSyntaxError):
             parse('pred P(x): 1 == 2\n\nTRUE')
@@ -519,5 +526,5 @@ class TestParsePredicates:
             parse_predicates("pred P(x): x.value > 1e999")
 
     def test_redeclaration_conflicts(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PatternSyntaxError):
             parse_predicates('pred A(x): x.v == 1\npred A(x): x.v == 2')

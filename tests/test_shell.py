@@ -192,6 +192,17 @@ class TestSerializeModel:
         assert back.alphabet == pst.alphabet
         assert back.nodes == pst.nodes
 
+    @pytest.mark.parametrize("value", [float("nan"), True, float("inf"), "1", None])
+    def test_pst_probability_must_be_a_finite_number(self, value):
+        _, _, pst = self._model()
+        doc = serialize.pst_to_doc(pst)
+        root = doc["nodes"][0]
+        assert root["context"] == []
+        first, *rest = root["distribution"]
+        root["distribution"] = {first: value, **{sym: 0.0 for sym in rest}}
+        with pytest.raises(serialize.MalformedDocument, match="not a finite number"):
+            serialize.pst_from_doc(doc)
+
     def test_model_parses_each_condition_text_once(self, monkeypatch):
         doc = serialize.model_to_doc(*self._model())
         texts = [t["condition"] for t in doc["automaton"]["transitions"] if t["condition"]]
@@ -278,6 +289,10 @@ class TestReadEvents:
         assert event.get("name") == "alpha"
         assert event.get("count") == 3 and isinstance(event.get("count"), int)
         assert event.get("ratio") == 0.5 and isinstance(event.get("ratio"), float)
+        cells = ["12_34", "1_0.5", "\u0663", "\uff11\uff12", "\u0661.\u0665"]
+        fp = io.StringIO(",".join(f"c{i}" for i in range(len(cells))) + "\n" + ",".join(cells))
+        (event,) = list(read_events(fp, fmt="csv"))
+        assert [event.get(f"c{i}") for i in range(len(cells))] == cells
 
     def test_csv_row_length_mismatch_skipped(self):
         fp = io.StringIO("a,b\n1,2\n1\n3,4\n")
@@ -766,6 +781,23 @@ class TestLearnAndForecast:
         result = runner.invoke(main, ["forecast", "--model", "model.json", "--input", "events.jsonl"])
         assert result.exit_code == 3 and "no transition fires" in result.stderr
 
+    def test_model_with_a_nan_probability_exits_2(self, runner, workdir):
+        self._train_file()
+        runner.invoke(
+            main,
+            ["learn", "e3.pat", "--train", "train.jsonl", "--max-order", "2",
+             "--out", "model.json"],
+        )
+        doc = json.loads(Path("model.json").read_text())
+        dist = doc["pst"]["nodes"][-1]["distribution"]
+        dist[next(iter(dist))] = float("nan")
+        Path("model.json").write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["forecast", "--model", "model.json", "--input", "events.jsonl", "--emit-dist"]
+        )
+        assert result.exit_code == 2 and result.stdout == ""
+        assert "not a finite number" in result.stderr
+
     def test_model_missing_a_symbol_exits_2(self, runner, workdir):
         self._train_file()
         runner.invoke(
@@ -821,6 +853,28 @@ class TestLearnAndForecast:
 
 
 class TestOracleCommand:
+    def test_csv_and_jsonl_streams_agree(self, runner, workdir):
+        Path("ids.pat").write_text(
+            'pred Joined(x): x.id == "12_34"\npred Arabic(x): x.id == "\u0663"\n\n'
+            "Joined(~) ; Arabic(~)\n",
+            encoding="utf-8",
+        )
+        Path("ids.csv").write_text("type,id\nT,12_34\nT,\u0663\n", encoding="utf-8")
+        Path("ids.jsonl").write_text(
+            '{"type": "T", "id": "12_34"}\n{"type": "T", "id": "\\u0663"}\n'
+        )
+        verdicts = [
+            runner.invoke(main, ["oracle", "ids.pat", "--input", f"ids.{fmt}", "--format", fmt])
+            for fmt in ("csv", "jsonl")
+        ]
+        assert [(r.exit_code, r.stdout) for r in verdicts] == [(0, '{"accepts": true}\n')] * 2
+
+    def test_repeated_predicate_name_exits_2(self, runner, workdir):
+        Path("dup.pat").write_text("pred P(x): x.a == 1\npred P(x): x.a == 1\n\nP(~)\n")
+        result = runner.invoke(main, ["oracle", "dup.pat", "--input", "events.jsonl"])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr == "error: line 2, column 6: predicate P is already declared\n"
+
     def test_membership(self, runner, workdir):
         full = runner.invoke(main, ["oracle", "e1.pat", "--input", "events.jsonl"])
         assert json.loads(full.stdout) == {"accepts": False}
@@ -948,6 +1002,44 @@ class TestOracleCommand:
     def test_membership_needs_input(self, runner, workdir):
         result = runner.invoke(main, ["oracle", "e1.pat"])
         assert result.exit_code == 2
+
+
+# Commands whose file option names a path that cannot be opened, and that path.
+_UNOPENABLE = [
+    (["recognize", "e1.pat", "--input", "missing.jsonl"], "missing.jsonl"),
+    (["recognize", "empty.pat", "--input", "adir", "--report-empty-match"], "adir"),
+    (["forecast", "--model", "model.json", "--input", "missing.jsonl"], "missing.jsonl"),
+    (["forecast", "--model", "model.json", "--input", "adir"], "adir"),
+    (["oracle", "e1.pat", "--input", "missing.jsonl"], "missing.jsonl"),
+    (["oracle", "e1.pat", "--input", "adir"], "adir"),
+    (["compile", "e1.pat", "--out", "nodir/a.json"], "nodir/a.json"),
+    (["compile", "e1.pat", "--dot", "nodir/a.dot"], "nodir/a.dot"),
+    (["determinize", "e3.pat", "--out", "nodir/a.json"], "nodir/a.json"),
+    (["determinize", "e3.pat", "--dot", "nodir/a.dot"], "nodir/a.dot"),
+    (["complement", "e3.pat", "--out", "nodir/a.json"], "nodir/a.json"),
+    (["complement", "e3.pat", "--dot", "nodir/a.dot"], "nodir/a.dot"),
+    (["to-srem", "e1.pat", "--out", "nodir/a.pat"], "nodir/a.pat"),
+    (["learn", "e3.pat", "--train", "train.jsonl", "--out", "nodir/m.json"], "nodir/m.json"),
+]
+
+
+class TestUnopenablePaths:
+    @pytest.mark.parametrize(
+        "args, path", _UNOPENABLE, ids=[f"{args[0]}-{path}" for args, path in _UNOPENABLE]
+    )
+    def test_exits_2_naming_the_path(self, runner, workdir, args, path):
+        Path("adir").mkdir()
+        Path("empty.pat").write_text("TRUE*\n")
+        Path("train.jsonl").write_text(TABLE1_JSONL * 200)
+        if "model.json" in args:
+            learned = runner.invoke(
+                main, ["learn", "e3.pat", "--train", "train.jsonl", "--out", "model.json"]
+            )
+            assert learned.exit_code == 0, learned.stderr
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr.startswith(f"error: cannot open {path}: ")
+        assert result.stderr.count("\n") == 1
 
 
 class TestReadme:
