@@ -3,7 +3,8 @@ conditions and minterm construction.
 
 Everything here is immutable and hashable, so events, valuations and
 conditions can be shared freely across threads and used as dictionary keys
-(the streaming engine deduplicates configurations by (state, valuation)).
+(the streaming engine deduplicates configurations by state and register
+contents).
 """
 
 from __future__ import annotations
@@ -442,19 +443,17 @@ class EvalCounters:
 
 
 class EvalScope:
-    """Per-event evaluation scope. Caches register lookups so each register is
-    read from the valuation at most once per consumed event, which is what
-    keeps the deterministic step within k register reads."""
+    """Tree-walking evaluation of conditions against one valuation, each
+    register looked up at most once. It is the reference semantics: the
+    `derive` oracle steps with it, and the tests check against it the
+    closures that `compile_condition` makes for the run kernel."""
 
-    def __init__(self, valuation: Valuation, *, counters: Optional[EvalCounters] = None) -> None:
+    def __init__(self, valuation: Valuation) -> None:
         self.valuation = valuation
-        self.counters = counters
         self._cache: dict[Register, Optional[Event]] = {}
 
     def _read(self, register: Register) -> Optional[Event]:
         if register not in self._cache:
-            if self.counters is not None:
-                self.counters.register_reads += 1
             self._cache[register] = self.valuation.lookup(register)
         return self._cache[register]
 
@@ -494,6 +493,153 @@ def evaluate_condition(condition: Condition, current: Event, valuation: Valuatio
     stay classical (its negation is true). Reads of registers that nothing
     writes are rejected when a pattern is parsed."""
     return EvalScope(valuation).evaluate(condition, current)
+
+
+# A compiled condition: holds(current element, stored), where stored[slot]
+# is the event in the register of that slot, or None when it is empty.
+Holds = Callable[[Event, Sequence[Optional[Event]]], bool]
+
+
+def compile_condition(
+    condition: Condition, slots: Mapping[Register, int], compiled: Optional[dict] = None
+) -> Holds:
+    """The condition as one closure over the current element and the
+    register slots (`slots` gives each register read its slot).
+
+    It gives what `evaluate_condition` gives on the matching valuation and
+    reads the registers `EvalScope` reads, in the same order: an atom reads
+    its register arguments left to right and is false at the first empty
+    one, and `Not`, `And` and `Or` are classical and short-circuit left to
+    right. A declared atom reads the operands of its declaration and
+    compares them with `_compare_values`; a Python-built one calls its
+    evaluator.
+
+    `compiled` maps the identity of each node compiled so far to its
+    closure, so that nodes shared between conditions, as `minterms` shares
+    its literals, are compiled once. Identity, because hashing a condition
+    walks its tree; the caller keeps the conditions alive while it holds the
+    map."""
+    if compiled is None:
+        compiled = {}
+    holds = compiled.get(id(condition))
+    if holds is None:
+        holds = compiled[id(condition)] = _compile_node(condition, slots, compiled)
+    return holds
+
+
+def _compile_node(condition: Condition, slots: Mapping[Register, int], compiled: dict) -> Holds:
+    if isinstance(condition, TrueCondition):
+        return _always
+    if isinstance(condition, Atom):
+        return _compile_atom(condition, slots)
+    if isinstance(condition, Not):
+        operand = compile_condition(condition.operand, slots, compiled)
+        return lambda event, stored: not operand(event, stored)
+    if isinstance(condition, And):
+        # a TRUE conjunct reads nothing and never stops the conjunction
+        parts = [compile_condition(node, slots, compiled) for node in _walk(condition, (And,))
+                 if not isinstance(node, (And, TrueCondition))]
+        return _all(parts) if parts else _always
+    if isinstance(condition, Or):
+        parts = [compile_condition(node, slots, compiled) for node in _walk(condition, (Or,))
+                 if not isinstance(node, Or)]
+        return _any(parts)
+    raise TypeError(f"not a condition: {condition!r}")
+
+
+def _always(event: Event, stored: Sequence[Optional[Event]]) -> bool:
+    return True
+
+
+def _all(parts: list[Holds]) -> Holds:
+    if len(parts) == 1:
+        return parts[0]
+
+    def holds(event, stored):
+        for part in parts:
+            if not part(event, stored):
+                return False
+        return True
+
+    return holds
+
+
+def _any(parts: list[Holds]) -> Holds:
+    def holds(event, stored):
+        for part in parts:
+            if part(event, stored):
+                return True
+        return False
+
+    return holds
+
+
+def _compile_atom(atom: Atom, slots: Mapping[Register, int]) -> Holds:
+    # per argument, None for ~ or the slot of the register
+    positions = tuple(None if isinstance(arg, CurrentElement) else slots[arg] for arg in atom.args)
+    guards = tuple(slot for slot in positions if slot is not None)
+    declaration = atom.predicate.declaration
+    if declaration is None:
+        evaluator = atom.predicate.evaluator
+
+        def holds(event, stored):
+            args = []
+            for slot in positions:
+                arg = event if slot is None else stored[slot]
+                if arg is None:
+                    return False
+                args.append(arg)
+            return bool(evaluator(*args))
+
+        return holds
+    left, op, right = declaration
+    if left[0] == "lit":
+        left, op, right = right, _FLIPPED[op], left
+    literal = left[0] == "attr" and right[0] == "lit"
+    if literal and not guards and isinstance(right[1], (str, int, float)):
+        return _literal_test(left[2], op, right[1])
+    compare = _COMPARISONS[op]
+    read_left, read_right = _operand(left, positions), _operand(right, positions)
+
+    def holds(event, stored):
+        for slot in guards:
+            if stored[slot] is None:
+                return False
+        return _compare_values(read_left(event, stored), compare, read_right(event, stored))
+
+    return holds
+
+
+def _literal_test(name: str, op: str, constant: Value) -> Holds:
+    """`~.name op constant` for a text or number constant, as
+    `_compare_values` decides it: false unless the attribute is there and
+    of the constant's kind (bools count as numbers). Text `==` needs no
+    kind test, since only text equals text."""
+    if isinstance(constant, str):
+        if op == "==":
+            return lambda event, stored: event.get(name) == constant
+        kind: Union[type, tuple[type, ...]] = str
+    else:
+        kind = (int, float)
+    compare = _COMPARISONS[op]
+
+    def holds(event, stored):
+        value = event.get(name)
+        return isinstance(value, kind) and compare(value, constant)
+
+    return holds
+
+
+def _operand(operand: tuple, positions: tuple) -> Callable[..., Optional[Value]]:
+    """A reader of one declaration operand: the literal, or the attribute of
+    the current element or of a register the atom has checked is full."""
+    if operand[0] == "lit":
+        value = operand[1]
+        return lambda event, stored: value
+    name, slot = operand[2], positions[operand[1]]
+    if slot is None:
+        return lambda event, stored: event.get(name)
+    return lambda event, stored: stored[slot].get(name)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from .algebra import (
     Atom,
     Condition,
     EvalCounters,
-    EvalScope,
     Event,
+    Holds,
     Not,
     Or,
     Register,
@@ -24,6 +24,7 @@ from .algebra import (
     Valuation,
     _walk,
     _walk_distinct,
+    compile_condition,
 )
 from .pattern import unparse_condition
 
@@ -136,6 +137,17 @@ class Sra:
                     observed[arg] = None if opaque else seen | footprint[index]
         return {r: observed.get(r) for r in self.registers}
 
+    @functools.cached_property
+    def _plan(self) -> _RunPlan:
+        """The compiled form the run kernel steps; made on the first step."""
+        return _RunPlan(self)
+
+    @functools.cached_property
+    def _cut_names(self) -> tuple[Optional[frozenset[str]], ...]:
+        """`observed_attributes` by slot; built on the first register write."""
+        observed = self.observed_attributes
+        return tuple(observed[r] for r in self._plan.registers)
+
     @property
     def has_epsilon(self) -> bool:
         return any(t.is_epsilon for t in self.transitions)
@@ -171,46 +183,108 @@ class Sra:
         }
 
 
+# A register valuation in slot form: slot i holds the event stored in the
+# i-th register by name, or None when that register is empty.
+Slots = tuple[Optional[Event], ...]
+
+
+class _RunPlan(dict):
+    """What the run kernel reads of one automaton: the registers in slot
+    order, sorted by name, so slot tuples and `Valuation`s correspond one to
+    one; and, mapped from each state, its non-ε transitions as (transition,
+    compiled condition, slots written). A state's transitions are compiled
+    on its first step, so a run pays only for the states it reaches."""
+
+    __slots__ = ("registers", "_out", "_slots", "_compiled")
+
+    def __init__(self, a: Sra) -> None:
+        super().__init__()
+        self.registers = tuple(sorted(a.registers))
+        self._out = a.out
+        self._slots = {r: i for i, r in enumerate(self.registers)}
+        self._compiled: dict[int, Holds] = {}
+
+    def __missing__(self, state: str) -> tuple[tuple[Transition, Holds, tuple[int, ...]], ...]:
+        slots, steps = self._slots, []
+        for t in self._out(state):
+            if t.condition is not None:
+                holds = compile_condition(t.condition, slots, self._compiled)
+                steps.append((t, holds, tuple(sorted(slots[r] for r in t.writes))))
+        self[state] = steps = tuple(steps)
+        return steps
+
+    def valuation(self, stored: Slots) -> Valuation:
+        return Valuation(tuple((r, e) for r, e in zip(self.registers, stored) if e is not None))
+
+    def slots(self, v: Valuation) -> Slots:
+        return tuple(v.lookup(r) for r in self.registers)
+
+
+class _CountedReads:
+    """A slot tuple that counts, in `counters.register_reads`, each slot the
+    first time a condition reads it."""
+
+    __slots__ = ("stored", "counters", "seen")
+
+    def __init__(self, stored: Slots, counters: EvalCounters) -> None:
+        self.stored = stored
+        self.counters = counters
+        self.seen: set[int] = set()
+
+    def __getitem__(self, slot: int) -> Optional[Event]:
+        if slot not in self.seen:
+            self.seen.add(slot)
+            self.counters.register_reads += 1
+        return self.stored[slot]
+
+
 def _fire(
     a: Sra,
-    configs: Iterable[tuple[str, Valuation]],
+    configs: Iterable[tuple[str, Slots]],
     event: Event,
     counters: Optional[EvalCounters] = None,
-) -> Iterator[tuple[Transition, Valuation]]:
-    """The run rule every stepping loop shares: for each (state, valuation)
-    in turn, each non-ε outgoing transition whose condition holds on `event`
-    (an atom reading an empty register does not hold), with the valuation
-    after its writes. Lazy, so a caller that stops early evaluates no more.
+) -> Iterator[tuple[Transition, Slots]]:
+    """The run rule every stepping loop shares: for each (state, slots)
+    configuration in turn, each non-ε outgoing transition whose condition
+    holds on `event` (an atom reading an empty register does not hold),
+    with the slots after its writes. Lazy, so a caller that stops early
+    evaluates no more.
 
-    A write stores `event` cut down to the register's observed attributes
-    (`Sra.observed_attributes`), so valuations that no condition can tell
-    apart are equal and callers deduplicate them. Each cut is made once per
-    call."""
+    Each distinct condition of the automaton is compiled once, on the first
+    step from its state, into a closure over the event and the slot tuple
+    (`algebra.compile_condition`), so a transition costs one call. A write
+    copies the tuple and stores at the register's slot `event` cut down to
+    the register's observed attributes (`Sra.observed_attributes`), so
+    configurations that no condition can tell apart are equal and callers
+    deduplicate them. Each cut is made once per call.
+
+    With `counters`, each condition tried counts one `condition_evals`, and
+    each register a configuration's conditions read counts one
+    `register_reads`, once per configuration and call."""
+    plan = a._plan
     cuts: dict[frozenset[str], Event] = {}
-    for state, v in configs:
-        scope = EvalScope(v, counters=counters)
-        for t in a.out(state):
-            if t.condition is None:
-                continue
+    for state, stored in configs:
+        reads = stored if counters is None else _CountedReads(stored, counters)
+        for t, holds, writes in plan[state]:
             if counters is not None:
                 counters.condition_evals += 1
-            if scope.evaluate(t.condition, event):
-                yield t, _store(a, v, t.writes, event, cuts) if t.writes else v
+            if holds(event, reads):
+                yield t, _store(a, stored, writes, event, cuts) if writes else stored
 
 
-def _store(
-    a: Sra, v: Valuation, writes: frozenset[Register], event: Event, cuts: dict
-) -> Valuation:
-    """`v` after writing `event` into `writes`, each register keeping its
-    observed attributes; `cuts` holds the cuts of `event` made so far."""
-    observed = a.observed_attributes
-    for register in writes:
-        names = observed[register]
+def _store(a: Sra, stored: Slots, writes: tuple[int, ...], event: Event, cuts: dict) -> Slots:
+    """`stored` after writing `event` into the `writes` slots, each register
+    keeping its observed attributes; `cuts` holds the cuts of `event` made
+    so far."""
+    names_of = a._cut_names
+    written = list(stored)
+    for slot in writes:
+        names = names_of[slot]
         cut = event if names is None else cuts.get(names)
         if cut is None:
             cut = cuts[names] = event.project(names)
-        v = v.set(register, cut)
-    return v
+        written[slot] = cut
+    return tuple(written)
 
 
 def _check_cap(configs: set, cap: int) -> None:
@@ -236,9 +310,10 @@ def run_accepts(a: Sra, events: Sequence[Event], cap: int = 100_000) -> bool:
     """Whether some run over exactly `events` ends in a final state.
 
     Breadth-wise configuration-set search with ε-closure interleaving and
-    (state, valuation) deduplication. ε-moves write nothing, so closing a
-    configuration closes its state and keeps its valuation."""
-    current = {(q, EMPTY_VALUATION) for q in epsilon_closure(a, a.start)}
+    (state, slots) deduplication. ε-moves write nothing, so closing a
+    configuration closes its state and keeps its slots."""
+    empty = (None,) * len(a.registers)
+    current = {(q, empty) for q in epsilon_closure(a, a.start)}
     _check_cap(current, cap)
     for event in events:
         fired = {(t.target, v) for t, v in _fire(a, current, event)}
@@ -307,13 +382,12 @@ def is_deterministic(
             raise UnverifiableDeterminism(
                 "registers present; supply sample valuations for exhaustive checking"
             )
-        vals = [EMPTY_VALUATION]
-    else:
-        vals = list(valuations)
+        valuations = [EMPTY_VALUATION]
+    slotted = [a._plan.slots(v) for v in valuations]
     for state in undecided:
         for event in events:
-            for v in vals:
-                if len(list(itertools.islice(_fire(a, [(state, v)], event), 2))) > 1:
+            for stored in slotted:
+                if len(list(itertools.islice(_fire(a, [(state, stored)], event), 2))) > 1:
                     return False
     return True
 
@@ -325,10 +399,10 @@ class StreamEngine:
     prefix built in), so restarting at every index is the automaton's own
     job; the engine never re-seeds. One step advances the whole live
     configuration set through the shared run kernel `_fire`, and the result
-    is deduplicated by (state, valuation). Registers hold only the
-    attributes their readers observe, so the set grows with the distinct
-    values the pattern can tell apart, not with the distinct events seen;
-    the cap bounds its size."""
+    is deduplicated by (state, slots). Registers hold only the attributes
+    their readers observe, so the set grows with the distinct values the
+    pattern can tell apart, not with the distinct events seen; the cap
+    bounds its size."""
 
     def __init__(self, automaton: Sra, cap: int = 100_000) -> None:
         if automaton.has_epsilon:
@@ -336,7 +410,8 @@ class StreamEngine:
         self.automaton = automaton
         self.cap = cap
         self.consumed = 0
-        self._configs: set[tuple[str, Valuation]] = {(automaton.start, EMPTY_VALUATION)}
+        empty = (None,) * len(automaton.registers)
+        self._configs: set[tuple[str, Slots]] = {(automaton.start, empty)}
 
     @property
     def matched_at_start(self) -> bool:
@@ -345,7 +420,9 @@ class StreamEngine:
 
     @property
     def live_configurations(self) -> frozenset[tuple[str, Valuation]]:
-        return frozenset(self._configs)
+        """The live (state, valuation) pairs."""
+        valuation = self.automaton._plan.valuation
+        return frozenset((state, valuation(stored)) for state, stored in self._configs)
 
     def step(self, event: Event) -> bool:
         """Consume one event; report whether a match completes at this index."""
@@ -362,10 +439,11 @@ class DeterministicRunner:
     instrumented with evaluation counters.
 
     One step takes the first transition the shared run kernel `_fire` yields
-    for the current configuration. The kernel is lazy and tries the state's
+    for the current configuration, held in slot form; `valuation` gives it
+    as a `Valuation`. The kernel is lazy and tries the state's compiled
     outgoing conditions in order, so a step costs at most `outgoing
-    conditions` condition evaluations; the per-event EvalScope caches
-    register lookups, so at most `registers` register reads."""
+    conditions` condition evaluations, and it counts each register read
+    once per step, so at most `registers` register reads."""
 
     def __init__(self, automaton: Sra, counters: Optional[EvalCounters] = None) -> None:
         if not automaton.deterministic:
@@ -375,15 +453,19 @@ class DeterministicRunner:
         self.automaton = automaton
         self.counters = counters
         self.state = automaton.start
-        self.valuation = EMPTY_VALUATION
+        self._stored: Slots = (None,) * len(automaton.registers)
         self.consumed = 0
 
+    @property
+    def valuation(self) -> Valuation:
+        return self.automaton._plan.valuation(self._stored)
+
     def step(self, event: Event) -> Transition:
-        config = [(self.state, self.valuation)]
+        config = [(self.state, self._stored)]
         fired = next(_fire(self.automaton, config, event, self.counters), None)
         if fired is None:
             raise NoTransition(f"no transition fires at {self.state} on {event}")
-        t, self.valuation = fired
+        t, self._stored = fired
         self.state = t.target
         self.consumed += 1
         return t

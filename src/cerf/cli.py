@@ -13,7 +13,9 @@ import csv
 import itertools
 import json
 import math
+import os
 import random
+import stat
 import sys
 from collections import deque
 from typing import IO, Callable, Iterator, Optional
@@ -177,22 +179,55 @@ def read_events(
         raise ValueError(f"unknown input format {fmt!r}")
 
 
-def _open(path: str, mode: str = "r") -> IO[str]:
-    """The named file as text; one that cannot be opened is a bad option
-    value, reported as one error line (exit 2)."""
+def _cannot_open(path: str, exc: OSError) -> None:
+    """A file that cannot be opened is a bad option value, reported as one
+    error line (exit 2)."""
+    _fail(2, f"cannot open {path}: {exc.strerror or exc}")
+
+
+def _open(path: str) -> IO[str]:
+    """The named file as text, for reading."""
     try:
-        return open(path, mode, encoding="utf-8")
+        return open(path, encoding="utf-8")
     except OSError as exc:
-        _fail(2, f"cannot open {path}: {exc.strerror or exc}")
+        _cannot_open(path, exc)
 
 
 def _open_input(path: str) -> IO[str]:
     return sys.stdin if path == "-" else _open(path)
 
 
-def _output(path: Optional[str]):
-    """A context holding the named file opened for writing, else stdout."""
-    return _open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+@contextlib.contextmanager
+def _output(path: Optional[str]) -> Iterator[IO[str]]:
+    """A context holding the named file opened for writing, else stdout.
+
+    The file is opened on entry, so a command enters the context before its
+    work and a path that cannot be opened fails it (exit 2) before that work
+    is done. The file is not truncated on opening: what the context writes
+    replaces its content when the context ends normally. When the context
+    ends in an error, a command failure included, a file it created is
+    removed, and one that was there before keeps what the context did not
+    overwrite."""
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        try:
+            fd, created = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), True
+        except FileExistsError:
+            fd, created = os.open(path, os.O_WRONLY), False
+    except OSError as exc:
+        _cannot_open(path, exc)
+    regular = stat.S_ISREG(os.fstat(fd).st_mode)
+    with os.fdopen(fd, "w", encoding="utf-8") as fp:
+        try:
+            yield fp
+        except BaseException:
+            if created:
+                os.remove(path)
+            raise
+        if regular:
+            fp.truncate()
 
 
 def _stderr_diagnostic(message: str) -> None:
@@ -230,7 +265,7 @@ def _build_stage(expr: Expr, stage: str) -> Sra:
 def _emit_automaton(a: Sra, out: Optional[str], dot: Optional[str], stats: bool) -> None:
     doc = serialize.automaton_to_doc(a)
     # Both files are opened before either is written, so a path that cannot
-    # be opened leaves stdout empty.
+    # be opened leaves stdout empty and neither file created.
     with _output(out) as out_fp, _output(dot) as dot_fp:
         serialize.dump(doc, out_fp)
         if dot:
@@ -356,12 +391,8 @@ def to_srem(pattern, automaton_path, out):
             body = expr.body if isinstance(expr, Window) else expr
             a = compiler.compile_expr(body)
         expr_back = compiler.sra_to_srem(a)
-        text = unparse_pattern(library, expr_back) + "\n"
-        if out:
-            with _open(out, "w") as fp:
-                fp.write(text)
-        else:
-            click.echo(text, nl=False)
+        with _output(out) as fp:
+            fp.write(unparse_pattern(library, expr_back) + "\n")
 
 
 @main.command()
@@ -387,7 +418,9 @@ def to_srem(pattern, automaton_path, out):
               help="Where to write the learned model document.")
 def learn(pattern, train, fmt, window, max_order, p_min, ratio, gamma, alpha, strict, out):
     """Learn a forecasting model for a windowed pattern from a training stream."""
-    with _mapped_errors():
+    # The model file is opened before training, so a bad --out fails at once,
+    # and a failed training leaves no model file behind.
+    with _mapped_errors(), _output(out) as out_fp:
         _, expr = _load_pattern(pattern, window)
         d = compiler.complete(compiler.determinize(expr))
         symbol_map = SymbolMap.for_automaton(d)
@@ -403,9 +436,7 @@ def learn(pattern, train, fmt, window, max_order, p_min, ratio, gamma, alpha, st
             alpha=alpha,
             alphabet=symbol_map.symbols,
         )
-        doc = serialize.model_to_doc(d, symbol_map, pst)
-        with _open(out, "w") as fp:
-            serialize.dump(doc, fp)
+        serialize.dump(serialize.model_to_doc(d, symbol_map, pst), out_fp)
         click.echo(
             f"trained on {len(symbols)} symbols, tree has {len(pst.nodes)} contexts",
             err=True,

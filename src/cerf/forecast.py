@@ -90,8 +90,8 @@ class Pst:
         alphabet: Sequence[str],
         nodes: Mapping[tuple[str, ...], Mapping[str, float]],
     ) -> None:
-        if max_order < 0:
-            raise ValueError("max_order must be non-negative")
+        if isinstance(max_order, bool) or not isinstance(max_order, int) or max_order < 0:
+            raise ValueError("max_order must be a non-negative integer")
         self.max_order = max_order
         self.alphabet = tuple(alphabet)
         if len(set(self.alphabet)) != len(self.alphabet):

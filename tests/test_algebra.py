@@ -1,4 +1,5 @@
 import itertools
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +12,6 @@ from cerf.algebra import (
     TRUE,
     And,
     Atom,
-    EvalCounters,
     EvalScope,
     Event,
     Not,
@@ -22,6 +22,7 @@ from cerf.algebra import (
     Register,
     UnknownPredicate,
     Valuation,
+    compile_condition,
     comparison_predicate,
     conjoin,
     entails,
@@ -34,7 +35,7 @@ from cerf.algebra import (
 )
 from cerf.pattern import parse_predicates
 
-from gen import UNIVERSE, universe_library
+from gen import UNIVERSE, random_condition, universe_library
 
 R1 = Register("r1")
 R2 = Register("r2")
@@ -166,6 +167,14 @@ _TRUTH_TABLE = [
     ("kind", "x.v != y.v", [{"v": 1}, {"v": "1"}], False),
     ("kind", "x.v != y.v", [{"other": 1}, {"v": 1}], False),
     ("kind", "x.v == y.v", [{"other": 1}, {"other": 1}], False),
+    ("bool", "x.v == 1", [{"v": True}], True),
+    ("bool", "x.v != 1", [{"v": True}], False),
+    ("bool", "x.v < 1.5", [{"v": True}], True),
+    ("bool", "0.5 >= x.v", [{"v": False}], True),
+    ("bool", 'x.v == "True"', [{"v": True}], False),
+    ("bool", '"True" != x.v', [{"v": True}], False),
+    ("bool", "x.v == y.v", [{"v": True}, {"v": 1.0}], True),
+    ("bool", "x.v > y.v", [{"v": True}, {"v": "a"}], False),
 ]
 
 
@@ -319,20 +328,109 @@ class TestEvaluation:
         assert not evaluate_condition(And(a, n1), ev, EMPTY_VALUATION)
         assert evaluate_condition(And(a, Not(n1)), ev, EMPTY_VALUATION)
 
-    def test_scope_caches_register_reads(self):
-        counters = EvalCounters()
-        cond = And(_atom("SameNum", CURRENT, R1), _atom("SameKind", CURRENT, R1))
-        v = EMPTY_VALUATION.set(R1, Event.of(kind="A", num=1))
-        scope = EvalScope(v, counters=counters)
-        scope.evaluate(cond, Event.of(kind="A", num=1))
-        assert counters.register_reads == 1
-        scope.evaluate(cond, Event.of(kind="A", num=1))
-        assert counters.register_reads == 1
-        # a new scope re-reads
-        EvalScope(v, counters=counters).evaluate(
-            cond, Event.of(kind="A", num=1)
+
+
+def _compiled(condition, event, valuation, compiled=None):
+    """What the compiled closure of `condition` gives on the slot form of
+    `valuation` (r1 in slot 0, r2 in slot 1), and the registers it read."""
+    read = []
+
+    class Recorded(tuple):
+        def __getitem__(self, slot):
+            read.append((R1, R2)[slot])
+            return tuple.__getitem__(self, slot)
+
+    holds = compile_condition(condition, {R1: 0, R2: 1}, compiled)
+    return holds(event, Recorded((valuation.lookup(R1), valuation.lookup(R2)))), set(read)
+
+
+def _referenced(condition, event, valuation):
+    """What the tree-walking scope gives, and the registers it read."""
+    scope = EvalScope(valuation)
+    return scope.evaluate(condition, event), set(scope._cache)
+
+
+_MIXED_VALUES = ("A", "B", 1, 1.0, 2, 2.5, "1", True, False, None)
+
+
+def _mixed_event(rng):
+    """An event over kind and num whose values may be text, int, float or
+    bool of either kind, or missing (None here)."""
+    drawn = {name: rng.choice(_MIXED_VALUES) for name in ("kind", "num")}
+    drawn["other"] = 0
+    return Event.from_mapping({k: v for k, v in drawn.items() if v is not None})
+
+
+def _nested_condition(rng, lib, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return random_condition(rng, lib)
+    roll = rng.random()
+    if roll < 0.2:
+        return Not(_nested_condition(rng, lib, depth - 1))
+    if roll < 0.4:
+        return conjoin([_nested_condition(rng, lib, depth - 1) for _ in range(rng.randint(3, 6))])
+    kind = And if roll < 0.7 else Or
+    return kind(_nested_condition(rng, lib, depth - 1), _nested_condition(rng, lib, depth - 1))
+
+
+class TestCompiledConditions:
+    """`compile_condition` against the tree-walking reference."""
+
+    def test_agrees_with_evaluate_condition_on_random_conditions(self):
+        rng = Random(13)
+        lib = universe_library()
+        # one map for every condition, which must stay alive while it is used
+        compiled, conditions = {}, []
+        for _ in range(3000):
+            condition = _nested_condition(rng, lib, 3)
+            if conditions and rng.random() < 0.3:
+                condition = And(rng.choice(conditions), condition)
+            conditions.append(condition)
+            event = _mixed_event(rng)
+            valuation = EMPTY_VALUATION
+            for register in (R1, R2):
+                if rng.random() < 0.7:
+                    valuation = valuation.set(register, _mixed_event(rng))
+            expected = _referenced(condition, event, valuation)
+            got = _compiled(condition, event, valuation, compiled)
+            assert got == expected, (condition, event, valuation)
+            assert evaluate_condition(condition, event, valuation) is expected[0]
+
+    def test_truth_table_with_the_literal_on_either_side(self):
+        for _, body, args, expected in _TRUTH_TABLE:
+            params = ", ".join(["x", "y"][: len(args)])
+            pred = parse_predicates(f"pred P({params}): {body}").get("P")
+            events = [Event.from_mapping(a) for a in args]
+            assert pred(*events) is expected, (body, args)
+            if len(events) == 1:
+                got, _ = _compiled(Atom(pred, (CURRENT,)), events[0], EMPTY_VALUATION)
+                assert got is expected, (body, args)
+                continue
+            # each argument in turn is the current element, the other r1
+            for args_, current, stored in (((CURRENT, R1), events[0], events[1]),
+                                           ((R1, CURRENT), events[1], events[0])):
+                got, read = _compiled(Atom(pred, args_), current, EMPTY_VALUATION.set(R1, stored))
+                assert (got, read) == (expected, {R1}), (body, args, args_)
+
+    def test_empty_register_is_false_and_negation_classical(self):
+        same = _atom("SameNum", CURRENT, R1)
+        ev = Event.of(kind="A", num=1)
+        assert _compiled(same, ev, EMPTY_VALUATION) == (False, {R1})
+        assert _compiled(Not(same), ev, EMPTY_VALUATION) == (True, {R1})
+        assert _compiled(Or(_atom("KindA", CURRENT), same), ev, EMPTY_VALUATION) == (True, set())
+        assert _compiled(TRUE, ev, EMPTY_VALUATION) == (True, set())
+
+    def test_python_built_predicate_calls_its_evaluator(self):
+        calls = []
+        tagged = Predicate(
+            "SameTag", 2, lambda x, y: calls.append((x, y)) or x.get("tag") == y.get("tag")
         )
-        assert counters.register_reads == 2
+        cond = Atom(tagged, (CURRENT, R1))
+        ev, stored = Event.of(tag="x"), Event.of(tag="x", num=1)
+        assert _compiled(cond, ev, EMPTY_VALUATION.set(R1, stored)) == (True, {R1})
+        assert calls == [(ev, stored)]
+        assert _compiled(cond, ev, EMPTY_VALUATION) == (False, {R1})
+        assert len(calls) == 1
 
 
 class TestConditionHelpers:

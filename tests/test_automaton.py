@@ -132,10 +132,11 @@ class TestRuns:
         assert epsilon_closure(a, "q") == frozenset({"q"})
         assert not run_accepts(a, [])
         ev = Event.of(x=1)
-        closed = [(q, EMPTY_VALUATION) for q in sorted(epsilon_closure(a, "p"))]
-        stepped = [(t.target, v) for t, v in _fire(a, closed, ev)]
+        # the kernel steps (state, slots) configurations; r1 is slot 0
+        closed = [(q, (None,)) for q in sorted(epsilon_closure(a, "p"))]
+        stepped = [(t.target, stored) for t, stored in _fire(a, closed, ev)]
         assert [state for state, _ in stepped] == ["r"]
-        assert stepped[0][1].lookup(R1) == ev
+        assert stepped[0][1] == (ev,)
         # the event move consumes exactly one element
         assert run_accepts(a, [ev])
         assert not run_accepts(a, [ev, ev])
@@ -327,6 +328,35 @@ class TestDeterministicRunner:
         assert counters.register_reads <= len(d.registers)
 
 
+    def test_register_reads_count_each_register_once(self):
+        same = And(_atom("SameNum", CURRENT, R1), _atom("SameKind", CURRENT, R1))
+        guarded = And(_atom("KindA", CURRENT), _atom("SameNum", CURRENT, R1))
+        d = Sra(
+            states=frozenset({"s", "t", "u", "f"}),
+            start="s",
+            finals=frozenset({"f"}),
+            registers=frozenset({R1}),
+            transitions=(
+                Transition("s", "t", TRUE, frozenset({R1})),
+                Transition("t", "u", same),
+                Transition("u", "f", guarded),
+                Transition("u", "f", Not(_atom("KindA", CURRENT))),
+            ),
+            deterministic=True,
+        )
+        counters = EvalCounters()
+        runner = DeterministicRunner(d, counters)
+        steps = []
+        for ev in (Event.of(kind="A", num=1), Event.of(kind="A", num=1), Event.of(kind="B", num=1)):
+            evals, reads = counters.condition_evals, counters.register_reads
+            runner.step(ev)
+            steps.append((counters.condition_evals - evals, counters.register_reads - reads))
+        # TRUE reads nothing; both atoms of `same` read r1, counted once;
+        # `guarded` fails at KindA before it reaches r1
+        assert steps == [(1, 0), (1, 1), (2, 0)]
+        assert runner.state == "f"
+        assert runner.valuation == EMPTY_VALUATION.set(R1, Event.of(kind="A", num=1))
+
     def test_step_stops_at_the_transition_that_fires(self):
         # the step cost is exactly the 1-based position of the taken
         # transition among the state's outgoing transitions
@@ -430,6 +460,33 @@ class TestRegisterProjection:
         assert "observed_attributes" not in vars(d)
         runner.step(Event.of(type="T", id=1))
         assert "observed_attributes" in vars(d)
+
+    def test_conditions_are_compiled_once_as_states_are_reached(self, monkeypatch):
+        _, e3 = parse(E3_TEXT)
+        d = compiler.complete(compiler.determinize(Window(e3.body, 4)))
+        compiled = []
+        original = algebra._compile_node
+        monkeypatch.setattr(
+            algebra, "_compile_node",
+            lambda node, *args: compiled.append(node) or original(node, *args),
+        )
+        runner = DeterministicRunner(d)
+        assert "_plan" not in vars(d) and not compiled
+        runner.step(Event.of(type="H", id=1))
+        # the first step compiles the start state's conditions alone
+        assert {id(t.condition) for t in d.out(d.start)} <= {id(node) for node in compiled}
+        assert set(d._plan) == {d.start}
+        for ev in _sensor_events(3, 50):
+            runner.step(ev)
+        for state in d.states:
+            d._plan[state]
+        # each node object once, however many conditions share it
+        ids = [id(node) for node in compiled]
+        assert len(ids) == len(set(ids))
+        assert {id(t.condition) for t in d.transitions} <= set(ids)
+        # so no more closures than node objects, which minterms share widely
+        nodes = [node for t in d.transitions for node in algebra._walk(t.condition)]
+        assert len(compiled) <= len({id(node) for node in nodes}) < len(nodes) / 3
 
     def test_each_event_is_cut_once_per_step(self, monkeypatch):
         _, e3 = parse(E3_TEXT)

@@ -203,6 +203,14 @@ class TestSerializeModel:
         with pytest.raises(serialize.MalformedDocument, match="not a finite number"):
             serialize.pst_from_doc(doc)
 
+    @pytest.mark.parametrize("value", [3.5, True, -1, "2", None])
+    def test_pst_max_order_must_be_a_non_negative_integer(self, value):
+        _, _, pst = self._model()
+        doc = serialize.pst_to_doc(pst)
+        doc["max_order"] = value
+        with pytest.raises(serialize.MalformedDocument, match="max_order must be a non-negative"):
+            serialize.pst_from_doc(doc)
+
     def test_model_parses_each_condition_text_once(self, monkeypatch):
         doc = serialize.model_to_doc(*self._model())
         texts = [t["condition"] for t in doc["automaton"]["transitions"] if t["condition"]]
@@ -798,6 +806,24 @@ class TestLearnAndForecast:
         assert result.exit_code == 2 and result.stdout == ""
         assert "not a finite number" in result.stderr
 
+    # a true order loads as order 1 when every context fits it
+    @pytest.mark.parametrize("learned, value", [("2", 3.5), ("1", True)])
+    def test_model_with_a_non_integer_max_order_exits_2(self, runner, workdir, learned, value):
+        self._train_file()
+        runner.invoke(
+            main,
+            ["learn", "e3.pat", "--train", "train.jsonl", "--max-order", learned,
+             "--out", "model.json"],
+        )
+        doc = json.loads(Path("model.json").read_text())
+        doc["pst"]["max_order"] = value
+        Path("model.json").write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["forecast", "--model", "model.json", "--input", "events.jsonl", "--emit-dist"]
+        )
+        assert result.exit_code == 2 and result.stdout == ""
+        assert "max_order must be a non-negative integer" in result.stderr
+
     def test_model_missing_a_symbol_exits_2(self, runner, workdir):
         self._train_file()
         runner.invoke(
@@ -1040,6 +1066,52 @@ class TestUnopenablePaths:
         assert result.exit_code == 2 and result.stdout == ""
         assert result.stderr.startswith(f"error: cannot open {path}: ")
         assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["compile", "determinize", "complement"])
+    def test_unopenable_dot_creates_no_out_file(self, runner, workdir, command):
+        result = runner.invoke(main, [command, "e3.pat", "--out", "a.json", "--dot", "nodir/a.dot"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: cannot open nodir/a.dot: ")
+        assert not Path("a.json").exists()
+        # a file that was there keeps its content
+        Path("a.json").write_text("kept")
+        result = runner.invoke(main, [command, "e3.pat", "--out", "a.json", "--dot", "nodir/a.dot"])
+        assert result.exit_code == 2 and Path("a.json").read_text() == "kept"
+
+    def test_output_replaces_a_longer_file(self, runner, workdir):
+        printed = runner.invoke(main, ["compile", "e1.pat"])
+        Path("a.json").write_text("x" * 100_000)
+        result = runner.invoke(main, ["compile", "e1.pat", "--out", "a.json"])
+        assert result.exit_code == 0, result.stderr
+        assert Path("a.json").read_text() == printed.stdout
+
+    def test_learn_checks_out_before_training(self, runner, workdir):
+        Path("train.jsonl").write_text(TABLE1_JSONL * 20 + "{not json\n")
+        args = ["learn", "e3.pat", "--train", "train.jsonl", "--strict"]
+        result = runner.invoke(main, [*args, "--out", "nodir/m.json"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: cannot open nodir/m.json: No such file or directory\n"
+        result = runner.invoke(main, [*args, "--out", "m.json"])
+        assert result.exit_code == 2 and "invalid JSON" in result.stderr
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["e3.pat", "--train", "bad.jsonl", "--strict"], 2),
+            (["e3.pat", "--train", "train.jsonl", "--max-order", "50"], 5),
+            (["e1.pat", "--train", "train.jsonl"], 3),
+        ],
+        ids=["malformed", "insufficient", "unwindowed"],
+    )
+    def test_failed_learn_leaves_no_model(self, runner, workdir, args, code):
+        Path("train.jsonl").write_text(TABLE1_JSONL)
+        Path("bad.jsonl").write_text(TABLE1_JSONL + "{not json\n")
+        result = runner.invoke(main, ["learn", *args, "--out", "m.json"])
+        assert result.exit_code == code, result.stderr
+        assert not Path("m.json").exists()
+        Path("m.json").write_text("kept")
+        result = runner.invoke(main, ["learn", *args, "--out", "m.json"])
+        assert result.exit_code == code and Path("m.json").read_text() == "kept"
 
 
 class TestReadme:
