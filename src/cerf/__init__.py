@@ -1,148 +1,7 @@
 """Complex event recognition and forecasting over streams with symbolic
-register automata."""
+register automata.
 
-from .algebra import (
-    ALWAYS,
-    TRUE,
-    And,
-    Atom,
-    Condition,
-    Event,
-    Not,
-    Or,
-    Predicate,
-    PredicateLibrary,
-    Register,
-    UnknownPredicate,
-    Valuation,
-    comparison_predicate,
-    entails,
-    evaluate_condition,
-    join_predicate,
-    minterms,
-)
-from .automaton import (
-    DeterministicRunner,
-    EvalCounters,
-    Sra,
-    StreamEngine,
-    Transition,
-    is_deterministic,
-    run_accepts,
-    to_dot,
-)
-from .compiler import (
-    compile_expr,
-    compile_windowed,
-    complete,
-    complete_and_complement,
-    determinize,
-    eliminate_epsilon,
-    intersect,
-    sra_to_srem,
-    to_single_register,
-    union_of,
-    unroll,
-)
-from .forecast import (
-    Pst,
-    SymbolMap,
-    WaitingTimeDistribution,
-    WaitingTimes,
-    forecast_classification,
-    forecast_regression,
-    log_loss,
-    symbolize,
-    waiting_time,
-)
-from .pattern import (
-    Alt,
-    Concat,
-    Cond,
-    CondWrite,
-    Empty,
-    Epsilon,
-    Expr,
-    PatternSyntaxError,
-    Star,
-    UnknownRegister,
-    Window,
-    accepts,
-    derive,
-    parse,
-    parse_condition,
-    parse_predicates,
-    to_streaming,
-    unparse,
-    unparse_pattern,
-)
+Import each name from the module that defines it; the README's module map
+lists them."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALWAYS",
-    "TRUE",
-    "Alt",
-    "And",
-    "Atom",
-    "Concat",
-    "Cond",
-    "CondWrite",
-    "Condition",
-    "DeterministicRunner",
-    "Empty",
-    "Epsilon",
-    "EvalCounters",
-    "Event",
-    "Expr",
-    "Not",
-    "Or",
-    "PatternSyntaxError",
-    "Predicate",
-    "PredicateLibrary",
-    "Pst",
-    "Register",
-    "Sra",
-    "Star",
-    "StreamEngine",
-    "SymbolMap",
-    "Transition",
-    "UnknownPredicate",
-    "UnknownRegister",
-    "Valuation",
-    "WaitingTimeDistribution",
-    "WaitingTimes",
-    "Window",
-    "accepts",
-    "compile_expr",
-    "compile_windowed",
-    "comparison_predicate",
-    "complete",
-    "complete_and_complement",
-    "derive",
-    "determinize",
-    "eliminate_epsilon",
-    "entails",
-    "evaluate_condition",
-    "forecast_classification",
-    "forecast_regression",
-    "intersect",
-    "is_deterministic",
-    "join_predicate",
-    "log_loss",
-    "minterms",
-    "parse",
-    "parse_condition",
-    "parse_predicates",
-    "run_accepts",
-    "sra_to_srem",
-    "symbolize",
-    "to_dot",
-    "to_single_register",
-    "to_streaming",
-    "unparse",
-    "unparse_pattern",
-    "union_of",
-    "unroll",
-    "waiting_time",
-]

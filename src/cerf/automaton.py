@@ -1,6 +1,6 @@
 """Symbolic register automata: data model, nondeterministic simulation,
-the streaming recognition engine, the instrumented deterministic runner,
-and DOT export."""
+the streaming recognition engine and the instrumented deterministic
+runner."""
 
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from .algebra import (
     _walk_distinct,
     compile_condition,
 )
-from .pattern import unparse_condition
 
 
 class ConfigurationCapExceeded(RuntimeError):
@@ -470,28 +469,3 @@ class DeterministicRunner:
         self.consumed += 1
         return t
 
-
-def _dot_quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def to_dot(a: Sra, name: str = "sra") -> str:
-    """Graphviz rendering: finals double-circled, start marked, labels in
-    pattern syntax with the written registers after a down arrow."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=point, label=""];']
-    for state in sorted(a.states):
-        shape = "doublecircle" if state in a.finals else "circle"
-        lines.append(f"  {_dot_quote(state)} [shape={shape}];")
-    lines.append(f"  __start -> {_dot_quote(a.start)};")
-    for t in sorted(a.transitions, key=lambda t: (t.source, t.target)):
-        if t.is_epsilon:
-            label = "ε"
-        else:
-            label = unparse_condition(t.condition)
-            if t.writes:
-                label += " ↓ " + ",".join(sorted(r.name for r in t.writes))
-        lines.append(
-            f"  {_dot_quote(t.source)} -> {_dot_quote(t.target)} [label={_dot_quote(label)}];"
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"

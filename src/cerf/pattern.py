@@ -575,12 +575,17 @@ def unparse_condition(cond: Condition, level: int = 0, memo: Optional[dict] = No
             text, own = f"{cond.predicate.name}({args})", 2
         elif isinstance(cond, Not):
             text, own = f"!{unparse_condition(cond.operand, 2, memo)}", 2
-        elif isinstance(cond, And):
-            left = unparse_condition(cond.left, 1, memo)
-            text, own = f"{left} & {unparse_condition(cond.right, 2, memo)}", 1
-        elif isinstance(cond, Or):
-            left = unparse_condition(cond.left, 0, memo)
-            text, own = f"{left} | {unparse_condition(cond.right, 1, memo)}", 0
+        elif isinstance(cond, (And, Or)):
+            # A left-nested chain is walked down its spine and joined, so it
+            # neither recurses nor keeps text once per prefix. The first
+            # part renders at the connective's own level, the rest tighter.
+            kind, own, sep = (And, 1, " & ") if isinstance(cond, And) else (Or, 0, " | ")
+            node, rights = cond, []
+            while isinstance(node, kind):
+                rights.append(node.right)
+                node = node.left
+            parts = [unparse_condition(right, own + 1, memo) for right in reversed(rights)]
+            text = sep.join([unparse_condition(node, own, memo), *parts])
         else:
             raise TypeError(f"not a condition: {cond!r}")
         if memo is not None:

@@ -1,15 +1,18 @@
-"""Versioned JSON documents for automata, symbol maps, prediction suffix
-trees, and the combined learned model, enabling compile-once/run-many.
+"""Renderings of automata as text: versioned JSON documents for automata,
+symbol maps, prediction suffix trees and the combined learned model, which
+enable compile-once/run-many, and Graphviz DOT for automata.
 
 Conditions are stored in pattern syntax and predicates as their declaration
 lines, so a document is self-contained: loading re-declares the predicates
-and re-parses each condition against them."""
+and re-parses each condition against them. Both renderings of an automaton
+can share one memo of condition texts (see `unparse_condition`), so each
+condition node is rendered once for both."""
 
 from __future__ import annotations
 
 import functools
 import json
-from typing import IO, Union
+from typing import IO, Optional, Union
 
 from .algebra import Atom, Condition, PredicateLibrary, Register, _walk_distinct
 from .automaton import Sra, Transition
@@ -57,9 +60,11 @@ def _predicate_sources(conditions) -> list[str]:
     return sources
 
 
-def automaton_to_doc(a: Sra) -> dict:
-    # `a` holds every condition node while the memo lives.
-    memo: dict[int, tuple[str, int]] = {}
+def automaton_to_doc(a: Sra, memo: Optional[dict] = None) -> dict:
+    """The automaton's document. Condition texts are kept by node in `memo`
+    (a fresh one if none is given), as `unparse_condition` keeps them, so a
+    memo given must not outlive `a`, which holds every node it is keyed by."""
+    memo = {} if memo is None else memo
     return {
         "format": FORMAT_SRA,
         "version": VERSION,
@@ -80,6 +85,34 @@ def automaton_to_doc(a: Sra) -> dict:
             for t in a.transitions
         ],
     }
+
+
+def _dot_quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def to_dot(a: Sra, name: str = "sra", memo: Optional[dict] = None) -> str:
+    """Graphviz rendering: finals double-circled, start marked, labels in
+    pattern syntax with the written registers after a down arrow. `memo` is
+    used as `automaton_to_doc` uses it."""
+    memo = {} if memo is None else memo
+    lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=point, label=""];']
+    for state in sorted(a.states):
+        shape = "doublecircle" if state in a.finals else "circle"
+        lines.append(f"  {_dot_quote(state)} [shape={shape}];")
+    lines.append(f"  __start -> {_dot_quote(a.start)};")
+    for t in sorted(a.transitions, key=lambda t: (t.source, t.target)):
+        if t.is_epsilon:
+            label = "ε"
+        else:
+            label = unparse_condition(t.condition, 0, memo)
+            if t.writes:
+                label += " ↓ " + ",".join(sorted(r.name for r in t.writes))
+        lines.append(
+            f"  {_dot_quote(t.source)} -> {_dot_quote(t.target)} [label={_dot_quote(label)}];"
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def _check_header(doc: dict, expected: str) -> None:

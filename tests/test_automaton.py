@@ -28,12 +28,12 @@ from cerf.automaton import (
     epsilon_closure,
     is_deterministic,
     run_accepts,
-    to_dot,
 )
 from random import Random
 
 from cerf import algebra, automaton, compiler
 from cerf.pattern import Window, accepts, parse, to_streaming
+from cerf.serialize import to_dot
 
 from conftest import E1_TEXT, E3_TEXT, make_table1, make_t_then_h_automaton
 from gen import UNIVERSE, universe_library

@@ -466,6 +466,8 @@ class TestUnparse:
             "KindA(~) | KindB(~) & NumIs1(~)",
             "(KindA(~) | KindB(~)) & NumIs1(~)",
             "!(KindA(~) | SameNum(~, r1))",
+            "KindA(~) & (KindB(~) & NumIs1(~)) & !KindA(~)",
+            "KindA(~) | (KindB(~) | NumIs1(~)) | KindA(~) & KindB(~)",
         ]
         for text in texts:
             cond = parse_condition(text, lib, ("r1",))

@@ -6,8 +6,10 @@ import json
 import os
 import random
 import shutil
+import socket
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -122,6 +124,28 @@ class TestSerializeAutomaton:
         assert run_accepts(a, [Event.of(x=1)])
         with pytest.raises(ValueError, match="cannot be serialized"):
             serialize.automaton_to_doc(a)
+
+    def test_wide_guards_render_in_memory_linear_in_their_text(self):
+        # `complete` guards a state with `!m1 & ... & !mk`, one left-nested
+        # chain; keeping the text of every prefix would take memory growing
+        # with the square of the chain's length.
+        n = 60
+        declarations = "".join(
+            f"pred P{i}(x): x.v == {i}\npred Q{i}(x): x.w == {i}\n" for i in range(n)
+        )
+        ps = " + ".join(f"P{i}(~)" for i in range(n))
+        qs = " + ".join(f"Q{i}(~)" for i in range(n))
+        _, expr = parse(f"{declarations}\n(({ps}) ; ({qs})) within 2\n")
+        d = complete(determinize(expr))
+        tracemalloc.start()
+        try:
+            doc = serialize.automaton_to_doc(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        text = sum(len(t["condition"]) for t in doc["transitions"])
+        assert text > 1_000_000
+        assert peak < 3 * text
 
     def test_malformed_documents(self, tmp_path, two_state_dfa):
         doc = serialize.automaton_to_doc(two_state_dfa)
@@ -384,6 +408,40 @@ class TestCompileCommand:
         )
         assert result.exit_code == 0, result.stderr
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "stage, width, doc_digest, dot_digest",
+        [
+            ("dsra", 1, "00cded714045564b7ad1f1b0012ac3c4c2032e3d67c922aa35f767e8af6ff42c", "66a57682b492cf78b7e129359f889ab0eacc6ed93f9d2240793761a89711289d"),
+            ("dsra", 2, "22ed880c7de11ee16b4a04d7cf53ae343c1b4481ddeb386e9a81d0816996534e", "4d2c85c96d8cbbadd9615e8027e7acb40e64d186def9256ea4bc6885c6b99c2f"),
+            ("dsra", 3, "84d4889cd94abc2a00569aba6098e2c189625b37cfcb5be5a1523c10abe5c9e3", "bd46681e934169cdd34add2db7390f7a2656db3d11736027a8bced5d8226733a"),
+            ("dsra", 4, "e6c133b2447e6faae93ac0f86841f7301fe267cbb7bb577844c115ac8d69a48b", "c4fd8f9972b330cb5b8903fe7402f85ffe31c5355b852f30f4e6114eb51b4910"),
+            ("dsra", 5, "91ba6317e16ec803e12ace46c812481f6e927bfb9ac87cf7b1caef00cb33f9f2", "66023a9b7d0333e5151f4a709ebd462ae18f635d3e31654588722bac296d26be"),
+            ("dsra", 6, "c7c9044e04ecf1bae1fd77bbf334e970be7834deabec97a04fb6e22a62129fb2", "1cc325fc20ef004c466de0aae54454a1a9cc52bbe9cf5473e20df6621a945779"),
+            ("dsra", 7, "681e3a58c9bc070b1c9b8c1e62637aebfdc3e8fb941751e525d2cf7c4db37529", "036b5ca4483365ae8d8bd657a946e4dfd2a27458563c03f16092e86bab36b20f"),
+            ("complement", 1, "cdf87c36f8181f11a332cd35130cf596edba879d37193bf5d2e665b5685ed802", "5bcd5f442cb0d2c009f59508f23aa0786d5c1004838c03dedc90e7b68139252c"),
+            ("complement", 2, "d2d8d15761f839cc45f15fc11b7f6f1c02935edb3c02e85bd085eef05fd20190", "2f8d1f84f1664874a64678ccc0fec2c6fc93739d038e2c9e3754a8716cc0d925"),
+            ("complement", 3, "9ad7c2d5f8ac691b37a1a4271596cfee4bfb089c2857a947406cbf8a3b9ba70c", "dbab65b443936ce3ab37bc01e3e544d2fcdd3122df541bc88b6dda2d65974b3e"),
+            ("complement", 4, "34e6d397c6621034cbf56e3643fcfaadab6e78860032864502ce6c5c421288d8", "102c46460ff4bcb541a1f507539eb0c6735310cf68e60658d27d0ff5ea20a97a"),
+            ("complement", 5, "c95bea9b611de75602063f5e6f2b1ca624f9b08695db546153140f8758965867", "6128826a254b484d48b5a57a99daecffae0873a013ddefab441b932319a6dd37"),
+            ("complement", 6, "514a79dbff75be0ed3e1e75974615f385a0ba0d243ed3347d6c8c6dd89863b7b", "7fecd3c173f3e4ac6d600fb9a64fb33fc22f9d3217aeef1a672638b3dd5b845a"),
+            ("complement", 7, "9d16b67c1c88b11c41efe067c3db511a3d280afb2996ca61bbfb071dbc54dc8a", "e4614d048d1920a3a0b242391d66f785e265665116e33d1c0c640d14a1b8c0fd"),
+        ],
+    )
+    def test_documents_and_dot_are_pinned(
+        self, runner, workdir, stage, width, doc_digest, dot_digest
+    ):
+        # Digests of what `compile --dot` wrote before the DOT renderer moved
+        # into `serialize` and came to share the document's memo.
+        result = runner.invoke(
+            main,
+            ["compile", "e3.pat", "--stage", stage, "--window", str(width),
+             "--out", "a.json", "--dot", "a.dot"],
+        )
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout == ""
+        assert hashlib.sha256(Path("a.json").read_bytes()).hexdigest() == doc_digest
+        assert hashlib.sha256(Path("a.dot").read_bytes()).hexdigest() == dot_digest
 
     def test_complement_stage_pinned_shape(self, runner, workdir):
         result = runner.invoke(main, ["compile", "e3.pat", "--stage", "complement"])
@@ -1049,6 +1107,20 @@ _UNOPENABLE = [
 ]
 
 
+@pytest.fixture()
+def socket_path():
+    """A path naming a Unix socket: it exists and is no directory, so it
+    passes the options' path check, but opening it fails."""
+    if not hasattr(socket, "AF_UNIX"):
+        pytest.skip("no Unix sockets")
+    # A socket path is limited to about 108 bytes, which tmp_path can exceed.
+    with tempfile.TemporaryDirectory(prefix="cerf") as short:
+        path = os.path.join(short, "s")
+        with socket.socket(socket.AF_UNIX) as sock:
+            sock.bind(path)
+            yield path
+
+
 class TestUnopenablePaths:
     @pytest.mark.parametrize(
         "args, path", _UNOPENABLE, ids=[f"{args[0]}-{path}" for args, path in _UNOPENABLE]
@@ -1065,6 +1137,18 @@ class TestUnopenablePaths:
         result = runner.invoke(main, args)
         assert result.exit_code == 2 and result.stdout == ""
         assert result.stderr.startswith(f"error: cannot open {path}: ")
+        assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "option",
+        [["forecast", "--model"], ["determinize", "--automaton"],
+         ["complement", "--automaton"], ["to-srem", "--automaton"]],
+        ids=lambda option: option[0],
+    )
+    def test_saved_document_that_cannot_be_opened(self, runner, workdir, socket_path, option):
+        result = runner.invoke(main, [*option, socket_path])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr.startswith(f"error: cannot open {socket_path}: ")
         assert result.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["compile", "determinize", "complement"])
@@ -1163,6 +1247,24 @@ class TestEntryPoint:
         with pyproject.open("rb") as fp:
             declared = tomllib.load(fp)["project"]["version"]
         assert cerf.__version__ == declared
+
+    @pytest.mark.parametrize(
+        "module, loaded",
+        [("cerf", ["cerf"]), ("cerf.automaton", ["cerf", "cerf.algebra", "cerf.automaton"])],
+    )
+    def test_import_loads_only_what_the_module_needs(self, module, loaded):
+        src = str(Path(cerf.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            f"import sys, {module}; "
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'cerf')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == loaded
 
     def test_help_lists_commands(self, runner):
         result = runner.invoke(main, ["--help"])
