@@ -332,21 +332,55 @@ class Atom(Condition):
             )
 
 
-@dataclass(frozen=True)
-class Not(Condition):
+class _Connective(Condition):
+    """Not, And and Or. Each hashes once, when it is built, from its
+    operands' hashes, and equality walks an explicit stack, so chains of
+    any depth (`complete` negates one minterm per outgoing transition) hash
+    and compare without recursing."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((type(self), *_operands(self))))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if not isinstance(a, _Connective):
+                if a != b:
+                    return False
+            elif a._hash != b._hash:
+                return False
+            else:
+                stack += zip(_operands(a), _operands(b))
+        return True
+
+
+@dataclass(frozen=True, eq=False)
+class Not(_Connective):
     operand: Condition
 
 
-@dataclass(frozen=True)
-class And(Condition):
+@dataclass(frozen=True, eq=False)
+class And(_Connective):
     left: Condition
     right: Condition
 
 
-@dataclass(frozen=True)
-class Or(Condition):
+@dataclass(frozen=True, eq=False)
+class Or(_Connective):
     left: Condition
     right: Condition
+
+
+def _operands(node: _Connective) -> tuple[Condition, ...]:
+    return (node.operand,) if isinstance(node, Not) else (node.left, node.right)
 
 
 def conjoin(conditions: Sequence[Condition]) -> Condition:
@@ -516,9 +550,9 @@ def compile_condition(
 
     `compiled` maps the identity of each node compiled so far to its
     closure, so that nodes shared between conditions, as `minterms` shares
-    its literals, are compiled once. Identity, because hashing a condition
-    walks its tree; the caller keeps the conditions alive while it holds the
-    map."""
+    its literals, are compiled once. Identity, because comparing two equal
+    conditions walks both trees; the caller keeps the conditions alive while
+    it holds the map."""
     if compiled is None:
         compiled = {}
     holds = compiled.get(id(condition))

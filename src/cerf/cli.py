@@ -29,7 +29,6 @@ from .automaton import (
     Sra,
     StreamEngine,
 )
-from .compiler import NotWindowed
 from .forecast import InsufficientData, Pst, SymbolMap, symbolize
 from .pattern import (
     Expr,
@@ -111,6 +110,10 @@ def _event_from_json_line(line: str, lineno: int) -> Event:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"line {lineno}: invalid JSON ({exc.msg})")
+    except ValueError:  # an integer literal past Python's digit limit
+        raise MalformedInput(f"line {lineno}: invalid JSON (a number has too many digits)")
+    except RecursionError:
+        raise MalformedInput(f"line {lineno}: invalid JSON (nested too deeply)")
     if not isinstance(record, dict) or not record:
         raise MalformedInput(f"line {lineno}: expected a non-empty JSON object")
     for name, value in record.items():
@@ -161,7 +164,18 @@ def read_events(
     elif fmt == "csv":
         reader = csv.reader(lines)
         header: Optional[list[str]] = None
-        for lineno, row in enumerate(reader, start=1):
+        for lineno in itertools.count(1):
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                # a cell past csv.field_size_limit(); the reader resumes at
+                # the next row, but a bad header is fatal
+                if header is None:
+                    raise MalformedInput(f"line {lineno}: bad CSV header ({exc})")
+                report(MalformedInput(f"line {lineno}: {exc}"))
+                continue
             if not row:
                 continue
             if header is None:
@@ -250,17 +264,17 @@ def _load_pattern(path: str, window: Optional[int]):
 
 
 def _build_stage(expr: Expr, stage: str) -> Sra:
+    """The pattern's automaton at one stage of the pipeline; each stage past
+    "sra" is built from the one before it."""
     if stage == "sra":
         body = expr.body if isinstance(expr, Window) else expr
         return compiler.eliminate_epsilon(compiler.compile_expr(body))
     if stage == "nsra-unrolled":
-        if not isinstance(expr, Window):
-            raise NotWindowed("unrolling needs a window (use 'within N' or --window)")
         return compiler.compile_windowed(expr)
     if stage == "dsra":
-        return compiler.determinize(expr)
+        return compiler.determinize(_build_stage(expr, "nsra-unrolled"))
     if stage == "complement":
-        return compiler.complete_and_complement(expr)
+        return compiler.complete_and_complement(_build_stage(expr, "dsra"))
     raise ValueError(f"unknown stage {stage!r}")
 
 
@@ -338,13 +352,14 @@ def recognize(pattern, input_path, fmt, window, cap, report_empty_match, strict)
                     _emit_record({"index": engine.consumed})
 
 
-def _load_source(pattern, automaton_path, window):
-    """The predicate library and what a command works on: the automaton
-    saved at automaton_path, else the pattern."""
+def _load_source(pattern, automaton_path, window, build: Callable[[Expr], Sra]):
+    """The predicate library and the automaton a command works on: the one
+    saved at automaton_path, else `build` applied to the pattern."""
     if (pattern is None) == (automaton_path is None):
         raise click.UsageError("give either PATTERN or --automaton")
     if automaton_path is None:
-        return _load_pattern(pattern, window)
+        library, expr = _load_pattern(pattern, window)
+        return library, build(expr)
     with _open(automaton_path) as fp:
         a, library = serialize.automaton_from_doc(serialize.load(fp))
     return library, a
@@ -361,8 +376,8 @@ def _load_source(pattern, automaton_path, window):
 def determinize(pattern, automaton_path, window, out, dot, stats):
     """Determinize a windowed pattern (or saved unrolled automaton)."""
     with _mapped_errors():
-        _, source = _load_source(pattern, automaton_path, window)
-        _emit_automaton(compiler.determinize(source), out, dot, stats)
+        _, a = _load_source(pattern, automaton_path, window, compiler.compile_windowed)
+        _emit_automaton(compiler.determinize(a), out, dot, stats)
 
 
 @main.command()
@@ -376,8 +391,8 @@ def determinize(pattern, automaton_path, window, out, dot, stats):
 def complement(pattern, automaton_path, window, out, dot, stats):
     """Complete and complement a windowed pattern (or saved deterministic automaton)."""
     with _mapped_errors():
-        _, source = _load_source(pattern, automaton_path, window)
-        _emit_automaton(compiler.complete_and_complement(source), out, dot, stats)
+        _, a = _load_source(pattern, automaton_path, window, lambda e: _build_stage(e, "dsra"))
+        _emit_automaton(compiler.complete_and_complement(a), out, dot, stats)
 
 
 @main.command(name="to-srem")
@@ -388,11 +403,11 @@ def complement(pattern, automaton_path, window, out, dot, stats):
 def to_srem(pattern, automaton_path, out):
     """Translate an automaton back into an equivalent pattern."""
     with _mapped_errors():
-        library, source = _load_source(pattern, automaton_path, None)
-        if isinstance(source, Expr):
-            body = source.body if isinstance(source, Window) else source
-            source = compiler.compile_expr(body)
-        expr_back = compiler.sra_to_srem(source)
+        library, a = _load_source(
+            pattern, automaton_path, None,
+            lambda e: compiler.compile_expr(e.body if isinstance(e, Window) else e),
+        )
+        expr_back = compiler.sra_to_srem(a)
         with _output(out) as fp:
             fp.write(unparse_pattern(library, expr_back) + "\n")
 
@@ -424,7 +439,7 @@ def learn(pattern, train, fmt, window, max_order, p_min, ratio, gamma, alpha, st
     # and a failed training leaves no model file behind.
     with _mapped_errors(), _output(out) as out_fp:
         _, expr = _load_pattern(pattern, window)
-        d = compiler.complete(compiler.determinize(expr))
+        d = compiler.complete(_build_stage(expr, "dsra"))
         symbol_map = SymbolMap.for_automaton(d)
         with contextlib.closing(_open_input(train)) as fp:
             events = list(read_events(fp, fmt, strict, _stderr_diagnostic))

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Hashable, Iterable, Optional, Union
+from typing import Callable, Hashable, Iterable, Optional
 
 from .algebra import (
     And,
@@ -516,9 +516,11 @@ def unroll(a: Sra, width: int) -> tuple[Sra, UnrollMaps]:
 
 def compile_windowed(e: Expr) -> Sra:
     """Full pipeline for a windowed expression: compile the body, eliminate
-    ε-moves, normalize to single-write, unroll to the window width."""
+    ε-moves, normalize to single-write, unroll to the window width. This is
+    the route from a pattern to the constructions below, which take
+    automata."""
     if not isinstance(e, Window):
-        raise NotWindowed("compile_windowed needs an outermost window")
+        raise NotWindowed("unrolling needs a window (use 'within N' or --window)")
     a = compile_expr(e.body)
     a = eliminate_epsilon(a)
     a = to_single_register(a)
@@ -530,9 +532,9 @@ def compile_windowed(e: Expr) -> Sra:
 # Determinization and complement
 
 
-def determinize(source: Union[Expr, Sra]) -> Sra:
-    """Powerset construction with minterm labels over an unrolled automaton
-    (or a windowed expression, which is compiled and unrolled first).
+def determinize(a: Sra) -> Sra:
+    """Powerset construction with minterm labels over an unrolled automaton,
+    such as `compile_windowed` builds.
 
     States are the sets of original states reachable from {start}. Per
     subset, the distinct outgoing conditions generate minterms, less those
@@ -543,14 +545,6 @@ def determinize(source: Union[Expr, Sra]) -> Sra:
     outgoing conditions share one minterm family, generated once per call.
     Exactly one minterm fires for any (event, valuation), so the result is
     deterministic."""
-    if isinstance(source, Expr):
-        if not isinstance(source, Window):
-            raise NotWindowed(
-                "only windowed expressions determinize (general expressions have no"
-                " deterministic equivalent)"
-            )
-        source = compile_windowed(source)
-    a = source
     if a.has_epsilon or not a.is_acyclic():
         raise NotUnrolled("determinize needs an acyclic epsilon-free automaton")
     families: dict[tuple[Condition, ...], tuple] = {}
@@ -605,16 +599,13 @@ def complete(a: Sra) -> Sra:
     )
 
 
-def complete_and_complement(source: Union[Expr, Sra]) -> Sra:
-    """Complete the automaton, then swap final and non-final status of every
-    state (the dead state included), accepting exactly the strings the input
-    rejects. Windowed expressions are determinized internally; automata must
-    already be deterministic."""
-    if isinstance(source, Expr):
-        source = determinize(source)
-    elif not source.deterministic or source.has_epsilon:
+def complete_and_complement(a: Sra) -> Sra:
+    """Complete a deterministic automaton, then swap final and non-final
+    status of every state (the dead state included), accepting exactly the
+    strings the input rejects."""
+    if not a.deterministic or a.has_epsilon:
         raise NotDeterministic("complement needs a deterministic epsilon-free automaton")
-    completed = complete(source)
+    completed = complete(a)
     return replace(completed, finals=completed.states - completed.finals)
 
 

@@ -183,9 +183,13 @@ def to_streaming(e: Expr) -> Expr:
 
 
 # The deepest expression nesting `parse` accepts, counting the condition
-# inside each leaf. The recursive walks over a parsed pattern (compilation,
-# unparsing) stay within Python's default recursion limit up to this depth.
+# inside each leaf, and the most negations and parentheses any parsed
+# condition nests. The recursive walks over a parsed pattern or condition
+# (compilation, unparsing) stay within Python's default recursion limit up
+# to this depth.
 MAX_NESTING = 400
+
+_TOO_DEEP = "parentheses or negations nest too deeply to parse"
 
 
 # ---------------------------------------------------------------------------
@@ -438,34 +442,39 @@ class _Parser:
 
     # -- condition grammar
 
-    def parse_condition(self) -> Condition:
-        cond = self.parse_cond_and()
+    # `depth` counts the negations and parentheses around the condition
+    # being parsed; `&` and `|` chains do not nest, so they are unbounded.
+
+    def parse_condition(self, depth: int = 0) -> Condition:
+        cond = self.parse_cond_and(depth)
         while self.peek().text == "|":
             self.advance()
-            cond = Or(cond, self.parse_cond_and())
+            cond = Or(cond, self.parse_cond_and(depth))
         return cond
 
-    def parse_cond_and(self) -> Condition:
-        cond = self.parse_cond_unary()
+    def parse_cond_and(self, depth: int) -> Condition:
+        cond = self.parse_cond_unary(depth)
         while self.peek().text == "&":
             self.advance()
-            cond = And(cond, self.parse_cond_unary())
+            cond = And(cond, self.parse_cond_unary(depth))
         return cond
 
-    def parse_cond_unary(self) -> Condition:
+    def parse_cond_unary(self, depth: int) -> Condition:
+        if depth > MAX_NESTING:
+            raise self.error(_TOO_DEEP)
         if self.peek().text == "!":
             self.advance()
-            return Not(self.parse_cond_unary())
-        return self.parse_cond_atom()
+            return Not(self.parse_cond_unary(depth + 1))
+        return self.parse_cond_atom(depth)
 
-    def parse_cond_atom(self) -> Condition:
+    def parse_cond_atom(self, depth: int) -> Condition:
         tok = self.peek()
         if tok.text == "TRUE":
             self.advance()
             return TRUE
         if tok.text == "(":
             self.advance()
-            cond = self.parse_condition()
+            cond = self.parse_condition(depth + 1)
             self.expect(")")
             return cond
         if tok.kind == "name" and tok.text not in _KEYWORDS:
@@ -508,7 +517,7 @@ def _parse_all(parser: _Parser, rule: Callable[[_Parser], _T]) -> _T:
     try:
         result = rule(parser)
     except RecursionError:
-        raise parser.error("parentheses or negations nest too deeply to parse") from None
+        raise parser.error(_TOO_DEEP) from None
     tok = parser.peek()
     if tok.kind != "eof":
         raise parser.error(f"unexpected trailing input {tok.text!r}")

@@ -256,5 +256,5 @@ def load(source: Union[str, IO[str]]) -> dict:
         else:
             text = source.read()
         return json.loads(text.removeprefix("\ufeff"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedDocument(f"not a JSON document ({exc})") from exc

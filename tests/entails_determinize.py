@@ -11,7 +11,7 @@ states, never fewer."""
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from cerf.algebra import (
     TRUE,
@@ -24,15 +24,7 @@ from cerf.algebra import (
     entails,
 )
 from cerf.automaton import Sra
-from cerf.compiler import (
-    Move,
-    NotUnrolled,
-    NotWindowed,
-    _reachable,
-    _set_name,
-    compile_windowed,
-)
-from cerf.pattern import Expr, Window
+from cerf.compiler import Move, NotUnrolled, _reachable, _set_name
 
 
 def minterms(conditions: Sequence[Condition]) -> tuple[Condition, ...]:
@@ -75,9 +67,8 @@ def minterms(conditions: Sequence[Condition]) -> tuple[Condition, ...]:
     return tuple(out)
 
 
-def determinize(source: Union[Expr, Sra]) -> Sra:
-    """Powerset construction with minterm labels over an unrolled automaton
-    (or a windowed expression, which is compiled and unrolled first).
+def determinize(a: Sra) -> Sra:
+    """Powerset construction with minterm labels over an unrolled automaton.
 
     States are the sets of original states reachable from {start}. Per
     subset, the distinct outgoing conditions generate minterms, less those
@@ -86,14 +77,6 @@ def determinize(source: Union[Expr, Sra]) -> Sra:
     transition to the set of entailed targets, writing the union of their
     write registers. Exactly one minterm fires for any (event, valuation),
     so the result is deterministic."""
-    if isinstance(source, Expr):
-        if not isinstance(source, Window):
-            raise NotWindowed(
-                "only windowed expressions determinize (general expressions have no"
-                " deterministic equivalent)"
-            )
-        source = compile_windowed(source)
-    a = source
     if a.has_epsilon or not a.is_acyclic():
         raise NotUnrolled("determinize needs an acyclic epsilon-free automaton")
 

@@ -314,7 +314,7 @@ def test_acceptance_08_tree_learning_recovers_markov_source():
 def test_acceptance_09_step_cost_is_bounded_by_automaton_constants():
     with _criterion(9):
         _, e3 = parse(E3_TEXT)
-        d = complete(determinize(e3))
+        d = complete(determinize(compile_windowed(e3)))
         max_out_degree = max(len(d.out(q)) for q in d.states)
         register_count = len(d.registers)
 

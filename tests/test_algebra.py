@@ -452,6 +452,21 @@ class TestConditionHelpers:
         assert entails(chain, reads[0]) and entails(chain, Not(kind_a))
         assert not entails(chain, kind_a)
 
+    def test_deep_chains_hash_and_compare_without_recursion(self):
+        # `complete` guards a state with one left-nested chain of negated
+        # minterms, and a symbol map hashes it
+        lib = universe_library()
+
+        def chain(last):
+            reads = [Not(Atom(lib.get("SameNum"), (CURRENT, Register(f"r{i % 7}"))))
+                     for i in range(20_000)]
+            return conjoin(reads + [Atom(lib.get(last), (CURRENT,))])
+
+        one, other = chain("KindA"), chain("KindA")
+        assert one is not other and hash(one) == hash(other)
+        assert one == other and {one: 1}[other] == 1
+        assert one != chain("KindB")
+
     def test_substitute_registers(self):
         cond = _atom("SameNum", CURRENT, R1)
         swapped = substitute_registers(cond, {R1: R2})

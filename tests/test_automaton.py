@@ -291,7 +291,7 @@ class TestDeterministicRunner:
             "\n"
             "(TRUE* ; (KindA(~) -> r1) ; TRUE* ; SameNum(~, r1)) within 3"
         )
-        d = compiler.complete(compiler.determinize(e3))
+        d = compiler.complete(compiler.determinize(compiler.compile_windowed(e3)))
         return DeterministicRunner(d), d
 
     def test_requires_deterministic_flag(self, t_then_h):
@@ -361,7 +361,7 @@ class TestDeterministicRunner:
         # the step cost is exactly the 1-based position of the taken
         # transition among the state's outgoing transitions
         _, e3 = parse(E3_TEXT)
-        d = compiler.complete(compiler.determinize(Window(e3.body, 4)))
+        d = compiler.complete(compiler.determinize(compiler.compile_windowed(Window(e3.body, 4))))
         rng = Random(7)
         positions = []
         for _ in range(40):
@@ -453,7 +453,7 @@ class TestRegisterProjection:
 
     def test_map_is_built_on_first_write_only(self):
         _, e3 = parse(E3_TEXT)
-        d = compiler.determinize(e3)
+        d = compiler.determinize(compiler.compile_windowed(e3))
         assert "observed_attributes" not in vars(d)
         runner = DeterministicRunner(d)
         runner.step(Event.of(type="H", id=1))
@@ -463,7 +463,7 @@ class TestRegisterProjection:
 
     def test_conditions_are_compiled_once_as_states_are_reached(self, monkeypatch):
         _, e3 = parse(E3_TEXT)
-        d = compiler.complete(compiler.determinize(Window(e3.body, 4)))
+        d = compiler.complete(compiler.determinize(compiler.compile_windowed(Window(e3.body, 4))))
         compiled = []
         original = algebra._compile_node
         monkeypatch.setattr(
@@ -503,7 +503,7 @@ class TestRegisterProjection:
 
     def test_shared_condition_nodes_are_walked_once(self, monkeypatch):
         _, e3 = parse(E3_TEXT)
-        d = compiler.complete(compiler.determinize(Window(e3.body, 4)))
+        d = compiler.complete(compiler.determinize(compiler.compile_windowed(Window(e3.body, 4))))
         conditions = [t.condition for t in d.transitions]
         nodes = [node for c in conditions for node in algebra._walk(c)]
         distinct = {id(node) for node in nodes}

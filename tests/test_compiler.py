@@ -222,13 +222,13 @@ class TestUnroll:
                 expected = accepts(body, s) and len(s) <= w
                 assert run_accepts(u, s) == expected, (unparse(body), w)
 
+    def test_compile_windowed_needs_a_window(self):
+        _, e1 = parse(E1_TEXT)
+        with pytest.raises(NotWindowed, match="unrolling needs a window"):
+            compile_windowed(e1)
+
 
 class TestDeterminize:
-    def test_needs_window_for_expressions(self):
-        _, e1 = parse(E1_TEXT)
-        with pytest.raises(NotWindowed):
-            determinize(e1)
-
     def test_needs_unrolled_for_automata(self, t_then_h):
         with pytest.raises(NotUnrolled):
             determinize(t_then_h)
@@ -248,14 +248,14 @@ class TestDeterminize:
 
             monkeypatch.setattr(compiler, name, counting)
         _, e3 = parse(E3_TEXT)
-        determinize(e3)
+        determinize(compile_windowed(e3))
         assert calls == {"minterms": 7, "entails": 0}
         monkeypatch.undo()
         assert compiler.entails is algebra.entails
 
     def test_deterministic_flag_and_single_run(self):
         _, e3 = parse(E3_TEXT)
-        d = determinize(e3)
+        d = determinize(compile_windowed(e3))
         assert d.deterministic
         stream = make_table1()
         for s in (stream[:2], stream[:3], stream[1:4]):
@@ -266,7 +266,7 @@ class TestDeterminize:
 
     def test_start_state_minterm_split(self):
         _, e3 = parse(E3_TEXT)
-        d = determinize(e3)
+        d = determinize(compile_windowed(e3))
         out = d.out(d.start)
         assert len(out) == 2
         writing = [t for t in out if t.writes]
@@ -277,7 +277,7 @@ class TestDeterminize:
     def test_language_preserved(self):
         sensor_events = make_table1()
         _, e3 = parse(E3_TEXT)
-        d = determinize(e3)
+        d = determinize(compile_windowed(e3))
         u = compile_windowed(e3)
         for s in all_strings(sensor_events[:3], 3):
             assert run_accepts(d, s) == run_accepts(u, s) == accepts(e3, s)
@@ -301,7 +301,7 @@ class TestPrunedDeterminize:
         _, e3 = parse(E3_TEXT)
         sizes = {}
         for width in E3_SIZES:
-            d = determinize(Window(e3.body, width))
+            d = determinize(compile_windowed(Window(e3.body, width)))
             sizes[width] = (len(d.states), len(d.transitions))
         assert sizes == E3_SIZES
 
@@ -310,7 +310,7 @@ class TestPrunedDeterminize:
         _, e3 = parse(E3_TEXT)
         e = Window(e3.body, width)
         want = {key: bool(v) for key, v in oracle_dfs(e, E3_UNIVERSE, width).items()}
-        assert acceptance_dfs(determinize(e), E3_UNIVERSE, width) == want
+        assert acceptance_dfs(determinize(compile_windowed(e)), E3_UNIVERSE, width) == want
 
 
 class TestSignedDeterminize:
@@ -321,8 +321,8 @@ class TestSignedDeterminize:
     @pytest.mark.parametrize("width", range(1, 8))
     def test_e3_documents_equal_the_reference(self, width):
         _, e3 = parse(E3_TEXT)
-        e = Window(e3.body, width)
-        assert automaton_to_doc(determinize(e)) == automaton_to_doc(entails_determinize.determinize(e))
+        u = compile_windowed(Window(e3.body, width))
+        assert automaton_to_doc(determinize(u)) == automaton_to_doc(entails_determinize.determinize(u))
 
     def test_random_expressions_are_no_larger_than_the_reference(self):
         # Acceptance 04's generator, three times as far.
@@ -347,7 +347,7 @@ class TestSignedDeterminize:
         generated = {}
         for width in range(3, 8):
             calls.clear()
-            determinize(Window(e3.body, width))
+            determinize(compile_windowed(Window(e3.body, width)))
             generated[width] = len(calls)
         assert generated == {3: 7, 4: 14, 5: 28, 6: 59, 7: 118}
 
@@ -355,14 +355,14 @@ class TestSignedDeterminize:
 class TestComplete:
     def test_every_state_gets_an_out_transition(self):
         _, e3 = parse(E3_TEXT)
-        c = complete(determinize(e3))
+        c = complete(determinize(compile_windowed(e3)))
         for q in c.states:
             assert c.out(q)
 
     def test_exactly_one_transition_fires(self):
         lib = universe_library()
         _, e = parse("(TRUE* ; (KindA(~) -> r1) ; SameNum(~, r1)) within 2", lib)
-        c = complete(determinize(e))
+        c = complete(determinize(compile_windowed(e)))
         for q in c.states:
             for ev in UNIVERSE:
                 for bind in [None, UNIVERSE[0], UNIVERSE[3]]:
@@ -379,7 +379,7 @@ class TestComplete:
 
     def test_language_unchanged(self):
         _, e3 = parse(E3_TEXT)
-        d = determinize(e3)
+        d = determinize(compile_windowed(e3))
         c = complete(d)
         stream = make_table1()
         for s in all_strings(stream[:3], 3):
@@ -387,8 +387,8 @@ class TestComplete:
 
     def test_dead_state_loops_forever(self):
         _, e3 = parse(E3_TEXT)
-        c = complete(determinize(e3))
-        dead = next(q for q in c.states if q not in determinize(e3).states)
+        c = complete(determinize(compile_windowed(e3)))
+        dead = next(q for q in c.states if q not in determinize(compile_windowed(e3)).states)
         loops = [t for t in c.out(dead) if t.target == dead]
         assert len(loops) == 1 and loops[0].condition is TRUE
 
@@ -403,8 +403,8 @@ class TestComplement:
     def test_partitions_string_space(self):
         sensor_events = make_table1()
         _, e3 = parse(E3_TEXT)
-        pos = complete(determinize(e3))
-        neg = complete_and_complement(e3)
+        pos = complete(determinize(compile_windowed(e3)))
+        neg = complete_and_complement(determinize(compile_windowed(e3)))
         for s in all_strings(sensor_events[:3], 4):
             assert run_accepts(pos, s) != run_accepts(neg, s)
 
@@ -416,8 +416,8 @@ class TestComplement:
 
     def test_dead_state_becomes_accepting(self):
         _, e3 = parse(E3_TEXT)
-        d = determinize(e3)
-        neg = complete_and_complement(e3)
+        d = determinize(compile_windowed(e3))
+        neg = complete_and_complement(d)
         dead = next(q for q in neg.states if q not in d.states)
         assert dead in neg.finals
 

@@ -6,7 +6,7 @@ import pytest
 
 from cerf.algebra import CURRENT, Atom, Event, comparison_predicate
 from cerf.automaton import DeterministicRunner, NoTransition, NotDeterministic, Sra, Transition
-from cerf.compiler import complete, determinize
+from cerf.compiler import compile_windowed, complete, determinize
 from cerf.forecast import (
     InsufficientData,
     NotComplete,
@@ -93,7 +93,7 @@ class TestSymbolize:
 
     def test_completed_pipeline_on_table1(self):
         _, e3 = parse(E3_TEXT)
-        d = complete(determinize(e3))
+        d = complete(determinize(compile_windowed(e3)))
         smap = SymbolMap.for_automaton(d)
         stream = make_table1()
         symbols = symbolize(d, stream, smap)
@@ -103,7 +103,7 @@ class TestSymbolize:
 
     def test_incomplete_raises(self):
         _, e3 = parse(E3_TEXT)
-        d = determinize(e3)
+        d = determinize(compile_windowed(e3))
         smap = SymbolMap.for_automaton(d)
         with pytest.raises(NoTransition):
             symbolize(d, make_table1(), smap)
@@ -270,7 +270,7 @@ def _learned_e3_model():
     """E3 within 4, completed, with a tree learned from the symbols of many
     short seeded streams, each run from the start state."""
     _, e3 = parse(E3_TEXT)
-    d = complete(determinize(Window(e3.body, 4)))
+    d = complete(determinize(compile_windowed(Window(e3.body, 4))))
     smap = SymbolMap.for_automaton(d)
     rng = Random(8)
     symbols = []

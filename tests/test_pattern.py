@@ -211,6 +211,18 @@ class TestParseErrors:
         # long conjunctions in saved automata are not bounded by MAX_NESTING
         chain = parse_condition(" & ".join(["KindA(~)"] * 1500), lib)
         assert isinstance(chain, And)
+        assert hash(chain) == hash(parse_condition(" & ".join(["KindA(~)"] * 1500), lib))
+
+    def test_condition_negations_and_parentheses_are_bounded(self):
+        # compiling a saved condition takes two frames per negation
+        lib = universe_library()
+        at_bound = "!" * (MAX_NESTING - 1) + "(KindA(~))"
+        assert parse_condition(at_bound, lib) == parse_condition(at_bound, lib)
+        for text in ("!" * (MAX_NESTING + 1) + "KindA(~)", "!" * 700 + "KindA(~)",
+                     "!(" * (MAX_NESTING // 2 + 1) + "KindA(~)" + ")" * (MAX_NESTING // 2 + 1)):
+            with pytest.raises(PatternSyntaxError) as err:
+                parse_condition(text, lib)
+            assert "nest too deeply" in str(err.value)
 
 
 class TestRegisterHelpers:

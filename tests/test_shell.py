@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import itertools
@@ -30,7 +31,14 @@ from cerf.automaton import (
     run_accepts,
 )
 from cerf.cli import MalformedInput, main, read_events
-from cerf.compiler import NotUnrolled, NotWindowed, WindowedInput, complete, determinize
+from cerf.compiler import (
+    NotUnrolled,
+    NotWindowed,
+    WindowedInput,
+    compile_windowed,
+    complete,
+    determinize,
+)
 from cerf.forecast import NotComplete, Pst, SymbolMap
 from cerf.pattern import MAX_NESTING, Oracle, accepts, parse
 
@@ -66,7 +74,7 @@ def _indexes(stdout):
 class TestSerializeAutomaton:
     def test_round_trip_preserves_language_and_shape(self):
         _, e3 = parse(E3_TEXT)
-        d = determinize(e3)
+        d = determinize(compile_windowed(e3))
         doc = serialize.automaton_to_doc(d)
         back, _library = serialize.automaton_from_doc(doc)
         assert back.stats() == d.stats()
@@ -78,7 +86,7 @@ class TestSerializeAutomaton:
 
     def test_round_trip_keeps_footprints(self):
         _, e3 = parse(E3_TEXT)
-        d = determinize(e3)
+        d = determinize(compile_windowed(e3))
         back, library = serialize.automaton_from_doc(serialize.automaton_to_doc(d))
         assert back.observed_attributes == d.observed_attributes
         assert set(back.observed_attributes.values()) == {frozenset({"id"})}
@@ -136,7 +144,7 @@ class TestSerializeAutomaton:
         ps = " + ".join(f"P{i}(~)" for i in range(n))
         qs = " + ".join(f"Q{i}(~)" for i in range(n))
         _, expr = parse(f"{declarations}\n(({ps}) ; ({qs})) within 2\n")
-        d = complete(determinize(expr))
+        d = complete(determinize(compile_windowed(expr)))
         tracemalloc.start()
         try:
             doc = serialize.automaton_to_doc(d)
@@ -200,7 +208,7 @@ class TestSerializeAutomaton:
 class TestSerializeModel:
     def _model(self):
         _, e3 = parse(E3_TEXT)
-        d = complete(determinize(e3))
+        d = complete(determinize(compile_windowed(e3)))
         smap = SymbolMap.for_automaton(d)
         from cerf.forecast import symbolize
 
@@ -581,6 +589,43 @@ class TestRecognizeCommand:
         )
         assert strict.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ('{"type": "T", "id": ' + "9" * 5000 + "}", "too many digits"),
+            ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+        ],
+        ids=["long-integer", "deep-arrays"],
+    )
+    def test_undecodable_json_is_a_malformed_line(self, runner, workdir, line, reason):
+        # past Python's integer-string digit limit, and past its recursion limit
+        lines = TABLE1_JSONL.splitlines()
+        lines.insert(2, line)
+        Path("dirty.jsonl").write_text("\n".join(lines) + "\n")
+        tolerant = runner.invoke(main, ["recognize", "e1.pat", "--input", "dirty.jsonl"])
+        assert tolerant.exit_code == 0, tolerant.output
+        assert _indexes(tolerant.stdout) == [4, 5]
+        assert "line 3" in tolerant.stderr and reason in tolerant.stderr
+        strict = runner.invoke(
+            main, ["recognize", "e1.pat", "--input", "dirty.jsonl", "--strict"]
+        )
+        assert strict.exit_code == 2 and "line 3" in strict.stderr
+
+    def test_csv_cell_past_the_field_limit_is_a_malformed_row(self, runner, workdir):
+        rows = TABLE1_CSV.splitlines()
+        rows.insert(3, "T,2," + "9" * (csv.field_size_limit() + 1))
+        Path("dirty.csv").write_text("\n".join(rows) + "\n")
+        args = ["recognize", "e1.pat", "--input", "dirty.csv", "--format", "csv"]
+        tolerant = runner.invoke(main, args)
+        assert tolerant.exit_code == 0, tolerant.output
+        assert _indexes(tolerant.stdout) == [4, 5]
+        assert "line 4" in tolerant.stderr and "field limit" in tolerant.stderr
+        strict = runner.invoke(main, [*args, "--strict"])
+        assert strict.exit_code == 2 and "line 4" in strict.stderr
+        Path("dirty.csv").write_text("x" * (csv.field_size_limit() + 1) + "\n" + TABLE1_CSV)
+        header = runner.invoke(main, args)
+        assert header.exit_code == 2 and "bad CSV header" in header.stderr
+
     def test_report_empty_match(self, runner, workdir):
         Path("any.pat").write_text("TRUE*\n")
         result = runner.invoke(
@@ -665,6 +710,46 @@ class TestPipelineCommands:
         result = runner.invoke(main, ["determinize", "--automaton", "u.json"])
         assert result.exit_code == 2
         assert "nest too deeply" in result.stderr
+
+    @pytest.mark.parametrize("command", ["determinize", "forecast"])
+    @pytest.mark.parametrize("nesting", ["arrays", "negations"])
+    def test_saved_document_nested_too_deeply_exits_2(self, runner, workdir, command, nesting):
+        if command == "determinize":
+            runner.invoke(main, ["compile", "e3.pat", "--stage", "nsra-unrolled", "--out", "a.json"])
+            args = ["determinize", "--automaton", "a.json"]
+        else:
+            runner.invoke(main, ["learn", "e3.pat", "--train", "events.jsonl", "--max-order", "1",
+                                 "--out", "a.json"])
+            args = ["forecast", "--model", "a.json", "--input", "events.jsonl"]
+        if nesting == "arrays":
+            Path("a.json").write_text("[" * 100_000 + "]" * 100_000)
+        else:
+            doc = json.loads(Path("a.json").read_text())
+            t = (doc if command == "determinize" else doc["automaton"])["transitions"][0]
+            t["condition"] = "!" * 700 + "(" + t["condition"] + ")"
+            Path("a.json").write_text(json.dumps(doc))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        wanted = "not a JSON document" if nesting == "arrays" else "nest too deeply"
+        assert wanted in result.stderr
+
+    def test_unwindowed_pattern_fails_alike_everywhere(self, runner, workdir):
+        # every route to an unrolled machine goes through compile_windowed
+        for args in (
+            ["compile", "e1.pat", "--stage", "nsra-unrolled"],
+            ["compile", "e1.pat", "--stage", "dsra"],
+            ["compile", "e1.pat", "--stage", "complement"],
+            ["determinize", "e1.pat"],
+            ["complement", "e1.pat"],
+            ["learn", "e1.pat", "--train", "events.jsonl", "--out", "model.json"],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 3, (args, result.output)
+            assert result.stderr == (
+                "error: unrolling needs a window (use 'within N' or --window)\n"
+            ), args
+            assert result.stdout == ""
 
     def test_precondition_failures_exit_3(self, runner, workdir):
         runner.invoke(main, ["compile", "e3.pat", "--stage", "nsra-unrolled", "--out", "u.json"])
@@ -788,6 +873,26 @@ class TestLearnAndForecast:
              "--out", "model.json"],
         )
         assert result.exit_code == 5
+
+    def test_nine_alternatives_learn_and_forecast(self, runner, workdir):
+        # `complete` guards the start state with one chain of 511 negated
+        # minterms, which the symbol map hashes
+        declarations = "".join(f"pred A{i}(x): x.a{i} == 1\n" for i in range(9))
+        alternatives = " + ".join(f"A{i}(~)" for i in range(9))
+        Path("wide.pat").write_text(f"{declarations}\n({alternatives}) within 1\n")
+        rng = random.Random(7)
+        Path("wide.jsonl").write_text("".join(
+            json.dumps({f"a{i}": rng.randint(0, 1) for i in range(9)}) + "\n" for _ in range(50)
+        ))
+        learned = runner.invoke(
+            main,
+            ["learn", "wide.pat", "--train", "wide.jsonl", "--max-order", "1",
+             "--out", "model.json"],
+        )
+        assert learned.exit_code == 0, learned.output
+        result = runner.invoke(main, ["forecast", "--model", "model.json", "--input", "wide.jsonl"])
+        assert result.exit_code == 0, result.output
+        assert _indexes(result.stdout) == list(range(1, 51))
 
     def test_forecast_stream(self, runner, workdir):
         self._train_file()
