@@ -18,18 +18,10 @@ import random
 import stat
 import sys
 from collections import deque
-from typing import IO, Callable, Iterator, Optional
+from typing import IO, TYPE_CHECKING, Callable, Iterator, Optional
 
-from . import __version__, compiler, forecast, serialize
+from . import __version__
 from .algebra import Event, UnknownPredicate
-from .automaton import (
-    ConfigurationCapExceeded,
-    DeterministicRunner,
-    PreconditionFailed,
-    Sra,
-    StreamEngine,
-)
-from .forecast import InsufficientData, Pst, SymbolMap, symbolize
 from .pattern import (
     Expr,
     Oracle,
@@ -39,12 +31,16 @@ from .pattern import (
     parse,
     unparse_pattern,
 )
-from .serialize import MalformedDocument
 
-# Imported after the package's modules: run from source, each of them is
-# compiled on import, and compiling them before click is loaded keeps about
-# 0.7 MB (4%) off every command's peak RSS.
+# Every command reads pattern syntax (a pattern file, or the conditions of a
+# saved document), so `algebra` and `pattern` load here; each command imports
+# the other modules it runs when it runs. Run from source, each module is
+# compiled on import, and compiling these two before click is loaded keeps
+# their compile off every command's peak RSS.
 import click
+
+if TYPE_CHECKING:
+    from .automaton import Sra
 
 
 class MalformedInput(ValueError):
@@ -58,20 +54,30 @@ def _fail(code: int, message: str) -> None:
 
 @contextlib.contextmanager
 def _mapped_errors():
+    """Report each failure a user can cause as one error line and its
+    documented exit code; anything else propagates. The classes are
+    imported only when a command fails, so no command loads a module just
+    to name what it might raise."""
     try:
         yield
-    except ConfigurationCapExceeded as exc:
-        _fail(4, str(exc))
-    except InsufficientData as exc:
-        _fail(5, str(exc))
-    except PatternSyntaxError as exc:
-        _fail(2, str(exc))
-    except (UnknownPredicate, UnknownRegister) as exc:
-        _fail(2, str(exc.args[0] if exc.args else exc))
-    except (MalformedInput, MalformedDocument) as exc:
-        _fail(2, str(exc))
-    except PreconditionFailed as exc:
-        _fail(3, str(exc))
+    except Exception as exc:
+        from .automaton import ConfigurationCapExceeded, PreconditionFailed
+        from .forecast import InsufficientData
+        from .serialize import MalformedDocument
+
+        if isinstance(exc, ConfigurationCapExceeded):
+            _fail(4, str(exc))
+        if isinstance(exc, InsufficientData):
+            _fail(5, str(exc))
+        if isinstance(exc, PatternSyntaxError):
+            _fail(2, str(exc))
+        if isinstance(exc, (UnknownPredicate, UnknownRegister)):
+            _fail(2, str(exc.args[0] if exc.args else exc))
+        if isinstance(exc, (MalformedInput, MalformedDocument)):
+            _fail(2, str(exc))
+        if isinstance(exc, PreconditionFailed):
+            _fail(3, str(exc))
+        raise
 
 
 class _Range(click.FloatRange):
@@ -266,6 +272,8 @@ def _load_pattern(path: str, window: Optional[int]):
 def _build_stage(expr: Expr, stage: str) -> Sra:
     """The pattern's automaton at one stage of the pipeline; each stage past
     "sra" is built from the one before it."""
+    from . import compiler
+
     if stage == "sra":
         body = expr.body if isinstance(expr, Window) else expr
         return compiler.eliminate_epsilon(compiler.compile_expr(body))
@@ -279,6 +287,8 @@ def _build_stage(expr: Expr, stage: str) -> Sra:
 
 
 def _emit_automaton(a: Sra, out: Optional[str], dot: Optional[str], stats: bool) -> None:
+    from . import serialize
+
     # With --dot, one memo renders each condition node once for both files.
     memo = {} if dot else None
     doc = serialize.automaton_to_doc(a, memo)
@@ -340,6 +350,9 @@ def compile_cmd(pattern, stage, window, out, dot, stats):
 @click.option("--strict", is_flag=True, help="Abort on the first malformed input line.")
 def recognize(pattern, input_path, fmt, window, cap, report_empty_match, strict):
     """Run a pattern over an event stream, reporting match indexes as JSONL."""
+    from . import compiler
+    from .automaton import StreamEngine
+
     with _mapped_errors():
         _, expr = _load_pattern(pattern, window)
         stage = "nsra-unrolled" if isinstance(expr, Window) else "sra"
@@ -360,6 +373,8 @@ def _load_source(pattern, automaton_path, window, build: Callable[[Expr], Sra]):
     if automaton_path is None:
         library, expr = _load_pattern(pattern, window)
         return library, build(expr)
+    from . import serialize
+
     with _open(automaton_path) as fp:
         a, library = serialize.automaton_from_doc(serialize.load(fp))
     return library, a
@@ -375,6 +390,8 @@ def _load_source(pattern, automaton_path, window, build: Callable[[Expr], Sra]):
 @click.option("--stats", is_flag=True)
 def determinize(pattern, automaton_path, window, out, dot, stats):
     """Determinize a windowed pattern (or saved unrolled automaton)."""
+    from . import compiler
+
     with _mapped_errors():
         _, a = _load_source(pattern, automaton_path, window, compiler.compile_windowed)
         _emit_automaton(compiler.determinize(a), out, dot, stats)
@@ -390,6 +407,8 @@ def determinize(pattern, automaton_path, window, out, dot, stats):
 @click.option("--stats", is_flag=True)
 def complement(pattern, automaton_path, window, out, dot, stats):
     """Complete and complement a windowed pattern (or saved deterministic automaton)."""
+    from . import compiler
+
     with _mapped_errors():
         _, a = _load_source(pattern, automaton_path, window, lambda e: _build_stage(e, "dsra"))
         _emit_automaton(compiler.complete_and_complement(a), out, dot, stats)
@@ -402,6 +421,8 @@ def complement(pattern, automaton_path, window, out, dot, stats):
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 def to_srem(pattern, automaton_path, out):
     """Translate an automaton back into an equivalent pattern."""
+    from . import compiler
+
     with _mapped_errors():
         library, a = _load_source(
             pattern, automaton_path, None,
@@ -435,16 +456,18 @@ def to_srem(pattern, automaton_path, out):
               help="Where to write the learned model document.")
 def learn(pattern, train, fmt, window, max_order, p_min, ratio, gamma, alpha, strict, out):
     """Learn a forecasting model for a windowed pattern from a training stream."""
+    from . import compiler, forecast, serialize
+
     # The model file is opened before training, so a bad --out fails at once,
     # and a failed training leaves no model file behind.
     with _mapped_errors(), _output(out) as out_fp:
         _, expr = _load_pattern(pattern, window)
         d = compiler.complete(_build_stage(expr, "dsra"))
-        symbol_map = SymbolMap.for_automaton(d)
+        symbol_map = forecast.SymbolMap.for_automaton(d)
         with contextlib.closing(_open_input(train)) as fp:
             events = list(read_events(fp, fmt, strict, _stderr_diagnostic))
-        symbols = symbolize(d, events, symbol_map)
-        pst = Pst.learn(
+        symbols = forecast.symbolize(d, events, symbol_map)
+        pst = forecast.Pst.learn(
             symbols,
             max_order=max_order,
             p_min=p_min,
@@ -477,6 +500,9 @@ def forecast_cmd(model, input_path, fmt, horizon, classify_window, threshold, em
         raise click.UsageError(
             f"--classify-window ({classify_window}) must not exceed --horizon ({horizon})"
         )
+    from . import forecast, serialize
+    from .automaton import DeterministicRunner
+
     with _mapped_errors():
         with _open(model) as fp:
             d, symbol_map, pst, _library = serialize.model_from_doc(serialize.load(fp))

@@ -5,7 +5,7 @@ expression."""
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from typing import Callable, Hashable, Iterable, Optional
 
@@ -655,11 +655,20 @@ def sra_to_srem(a: Sra) -> Expr:
     sink = _fresh_state("gf", frozenset(b.states | {source}))
 
     label: dict[tuple[str, str], Expr] = {}
+    # How many labeled edges touch each state, a loop once: kept as edges
+    # come and go, so choosing the next state does not scan every label.
+    incident: Counter = Counter()
 
     def add(p: str, s: str, e: Expr) -> None:
         if isinstance(e, Empty):
             return
+        if (p, s) not in label:
+            incident.update({p, s})
         label[(p, s)] = _smart_alt(label.get((p, s), EMPTY), e)
+
+    def drop(p: str, s: str) -> Expr:
+        incident.subtract({p, s})
+        return label.pop((p, s))
 
     add(source, b.start, EPSILON)
     for final in sorted(b.finals):
@@ -672,12 +681,9 @@ def sra_to_srem(a: Sra) -> Expr:
 
     remaining = set(b.states)
     while remaining:
-        def incident(q: str) -> int:
-            return sum(1 for key in label if q in key)
-
-        q = min(remaining, key=lambda q: (incident(q), q))
+        q = min(remaining, key=lambda q: (incident[q], q))
         remaining.discard(q)
-        loop = label.pop((q, q), EMPTY)
+        loop = drop(q, q) if (q, q) in label else EMPTY
         ins = sorted(
             ((p, e) for (p, tq), e in label.items() if tq == q), key=lambda x: x[0]
         )
@@ -685,9 +691,9 @@ def sra_to_srem(a: Sra) -> Expr:
             ((s, e) for (sq, s), e in label.items() if sq == q), key=lambda x: x[0]
         )
         for p, _ in ins:
-            del label[(p, q)]
+            drop(p, q)
         for s, _ in outs:
-            del label[(q, s)]
+            drop(q, s)
         for p, e_in in ins:
             for s, e_out in outs:
                 add(p, s, _smart_seq(e_in, _smart_seq(_smart_star(loop), e_out)))

@@ -5,7 +5,6 @@ them, and computing waiting-time distributions and forecasts."""
 from __future__ import annotations
 
 import math
-import string
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -25,7 +24,7 @@ class NotComplete(PreconditionFailed):
 
 def _symbol_for_index(index: int) -> str:
     if index < 26:
-        return string.ascii_lowercase[index]
+        return "abcdefghijklmnopqrstuvwxyz"[index]
     return f"s{index}"
 
 

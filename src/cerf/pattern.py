@@ -621,12 +621,18 @@ def _unparse_expr(e: Expr, level: int) -> str:
         return f"({text})" if level > 3 else text
     if isinstance(e, Star):
         return f"{_unparse_expr(e.body, 4)}*"
-    if isinstance(e, Concat):
-        text = f"{_unparse_expr(e.left, 2)} ; {_unparse_expr(e.right, 3)}"
-        return f"({text})" if level > 2 else text
-    if isinstance(e, Alt):
-        text = f"{_unparse_expr(e.left, 1)} + {_unparse_expr(e.right, 2)}"
-        return f"({text})" if level > 1 else text
+    if isinstance(e, (Concat, Alt)):
+        # A left-nested chain is walked down its spine and joined, as
+        # `unparse_condition` joins And and Or chains, so a wide alternation
+        # does not recurse once per alternative.
+        kind, own, sep = (Concat, 2, " ; ") if isinstance(e, Concat) else (Alt, 1, " + ")
+        node, rights = e, []
+        while isinstance(node, kind):
+            rights.append(node.right)
+            node = node.left
+        parts = [_unparse_expr(right, own + 1) for right in reversed(rights)]
+        text = sep.join([_unparse_expr(node, own), *parts])
+        return f"({text})" if level > own else text
     if isinstance(e, Window):
         raise ValueError("a window is rendered only at the outermost level")
     raise TypeError(f"not an expression: {e!r}")

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import IO, Optional, Union
+from typing import IO, TYPE_CHECKING, Optional, Union
 
 from .algebra import Atom, Condition, PredicateLibrary, Register, _walk_distinct
 from .automaton import Sra, Transition
-from .forecast import Pst, SymbolMap
 from .pattern import parse_condition, parse_predicates, unparse_condition
+
+if TYPE_CHECKING:
+    from .forecast import Pst, SymbolMap
 
 FORMAT_SRA = "sra"
 FORMAT_PST = "pst"
@@ -186,7 +188,10 @@ def symbol_map_to_entries(symbol_map: SymbolMap) -> list[dict]:
 
 def symbol_map_from_entries(entries: list[dict], parsed) -> SymbolMap:
     """The symbol map, its conditions read by the condition parser of the
-    automaton document they belong to."""
+    automaton document they belong to. Only a model holds one, so `forecast`
+    is loaded here, not by the commands that handle automata alone."""
+    from .forecast import SymbolMap
+
     return SymbolMap((parsed(e["condition"]), e["symbol"]) for e in entries)
 
 
@@ -205,6 +210,8 @@ def pst_to_doc(pst: Pst) -> dict:
 
 @_validated
 def pst_from_doc(doc: dict) -> Pst:
+    from .forecast import Pst
+
     _check_header(doc, FORMAT_PST)
     nodes = {tuple(n["context"]): n["distribution"] for n in doc["nodes"]}
     return Pst(doc["max_order"], doc["alphabet"], nodes)

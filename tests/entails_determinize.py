@@ -2,12 +2,12 @@
 `cerf.compiler.determinize` is checked against.
 
 `determinize` here finds the transitions a minterm entails with one
-`entails` call per (minterm, outgoing transition), and generates each
-subset's minterms afresh with `minterms`, which cuts only negated TRUE and
-literal-bound conflicts, not structural sign clashes. So wherever nothing
-clashes structurally it builds the same automaton as the program's
-determinize, and elsewhere it may keep more (unsatisfiable) transitions and
-states, never fewer."""
+`entails` call per distinct (minterm, condition) pair, and generates the
+minterms of each distinct tuple of outgoing conditions with `minterms`,
+which cuts only negated TRUE and literal-bound conflicts, not structural
+sign clashes. So wherever nothing clashes structurally it builds the same
+automaton as the program's determinize, and elsewhere it may keep more
+(unsatisfiable) transitions and states, never fewer."""
 
 from __future__ import annotations
 
@@ -80,11 +80,25 @@ def determinize(a: Sra) -> Sra:
     if a.has_epsilon or not a.is_acyclic():
         raise NotUnrolled("determinize needs an acyclic epsilon-free automaton")
 
+    # Subsets with the same outgoing conditions share one minterm family, so
+    # each (minterm, condition) pair is decided by `entails` once; the
+    # pairs are then the same objects, which the memo compares by identity.
+    families: dict[tuple[Condition, ...], tuple[Condition, ...]] = {}
+    entailment: dict[tuple[Condition, Condition], bool] = {}
+
+    def entailed_by(mt: Condition, cond: Condition) -> bool:
+        key = (mt, cond)
+        if key not in entailment:
+            entailment[key] = entails(mt, cond)
+        return entailment[key]
+
     def step(subset: frozenset[str]) -> Iterable[Move]:
         outgoing = [t for q in sorted(subset) for t in a.out(q)]
-        conditions = list(dict.fromkeys(t.condition for t in outgoing))
-        for mt in minterms(conditions):
-            entailed = [t for t in outgoing if entails(mt, t.condition)]
+        conditions = tuple(dict.fromkeys(t.condition for t in outgoing))
+        if conditions not in families:
+            families[conditions] = minterms(conditions)
+        for mt in families[conditions]:
+            entailed = [t for t in outgoing if entailed_by(mt, t.condition)]
             if entailed:
                 writes = frozenset().union(*(t.writes for t in entailed))
                 yield mt, writes, frozenset(t.target for t in entailed)

@@ -833,6 +833,37 @@ class TestPipelineCommands:
         for n in range(7):
             assert accepts(back, stream[:n]) == accepts(original, stream[:n])
 
+    def test_to_srem_of_a_wide_complement(self, runner, workdir, monkeypatch):
+        # The complement's pattern alternates over about a thousand minterms.
+        # That nests past MAX_NESTING, so the printed pattern is read back,
+        # and its derivatives taken, with the nesting bound and the
+        # recursion limit raised.
+        declarations = "".join(f"pred A{i}(x): x.a{i} == 1\n" for i in range(10))
+        alternatives = " + ".join(f"A{i}(~)" for i in range(10))
+        Path("wide.pat").write_text(f"{declarations}\n({alternatives}) within 1\n")
+        assert runner.invoke(main, ["complement", "wide.pat", "--out", "c.json"]).exit_code == 0
+        result = runner.invoke(main, ["to-srem", "--automaton", "c.json"])
+        assert result.exit_code == 0, result.output
+        a, _ = serialize.automaton_from_doc(serialize.load("c.json"))
+        events = [
+            Event.of(**{f"a{i}": int(i in ones) for i in range(10)})
+            for ones in ((), (0,), (9,), (3, 7))
+        ]
+        monkeypatch.setattr("cerf.pattern.MAX_NESTING", 4000)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(4000)
+        try:
+            _, back = parse(result.stdout)
+            oracle = Oracle(back)
+            for n in range(3):
+                for string in itertools.product(events, repeat=n):
+                    pairs = oracle.start()
+                    for event in string:
+                        pairs = oracle.step(pairs, event)
+                    assert bool(Oracle.derived(pairs)) == run_accepts(a, list(string))
+        finally:
+            sys.setrecursionlimit(limit)
+
 
 class TestLearnAndForecast:
     def _train_file(self, copies=200):
@@ -1032,7 +1063,7 @@ class TestLearnAndForecast:
         def broken(*_args):
             raise ValueError("internal fault")
 
-        monkeypatch.setattr("cerf.cli.symbolize", broken)
+        monkeypatch.setattr("cerf.forecast.symbolize", broken)
         self._train_file()
         result = runner.invoke(
             main, ["learn", "e3.pat", "--train", "train.jsonl", "--out", "model.json"]
@@ -1328,15 +1359,92 @@ class TestReadme:
         assert found and found == _indexes(result.stdout)
 
 
+def _cerf_env() -> dict:
+    """The environment with this checkout's sources first on PYTHONPATH."""
+    src = str(Path(cerf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+# Runs cerf.cli as `python -m cerf.cli` does, then writes the cerf modules
+# loaded to loaded.txt, whether or not the command failed.
+_RUN_CLI = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('cerf.cli', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    with open('loaded.txt', 'w') as fp:\n"
+    "        fp.write(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'cerf')))\n"
+)
+
+
+def _run_fresh(*args):
+    """The command run in a new interpreter, where only the modules it
+    imports are loaded, and the cerf modules it loaded."""
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_CLI, *args],
+        env=_cerf_env(), capture_output=True, text=True, timeout=60,
+    )
+    return done, Path("loaded.txt").read_text().split()
+
+
+class TestFreshProcess:
+    """In-process runs cannot show what a command loads: the suite has
+    imported every module already."""
+
+    @pytest.mark.parametrize(
+        "args, loaded",
+        [
+            (["oracle", "e3.pat", "--input", "events.jsonl"], ["algebra", "pattern"]),
+            (["recognize", "e3.pat", "--input", "events.jsonl"],
+             ["algebra", "automaton", "compiler", "pattern"]),
+            (["determinize", "e3.pat"], ["algebra", "automaton", "compiler", "pattern", "serialize"]),
+            (["forecast", "--model", "model.json", "--input", "events.jsonl"],
+             ["algebra", "automaton", "forecast", "pattern", "serialize"]),
+        ],
+        ids=["oracle", "recognize", "determinize", "forecast"],
+    )
+    def test_each_command_loads_only_the_modules_it_runs(self, runner, workdir, args, loaded):
+        Path("train.jsonl").write_text(TABLE1_JSONL * 20)
+        learned = runner.invoke(
+            main, ["learn", "e3.pat", "--train", "train.jsonl", "--max-order", "1",
+                   "--out", "model.json"],
+        )
+        assert learned.exit_code == 0, learned.stderr
+        done, modules = _run_fresh(*args)
+        assert done.returncode == 0, done.stderr
+        assert modules == ["cerf", *(f"cerf.{name}" for name in loaded)]
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["oracle", "bad.pat", "--input", "events.jsonl"], 2),
+            (["forecast", "--model", "bad.json", "--input", "events.jsonl"], 2),
+            (["determinize", "e1.pat"], 3),
+            (["recognize", "e1.pat", "--input", "events.jsonl", "--cap", "1"], 4),
+            (["learn", "e3.pat", "--train", "events.jsonl", "--max-order", "50",
+              "--out", "model.json"], 5),
+        ],
+        ids=["oracle-syntax", "forecast-model", "determinize-window", "recognize-cap",
+             "learn-data"],
+    )
+    def test_each_exit_code_is_one_error_line(self, workdir, args, code):
+        Path("bad.pat").write_text("TRUE ;;\n")
+        Path("bad.json").write_text('{"format": "cerf-model", "version": 1}\n')
+        done, _ = _run_fresh(*args)
+        assert done.returncode == code
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+        assert done.stderr.startswith("error: ")
+
+
 class TestEntryPoint:
     def test_version(self, runner):
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0 and "0.1.0" in result.stdout
 
     def test_version_from_module_and_script(self):
-        src = str(Path(cerf.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = _cerf_env()
         commands = [[sys.executable, "-m", "cerf.cli", "--version"]]
         script = shutil.which("cerf")
         if script is not None:
@@ -1358,15 +1466,13 @@ class TestEntryPoint:
         [("cerf", ["cerf"]), ("cerf.automaton", ["cerf", "cerf.algebra", "cerf.automaton"])],
     )
     def test_import_loads_only_what_the_module_needs(self, module, loaded):
-        src = str(Path(cerf.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = (
             f"import sys, {module}; "
             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'cerf')))"
         )
         done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+            [sys.executable, "-c", code], env=_cerf_env(), capture_output=True, text=True,
+            timeout=60,
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == loaded
