@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 Value = Union[str, int, float]
@@ -26,25 +25,69 @@ class UnknownPredicate(KeyError):
 
 
 # ---------------------------------------------------------------------------
+# Value types
+
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable value types. Each is a slotted class written
+    out in its module: its `__init__` stores the fields with `_set`, and
+    assigning or deleting an attribute raises AttributeError. The repr
+    lists the fields, the class's own slots not starting with `_`, as
+    `Name(field=value, ...)`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: tuple) -> None:
+        """Restore a copied or unpickled instance, which assignment cannot:
+        `state` is (the `__dict__` or None, the slot values)."""
+        instance_dict, slots = state
+        if instance_dict:
+            self.__dict__.update(instance_dict)
+        for name, value in slots.items():
+            _set(self, name, value)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
+        return f"{type(self).__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # Events and registers
 
 
-@dataclass(frozen=True)
-class Event:
-    """One element of the universe: a flat record of named attributes.
+class Event(_Frozen):
+    """One element of the universe: a flat record of named attributes, kept
+    as (name, value) pairs; `of` and `from_mapping` sort them by name.
 
     Attribute values are text or numbers. Two events compare equal iff all
     their attributes match exactly.
     """
 
-    attrs: tuple[tuple[str, Value], ...]
+    __slots__ = ("attrs",)
 
-    def __post_init__(self) -> None:
-        names = [n for n, _ in self.attrs]
+    def __init__(self, attrs: tuple[tuple[str, Value], ...]) -> None:
+        names = [n for n, _ in attrs]
         if any(not n for n in names):
             raise ValueError("attribute names must be non-empty")
         if len(set(names)) != len(names):
             raise ValueError("attribute names must be unique within an event")
+        _set(self, "attrs", attrs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.attrs == other.attrs
+
+    def __hash__(self) -> int:
+        return hash((self.attrs,))
 
     @classmethod
     def of(cls, **attrs: Value) -> "Event":
@@ -52,7 +95,13 @@ class Event:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Value]) -> "Event":
-        return cls(tuple(sorted(mapping.items())))
+        """The event of a mapping's items. Its keys are unique already, so
+        only an empty name needs checking."""
+        if "" in mapping:
+            raise ValueError("attribute names must be non-empty")
+        event = object.__new__(cls)
+        _set(event, "attrs", tuple(sorted(mapping.items())))
+        return event
 
     def get(self, name: str, default: Optional[Value] = None) -> Optional[Value]:
         for key, value in self.attrs:
@@ -73,7 +122,7 @@ class Event:
         """The event cut down to the named attributes it has. A cut of a
         valid event is valid, so this skips the constructor's checks."""
         cut = object.__new__(Event)
-        object.__setattr__(cut, "attrs", tuple([pair for pair in self.attrs if pair[0] in names]))
+        _set(cut, "attrs", tuple([pair for pair in self.attrs if pair[0] in names]))
         return cut
 
     def __str__(self) -> str:
@@ -84,15 +133,22 @@ _MISSING = object()
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
-class Register:
+class Register(_Frozen):
     """A named storage cell for one event. The name is the identity; callers
     keep names unique within one expression/automaton scope.
 
     Registers hash and order by their name string directly: valuations and
     configuration sets hash and compare them on every write and lookup."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
 
     def __hash__(self) -> int:
         return hash(self.name)
@@ -106,9 +162,16 @@ class Register:
         return self.name
 
 
-@dataclass(frozen=True)
-class CurrentElement:
+class CurrentElement(_Frozen):
     """Marker for the element currently being consumed (written ~)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
     def __repr__(self) -> str:
         return "~"
@@ -119,15 +182,25 @@ CURRENT = CurrentElement()
 Argument = Union[Register, CurrentElement]
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(_Frozen):
     """Partial mapping from registers to events; an absent entry is an empty
     register. Substitution returns a fresh valuation. The automaton runs
     store in a register only the attributes its readers can observe (see
     `Sra.observed_attributes`), so two runs that stored events alike in
     those attributes hold equal valuations."""
 
-    entries: tuple[tuple[Register, Event], ...] = ()
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[Register, Event], ...] = ()) -> None:
+        _set(self, "entries", entries)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     def lookup(self, register: Register) -> Optional[Event]:
         for reg, event in self.entries:
@@ -161,8 +234,7 @@ class Declaration(NamedTuple):
     right: tuple
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(_Frozen):
     """A named n-ary relation over events, total in its event arguments.
 
     A declared predicate is its `declaration`, the parsed body `left op
@@ -179,29 +251,47 @@ class Predicate:
     declared predicates of one name but different bodies make different
     atoms; Python-built ones compare by name and arity."""
 
-    name: str
-    arity: int
-    evaluator: Optional[Callable[..., bool]] = field(default=None, compare=False)
-    source: Optional[str] = field(default=None, compare=False)
-    declaration: Optional[Declaration] = None
-    footprint: Optional[tuple[frozenset[str], ...]] = field(init=False, default=None, compare=False)
+    __slots__ = ("name", "arity", "evaluator", "source", "declaration", "footprint")
 
-    def __post_init__(self) -> None:
-        if self.arity < 1:
+    def __init__(
+        self,
+        name: str,
+        arity: int,
+        evaluator: Optional[Callable[..., bool]] = None,
+        source: Optional[str] = None,
+        declaration: Optional[Declaration] = None,
+    ) -> None:
+        if arity < 1:
             raise ValueError("predicate arity must be at least 1")
-        if (self.evaluator is None) == (self.declaration is None):
+        if (evaluator is None) == (declaration is None):
             raise ValueError("a predicate has exactly one of an evaluator and a declaration")
-        if self.declaration is not None:
-            operands = (self.declaration.left, self.declaration.right)
-            if any(o[0] == "attr" and not 0 <= o[1] < self.arity for o in operands):
+        footprint = None
+        if declaration is not None:
+            operands = (declaration.left, declaration.right)
+            if any(o[0] == "attr" and not 0 <= o[1] < arity for o in operands):
                 raise ValueError("a declaration reads only the predicate's parameters")
-            if self.declaration.op not in _COMPARISONS:
-                raise ValueError(f"unknown comparison {self.declaration.op!r}")
+            if declaration.op not in _COMPARISONS:
+                raise ValueError(f"unknown comparison {declaration.op!r}")
             footprint = tuple(
                 frozenset(o[2] for o in operands if o[0] == "attr" and o[1] == index)
-                for index in range(self.arity)
+                for index in range(arity)
             )
-            object.__setattr__(self, "footprint", footprint)
+        _set(self, "name", name)
+        _set(self, "arity", arity)
+        _set(self, "evaluator", evaluator)
+        _set(self, "source", source)
+        _set(self, "declaration", declaration)
+        _set(self, "footprint", footprint)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.arity, self.declaration) == (
+            other.name, other.arity, other.declaration
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.arity, self.declaration))
 
     def __call__(self, *events: Event) -> bool:
         if len(events) != self.arity:
@@ -304,15 +394,22 @@ class PredicateLibrary:
 # Conditions
 
 
-class Condition:
+class Condition(_Frozen):
     """Base class for Boolean formulas over predicate atoms whose arguments
     are registers or the current-element marker."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TrueCondition(Condition):
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
     def __repr__(self) -> str:
         return "TRUE"
 
@@ -320,26 +417,33 @@ class TrueCondition(Condition):
 TRUE = TrueCondition()
 
 
-@dataclass(frozen=True)
 class Atom(Condition):
-    predicate: Predicate
-    args: tuple[Argument, ...]
+    __slots__ = ("predicate", "args")
 
-    def __post_init__(self) -> None:
-        if len(self.args) != self.predicate.arity:
+    def __init__(self, predicate: Predicate, args: tuple[Argument, ...]) -> None:
+        if len(args) != predicate.arity:
             raise ValueError(
-                f"{self.predicate.name} has arity {self.predicate.arity}, got {len(self.args)} arguments"
+                f"{predicate.name} has arity {predicate.arity}, got {len(args)} arguments"
             )
+        _set(self, "predicate", predicate)
+        _set(self, "args", args)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.predicate, self.args) == (other.predicate, other.args)
+
+    def __hash__(self) -> int:
+        return hash((self.predicate, self.args))
 
 
 class _Connective(Condition):
-    """Not, And and Or. Each hashes once, when it is built, from its
-    operands' hashes, and equality walks an explicit stack, so chains of
-    any depth (`complete` negates one minterm per outgoing transition) hash
-    and compare without recursing."""
+    """Not, And and Or. Each hashes once, when it is built, from its type
+    and operands, and equality walks an explicit stack, so chains of any
+    depth (`complete` negates one minterm per outgoing transition) hash and
+    compare without recursing."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((type(self), *_operands(self))))
+    __slots__ = ("_hash",)
 
     def __hash__(self) -> int:
         return self._hash
@@ -362,21 +466,30 @@ class _Connective(Condition):
         return True
 
 
-@dataclass(frozen=True, eq=False)
 class Not(_Connective):
-    operand: Condition
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Condition) -> None:
+        _set(self, "operand", operand)
+        _set(self, "_hash", hash((Not, operand)))
 
 
-@dataclass(frozen=True, eq=False)
 class And(_Connective):
-    left: Condition
-    right: Condition
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Condition, right: Condition) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((And, left, right)))
 
 
-@dataclass(frozen=True, eq=False)
 class Or(_Connective):
-    left: Condition
-    right: Condition
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Condition, right: Condition) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((Or, left, right)))
 
 
 def _operands(node: _Connective) -> tuple[Condition, ...]:
@@ -467,13 +580,17 @@ def substitute_registers(condition: Condition, mapping: Mapping[Register, Regist
     return condition
 
 
-@dataclass
 class EvalCounters:
     """Instrumentation counters for the step-cost contract: one deterministic
     engine step must stay within c condition evaluations and k register reads."""
 
-    condition_evals: int = 0
-    register_reads: int = 0
+    __slots__ = ("condition_evals", "register_reads")
+
+    def __init__(self, condition_evals: int = 0, register_reads: int = 0) -> None:
+        self.condition_evals = condition_evals
+        self.register_reads = register_reads
+
+    __repr__ = _Frozen.__repr__
 
 
 class EvalScope:
@@ -492,6 +609,10 @@ class EvalScope:
         return self._cache[register]
 
     def evaluate(self, condition: Condition, current: Event) -> bool:
+        """An And or Or chain is walked as `_walk(condition, (And,))` or
+        `(Or,)` walks it, left operands first, with an explicit stack, and
+        stops at the first operand that decides it, so chains of any length
+        evaluate without recursing."""
         if isinstance(condition, TrueCondition):
             return True
         if isinstance(condition, Atom):
@@ -509,14 +630,17 @@ class EvalScope:
             return condition.predicate(*resolved)
         if isinstance(condition, Not):
             return not self.evaluate(condition.operand, current)
-        if isinstance(condition, And):
-            return self.evaluate(condition.left, current) and self.evaluate(
-                condition.right, current
-            )
-        if isinstance(condition, Or):
-            return self.evaluate(condition.left, current) or self.evaluate(
-                condition.right, current
-            )
+        if isinstance(condition, (And, Or)):
+            kind = condition.__class__
+            decided = kind is Or  # the operand value that decides the chain
+            stack = [condition]
+            while stack:
+                node = stack.pop()
+                if node.__class__ is kind:
+                    stack += (node.right, node.left)
+                elif self.evaluate(node, current) is decided:
+                    return decided
+            return not decided
         raise TypeError(f"not a condition: {condition!r}")
 
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import (
@@ -22,6 +21,8 @@ from .algebra import (
     Register,
     TrueCondition,
     Valuation,
+    _Frozen,
+    _set,
     _walk,
     _walk_distinct,
     compile_condition,
@@ -53,64 +54,106 @@ class NoTransition(PreconditionFailed, RuntimeError):
     automaton is incomplete)."""
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(_Frozen):
     """One SRA transition. condition None encodes an ε-move, which consumes
     nothing and therefore writes nothing."""
 
-    source: str
-    target: str
-    condition: Optional[Condition]
-    writes: frozenset[Register] = frozenset()
+    __slots__ = ("source", "target", "condition", "writes")
 
-    def __post_init__(self) -> None:
-        if self.condition is None and self.writes:
+    def __init__(
+        self,
+        source: str,
+        target: str,
+        condition: Optional[Condition],
+        writes: frozenset[Register] = frozenset(),
+    ) -> None:
+        if condition is None and writes:
             raise ValueError("an ε-transition cannot write registers")
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "condition", condition)
+        _set(self, "writes", writes)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.condition, self.writes) == (
+            other.source, other.target, other.condition, other.writes
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.condition, self.writes))
 
     @property
     def is_epsilon(self) -> bool:
         return self.condition is None
 
 
-@dataclass(frozen=True)
-class Sra:
+class Sra(_Frozen):
     """A symbolic register automaton.
 
     Immutable; the outgoing-transition index is computed once at
     construction, while `is_acyclic()` walks the graph on every call.
     `deterministic` is a constructor-asserted flag (set by constructions
-    that guarantee it); `is_deterministic` checks the property.
+    that guarantee it); `is_deterministic` checks the property. The
+    instance `__dict__` holds only what `functools.cached_property` builds
+    on first use.
     """
 
-    states: frozenset[str]
-    start: str
-    finals: frozenset[str]
-    registers: frozenset[Register]
-    transitions: tuple[Transition, ...]
-    window: Optional[int] = None
-    deterministic: bool = False
+    __slots__ = (
+        "states", "start", "finals", "registers", "transitions", "window", "deterministic",
+        "_out", "__dict__",
+    )
 
-    def __post_init__(self) -> None:
-        if self.start not in self.states:
+    def __init__(
+        self,
+        states: frozenset[str],
+        start: str,
+        finals: frozenset[str],
+        registers: frozenset[Register],
+        transitions: tuple[Transition, ...],
+        window: Optional[int] = None,
+        deterministic: bool = False,
+    ) -> None:
+        if start not in states:
             raise ValueError("start state is not a state")
-        if not self.finals <= self.states:
+        if not finals <= states:
             raise ValueError("final states must be states")
-        out: dict[str, list[Transition]] = {q: [] for q in self.states}
-        for t in self.transitions:
-            if t.source not in self.states or t.target not in self.states:
+        out: dict[str, list[Transition]] = {q: [] for q in states}
+        for t in transitions:
+            if t.source not in states or t.target not in states:
                 raise ValueError(f"transition endpoints must be states: {t}")
-            if not t.writes <= self.registers:
+            if not t.writes <= registers:
                 raise ValueError(f"transition writes unknown registers: {t.writes}")
             out[t.source].append(t)
+        _set(self, "states", states)
+        _set(self, "start", start)
+        _set(self, "finals", finals)
+        _set(self, "registers", registers)
+        _set(self, "transitions", transitions)
+        _set(self, "window", window)
+        _set(self, "deterministic", deterministic)
         unknown = {
             arg
             for atom in self._atoms()
             for arg in atom.args
-            if isinstance(arg, Register) and arg not in self.registers
+            if isinstance(arg, Register) and arg not in registers
         }
         if unknown:
             raise ValueError(f"condition reads unknown registers: {unknown}")
-        object.__setattr__(self, "_out", {q: tuple(ts) for q, ts in out.items()})
+        _set(self, "_out", {q: tuple(ts) for q, ts in out.items()})
+
+    def _fields(self) -> tuple:
+        return (self.states, self.start, self.finals, self.registers, self.transitions,
+                self.window, self.deterministic)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def _atoms(self) -> Iterator[Atom]:
         """Every distinct atom object of the transition conditions, once."""
@@ -118,7 +161,7 @@ class Sra:
         return (node for node in _walk_distinct(conditions) if isinstance(node, Atom))
 
     def out(self, state: str) -> tuple[Transition, ...]:
-        return self._out[state]  # type: ignore[attr-defined]
+        return self._out[state]
 
     @functools.cached_property
     def observed_attributes(self) -> dict[Register, Optional[frozenset[str]]]:

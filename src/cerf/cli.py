@@ -304,7 +304,9 @@ def _emit_automaton(a: Sra, out: Optional[str], dot: Optional[str], stats: bool)
 
 
 def _emit_record(record: dict) -> None:
-    click.echo(json.dumps(record))
+    """One JSON line on stdout, flushed at once, as `click.echo` writes it."""
+    sys.stdout.write(json.dumps(record) + "\n")
+    sys.stdout.flush()
 
 
 # --- commands -----------------------------------------------------------

@@ -6,7 +6,6 @@ expression."""
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, replace
 from typing import Callable, Hashable, Iterable, Optional
 
 from .algebra import (
@@ -15,6 +14,7 @@ from .algebra import (
     Not,
     Register,
     TRUE,
+    _Frozen,
     conjoin,
     entails,  # not called here; perfbench/tracing.py reads and rebinds compiler.entails
     minterms,
@@ -270,23 +270,29 @@ def rename_registers(a: Sra, mapping: dict[Register, Register]) -> Sra:
         )
         for t in a.transitions
     )
-    return replace(
-        a,
+    return Sra(
+        states=a.states,
+        start=a.start,
+        finals=a.finals,
         registers=frozenset(mapping.get(r, r) for r in a.registers),
         transitions=new_transitions,
+        window=a.window,
+        deterministic=a.deterministic,
     )
 
 
 def _relabel_states(a: Sra, fn: Callable[[str], str]) -> Sra:
-    return replace(
-        a,
+    return Sra(
         states=frozenset(fn(q) for q in a.states),
         start=fn(a.start),
         finals=frozenset(fn(q) for q in a.finals),
+        registers=a.registers,
         transitions=tuple(
             Transition(fn(t.source), fn(t.target), t.condition, t.writes)
             for t in a.transitions
         ),
+        window=a.window,
+        deterministic=a.deterministic,
     )
 
 
@@ -404,12 +410,16 @@ def intersect(a1: Sra, a2: Sra) -> Sra:
 # Window unrolling
 
 
-@dataclass
 class UnrollMaps:
     """Book-keeping from unrolled copies back to originals."""
 
-    copy_of_q: dict[str, str]
-    copy_of_r: dict[Register, Register]
+    __slots__ = ("copy_of_q", "copy_of_r")
+
+    def __init__(self, copy_of_q: dict[str, str], copy_of_r: dict[Register, Register]) -> None:
+        self.copy_of_q = copy_of_q
+        self.copy_of_r = copy_of_r
+
+    __repr__ = _Frozen.__repr__
 
 
 def unroll(a: Sra, width: int) -> tuple[Sra, UnrollMaps]:
@@ -606,7 +616,15 @@ def complete_and_complement(a: Sra) -> Sra:
     if not a.deterministic or a.has_epsilon:
         raise NotDeterministic("complement needs a deterministic epsilon-free automaton")
     completed = complete(a)
-    return replace(completed, finals=completed.states - completed.finals)
+    return Sra(
+        states=completed.states,
+        start=completed.start,
+        finals=completed.states - completed.finals,
+        registers=completed.registers,
+        transitions=completed.transitions,
+        window=completed.window,
+        deterministic=completed.deterministic,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .algebra import Condition, Event
+from .algebra import Condition, Event, _Frozen, _set
 from .automaton import DeterministicRunner, NotDeterministic, PreconditionFailed, Sra
 
 
@@ -225,22 +224,39 @@ def log_loss(pst: Pst, symbols: Sequence[str]) -> float:
     return total / len(symbols)
 
 
-@dataclass(frozen=True)
-class WaitingTimeDistribution:
+class WaitingTimeDistribution(_Frozen):
     """Probability that the first future visit to a final state happens n
     steps ahead, for n = 1..len(masses); everything later or pruned is the
     residual."""
 
-    origin_state: str
-    origin_context: tuple[str, ...]
-    masses: tuple[float, ...]
-    residual: float
+    __slots__ = ("origin_state", "origin_context", "masses", "residual")
 
-    def __post_init__(self) -> None:
-        if any(m < 0 for m in self.masses) or self.residual < -1e-9:
+    def __init__(
+        self,
+        origin_state: str,
+        origin_context: tuple[str, ...],
+        masses: tuple[float, ...],
+        residual: float,
+    ) -> None:
+        if any(m < 0 for m in masses) or residual < -1e-9:
             raise ValueError("waiting-time masses must be non-negative")
-        if abs(sum(self.masses) + self.residual - 1.0) > 1e-9:
+        if abs(sum(masses) + residual - 1.0) > 1e-9:
             raise ValueError("waiting-time masses and residual must sum to 1")
+        _set(self, "origin_state", origin_state)
+        _set(self, "origin_context", origin_context)
+        _set(self, "masses", masses)
+        _set(self, "residual", residual)
+
+    def _fields(self) -> tuple:
+        return (self.origin_state, self.origin_context, self.masses, self.residual)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 class WaitingTimes:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .algebra import (
@@ -41,6 +40,8 @@ from .algebra import (
     TrueCondition,
     UnknownPredicate,
     Valuation,
+    _Frozen,
+    _set,
     declared_predicate,
 )
 
@@ -62,49 +63,115 @@ class UnknownRegister(KeyError):
 # AST
 
 
-class Expr:
+class Expr(_Frozen):
+    """Base class of the AST nodes. Nodes compare by their type and fields
+    and hash by their fields."""
+
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Empty(Expr):
     """The empty language (NONE)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+    def __eq__(self, other: object) -> bool:
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
+
 class Epsilon(Expr):
     """The empty string (EPS)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+    def __eq__(self, other: object) -> bool:
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
+
 class Cond(Expr):
-    condition: Condition
+    __slots__ = ("condition",)
+
+    def __init__(self, condition: Condition) -> None:
+        _set(self, "condition", condition)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.condition == other.condition
+
+    def __hash__(self) -> int:
+        return hash((self.condition,))
 
 
-@dataclass(frozen=True)
 class CondWrite(Expr):
-    condition: Condition
-    register: Register
+    __slots__ = ("condition", "register")
+
+    def __init__(self, condition: Condition, register: Register) -> None:
+        _set(self, "condition", condition)
+        _set(self, "register", register)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.condition, self.register) == (other.condition, other.register)
+
+    def __hash__(self) -> int:
+        return hash((self.condition, self.register))
 
 
-@dataclass(frozen=True)
 class Concat(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
 class Alt(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
 class Star(Expr):
-    body: Expr
+    __slots__ = ("body",)
+
+    def __init__(self, body: Expr) -> None:
+        _set(self, "body", body)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.body == other.body
+
+    def __hash__(self) -> int:
+        return hash((self.body,))
 
 
-@dataclass(frozen=True)
 class Window(Expr):
     """Bounds accepted strings to at most `width` elements.
 
@@ -114,14 +181,23 @@ class Window(Expr):
     expressions in a TRUE* prefix.
     """
 
-    body: Expr
-    width: int
+    __slots__ = ("body", "width")
 
-    def __post_init__(self) -> None:
-        if self.width < 1:
+    def __init__(self, body: Expr, width: int) -> None:
+        if width < 1:
             raise ValueError("window width must be at least 1")
-        if _contains_window(self.body):
+        if _contains_window(body):
             raise ValueError("windows do not nest")
+        _set(self, "body", body)
+        _set(self, "width", width)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.body, self.width) == (other.body, other.width)
+
+    def __hash__(self) -> int:
+        return hash((self.body, self.width))
 
 
 def _contains_window(e: Expr) -> bool:
@@ -214,12 +290,14 @@ _REGISTER_RE = re.compile(r"^r\d+$")
 _KEYWORDS = frozenset({"pred", "within", "TRUE", "EPS", "NONE"})
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # number | string | name | arrow | op | eof
-    text: str
-    line: int
-    column: int
+class _Token(_Frozen):
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int) -> None:
+        _set(self, "kind", kind)  # number | string | name | arrow | op | eof
+        _set(self, "text", text)
+        _set(self, "line", line)
+        _set(self, "column", column)
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -14,7 +14,17 @@ import functools
 import json
 from typing import IO, TYPE_CHECKING, Optional, Union
 
-from .algebra import Atom, Condition, PredicateLibrary, Register, _walk_distinct
+from .algebra import (
+    And,
+    Atom,
+    Condition,
+    Not,
+    Or,
+    PredicateLibrary,
+    Register,
+    _walk,
+    _walk_distinct,
+)
 from .automaton import Sra, Transition
 from .pattern import parse_condition, parse_predicates, unparse_condition
 
@@ -126,16 +136,39 @@ def _check_header(doc: dict, expected: str) -> None:
 
 def _condition_parser(library: PredicateLibrary, register_names: list[str]):
     """parse_condition against one document's predicates and registers,
-    parsing each distinct text once. A text that is not a string goes
-    straight to parse_condition, which refuses it as it always has."""
+    parsing each distinct text once, with every parsed subtree interned
+    (see `_interned`). A text that is not a string goes straight to
+    parse_condition, which refuses it as it always has."""
     memo: dict[str, Condition] = {}
+    table: dict[Condition, Condition] = {}
 
     def parsed(text) -> Condition:
         if not isinstance(text, str) or text not in memo:
-            memo[text] = parse_condition(text, library, register_names)
+            memo[text] = _interned(parse_condition(text, library, register_names), table)
         return memo[text]
 
     return parsed
+
+
+def _interned(condition: Condition, table: dict[Condition, Condition]) -> Condition:
+    """The condition with each subtree replaced by the first equal one in
+    `table`, which it joins, so that equal subtrees of one document are one
+    object. Bottom-up and iterative: reversed preorder puts every node after
+    its operands, which are then interned already, so comparing a node with
+    its table entry looks one level down."""
+    done: dict[int, Condition] = {}  # id of a parsed node -> its interned node
+    for node in reversed(list(_walk(condition))):
+        built = node
+        if isinstance(node, Not):
+            operand = done[id(node.operand)]
+            if operand is not node.operand:
+                built = Not(operand)
+        elif isinstance(node, (And, Or)):
+            left, right = done[id(node.left)], done[id(node.right)]
+            if left is not node.left or right is not node.right:
+                built = type(node)(left, right)
+        done[id(node)] = table.setdefault(built, built)
+    return done[id(condition)]
 
 
 @_validated

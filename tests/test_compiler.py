@@ -1,9 +1,19 @@
+import itertools
 from random import Random
 
 import pytest
 
 from cerf import algebra, compiler
-from cerf.algebra import CURRENT, EMPTY_VALUATION, TRUE, Atom, Event, Register
+from cerf.algebra import (
+    CURRENT,
+    EMPTY_VALUATION,
+    TRUE,
+    Atom,
+    Event,
+    Register,
+    compile_condition,
+    evaluate_condition,
+)
 from cerf.automaton import Sra, StreamEngine, Transition, run_accepts
 from cerf.compiler import (
     NotUnrolled,
@@ -413,6 +423,28 @@ class TestComplement:
 
         with pytest.raises(NotDeterministic):
             complete_and_complement(t_then_h)
+
+    def test_wide_complement_evaluates_without_recursing(self):
+        # `complete` guards the dead state of a ten-alternative `within 1`
+        # pattern with 1,023 negated minterms in one And chain, and the
+        # complement's expression nests 2,059 levels; both are evaluated
+        # at Python's default recursion limit.
+        declarations = "".join(f"pred A{i}(x): x.a{i} == 1\n" for i in range(10))
+        alternatives = " + ".join(f"A{i}(~)" for i in range(10))
+        _, e = parse(f"{declarations}\n({alternatives}) within 1\n")
+        neg = complete_and_complement(determinize(compile_windowed(e)))
+        events = [
+            Event.of(**{f"a{i}": int(i in ones) for i in range(10)})
+            for ones in ((), (0,), (9,), (3, 7))
+        ]
+        for t in neg.transitions:
+            holds = compile_condition(t.condition, {})
+            for event in events:
+                assert evaluate_condition(t.condition, event, EMPTY_VALUATION) == holds(event, ())
+        back = sra_to_srem(neg)
+        for n in range(3):
+            for string in itertools.product(events, repeat=n):
+                assert accepts(back, list(string)) == run_accepts(neg, list(string))
 
     def test_dead_state_becomes_accepting(self):
         _, e3 = parse(E3_TEXT)

@@ -20,7 +20,7 @@ from click.testing import CliRunner
 
 import cerf
 from cerf import serialize
-from cerf.algebra import Event, Predicate
+from cerf.algebra import Event, Predicate, _walk_distinct
 from cerf.automaton import (
     NoTransition,
     NotDeterministic,
@@ -96,6 +96,21 @@ class TestSerializeAutomaton:
             "TypeIsH": (frozenset({"type"}),),
             "EqualId": (frozenset({"id"}), frozenset({"id"})),
         }
+
+    def test_loading_shares_equal_condition_subtrees(self):
+        # `complete` builds some equal subtrees as separate objects; loading
+        # makes every set of equal subtrees one object.
+        _, e3 = parse(E3_TEXT)
+        d = complete(determinize(compile_windowed(e3)))
+        doc = serialize.automaton_to_doc(d)
+        back, _library = serialize.automaton_from_doc(doc)
+
+        def nodes(a):
+            conditions = (t.condition for t in a.transitions if t.condition is not None)
+            return list(_walk_distinct(conditions))
+
+        assert len(nodes(back)) == len(set(nodes(d))) < len(nodes(d))
+        assert serialize.automaton_to_doc(back) == doc
 
     def test_doc_shape(self, two_state_dfa):
         doc = serialize.automaton_to_doc(two_state_dfa)
@@ -1368,20 +1383,23 @@ def _cerf_env() -> dict:
 
 
 # Runs cerf.cli as `python -m cerf.cli` does, then writes the cerf modules
-# loaded to loaded.txt, whether or not the command failed.
+# loaded, and dataclasses if it was loaded, to loaded.txt, whether or not the
+# command failed.
 _RUN_CLI = (
     "import runpy, sys\n"
+    "LISTED = ('cerf', 'dataclasses')\n"
     "try:\n"
     "    runpy.run_module('cerf.cli', run_name='__main__', alter_sys=True)\n"
     "finally:\n"
     "    with open('loaded.txt', 'w') as fp:\n"
-    "        fp.write(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'cerf')))\n"
+    "        fp.write(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in LISTED)))\n"
 )
 
 
 def _run_fresh(*args):
     """The command run in a new interpreter, where only the modules it
-    imports are loaded, and the cerf modules it loaded."""
+    imports are loaded, and the cerf modules it loaded, with `dataclasses`
+    if it was loaded too."""
     done = subprocess.run(
         [sys.executable, "-c", _RUN_CLI, *args],
         env=_cerf_env(), capture_output=True, text=True, timeout=60,
@@ -1402,8 +1420,11 @@ class TestFreshProcess:
             (["determinize", "e3.pat"], ["algebra", "automaton", "compiler", "pattern", "serialize"]),
             (["forecast", "--model", "model.json", "--input", "events.jsonl"],
              ["algebra", "automaton", "forecast", "pattern", "serialize"]),
+            (["learn", "e3.pat", "--train", "train.jsonl", "--max-order", "1",
+              "--out", "again.json"],
+             ["algebra", "automaton", "compiler", "forecast", "pattern", "serialize"]),
         ],
-        ids=["oracle", "recognize", "determinize", "forecast"],
+        ids=["oracle", "recognize", "determinize", "forecast", "learn"],
     )
     def test_each_command_loads_only_the_modules_it_runs(self, runner, workdir, args, loaded):
         Path("train.jsonl").write_text(TABLE1_JSONL * 20)
@@ -1414,6 +1435,8 @@ class TestFreshProcess:
         assert learned.exit_code == 0, learned.stderr
         done, modules = _run_fresh(*args)
         assert done.returncode == 0, done.stderr
+        # value types are written-out classes: nothing generates them
+        assert "dataclasses" not in modules
         assert modules == ["cerf", *(f"cerf.{name}" for name in loaded)]
 
     @pytest.mark.parametrize(
