@@ -65,7 +65,7 @@ class _Frozen:
 
 class Event(_Frozen):
     """One element of the universe: a flat record of named attributes, kept
-    as (name, value) pairs; `of` and `from_mapping` sort them by name.
+    as (name, value) pairs sorted by name, however they were given.
 
     Attribute values are text or numbers. Two events compare equal iff all
     their attributes match exactly.
@@ -73,7 +73,8 @@ class Event(_Frozen):
 
     __slots__ = ("attrs",)
 
-    def __init__(self, attrs: tuple[tuple[str, Value], ...]) -> None:
+    def __init__(self, attrs: Iterable[tuple[str, Value]]) -> None:
+        attrs = tuple(sorted(attrs, key=operator.itemgetter(0)))
         names = [n for n, _ in attrs]
         if any(not n for n in names):
             raise ValueError("attribute names must be non-empty")
@@ -91,7 +92,7 @@ class Event(_Frozen):
 
     @classmethod
     def of(cls, **attrs: Value) -> "Event":
-        return cls(tuple(sorted(attrs.items())))
+        return cls(attrs.items())
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Value]) -> "Event":
@@ -447,6 +448,13 @@ class _Connective(Condition):
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __setstate__(self, state: tuple) -> None:
+        """Restore a copy, and hash it again: hashes of types and text
+        differ between processes, so an unpickled node cannot keep the hash
+        it was built with."""
+        super().__setstate__(state)
+        _set(self, "_hash", hash((self.__class__, *_operands(self))))
 
     def __eq__(self, other: object) -> bool:
         stack = [(self, other)]

@@ -1,6 +1,6 @@
 """Symbolic register automata: data model, nondeterministic simulation,
-the streaming recognition engine and the instrumented deterministic
-runner."""
+the streaming recognition engine, the lazily built subset runner and the
+instrumented deterministic runner."""
 
 from __future__ import annotations
 
@@ -348,6 +348,27 @@ def epsilon_closure(a: Sra, state: str) -> frozenset[str]:
     return frozenset(closure)
 
 
+def outgoing(a: Sra, subset: Iterable[str]) -> dict[Condition, list[Transition]]:
+    """The transitions leaving the members of a subset of `a`'s states,
+    members in name order, grouped by condition in first-seen order."""
+    by_condition: dict[Condition, list[Transition]] = {}
+    for q in sorted(subset):
+        for t in a.out(q):
+            by_condition.setdefault(t.condition, []).append(t)
+    return by_condition
+
+
+def successor(
+    groups: Sequence[Sequence[Transition]], positives: Iterable[int]
+) -> tuple[frozenset[Register], frozenset[str]]:
+    """Where a subset goes when exactly the conditions at `positives` hold,
+    `groups` being its transitions grouped by condition (`outgoing`): the
+    registers the transitions under those conditions write, and their
+    targets. The subset construction's one successor rule."""
+    taken = [t for i in positives for t in groups[i]]
+    return frozenset().union(*(t.writes for t in taken)), frozenset(t.target for t in taken)
+
+
 def run_accepts(a: Sra, events: Sequence[Event], cap: int = 100_000) -> bool:
     """Whether some run over exactly `events` ends in a final state.
 
@@ -474,6 +495,92 @@ class StreamEngine:
         self._configs = advanced
         self.consumed += 1
         return any(state in a.finals for state, _ in advanced)
+
+
+class _Subset:
+    """One state of a lazily built subset machine, for a set of states of
+    the nondeterministic automaton: whether the set holds a final, its
+    transitions grouped by condition (`outgoing`) with each distinct
+    condition compiled, and its table from each sign vector of those
+    conditions seen so far to (target subset, slots written)."""
+
+    __slots__ = ("final", "holds", "groups", "table")
+
+    def __init__(self, a: Sra, members: frozenset[str]) -> None:
+        plan = a._plan
+        by_condition = outgoing(a, members)
+        self.final = bool(members & a.finals)
+        self.holds = tuple(compile_condition(c, plan._slots, plan._compiled) for c in by_condition)
+        self.groups = tuple(by_condition.values())
+        self.table: dict[tuple[bool, ...], tuple[_Subset, tuple[int, ...]]] = {}
+
+
+class SubsetRunner:
+    """Recognition over an unbounded stream on the subset machine of an
+    ε-free automaton, built only as far as the stream reaches it, as RE2
+    builds its lazy DFA.
+
+    The run is one configuration: a subset of the automaton's states and
+    one slot tuple. One tuple holds every live run when each register is
+    written by one transition and read only after it on the same run, and
+    no two runs that need different events in a register are alive at once;
+    `compiler.never_sinking` builds such a machine for a windowed pattern.
+
+    A step evaluates the current subset's distinct conditions into a sign
+    vector, and one lookup in the subset's table gives the target subset
+    and the slots written, stored through `_store`. On a miss, `successor`
+    reads the target off the asserted conditions, the rule `determinize`
+    follows; no minterm is built and no subset is expanded beyond the sign
+    vectors the stream shows."""
+
+    def __init__(self, automaton: Sra) -> None:
+        if automaton.has_epsilon:
+            raise ValueError("the subset runner needs an epsilon-free automaton")
+        self.automaton = automaton
+        self.consumed = 0
+        self._subsets: dict[frozenset[str], _Subset] = {}
+        self._state = self._subset(frozenset((automaton.start,)))
+        self._stored: Slots = (None,) * len(automaton.registers)
+
+    @property
+    def matched_at_start(self) -> bool:
+        """Whether the empty suffix already matches (before any event)."""
+        return self.automaton.start in self.automaton.finals
+
+    @property
+    def subsets(self) -> int:
+        """How many subsets the run has reached."""
+        return len(self._subsets)
+
+    @property
+    def entries(self) -> int:
+        """How many (subset, sign vector) entries the tables hold."""
+        return sum(len(s.table) for s in self._subsets.values())
+
+    def step(self, event: Event) -> bool:
+        """Consume one event; report whether a match completes at this index."""
+        state, stored = self._state, self._stored
+        signs = tuple([holds(event, stored) for holds in state.holds])
+        hit = state.table.get(signs)
+        if hit is None:
+            hit = self._miss(state, signs)
+        self._state, writes = hit
+        if writes:
+            self._stored = _store(self.automaton, stored, writes, event, {})
+        self.consumed += 1
+        return self._state.final
+
+    def _subset(self, members: frozenset[str]) -> _Subset:
+        subset = self._subsets.get(members)
+        if subset is None:
+            subset = self._subsets[members] = _Subset(self.automaton, members)
+        return subset
+
+    def _miss(self, state: _Subset, signs: tuple[bool, ...]) -> tuple[_Subset, tuple[int, ...]]:
+        writes, targets = successor(state.groups, [i for i, sign in enumerate(signs) if sign])
+        slots = self.automaton._plan._slots
+        state.table[signs] = hit = (self._subset(targets), tuple(sorted(slots[r] for r in writes)))
+        return hit
 
 
 class DeterministicRunner:

@@ -346,19 +346,22 @@ def compile_cmd(pattern, stage, window, out, dot, stats):
 @click.option("--window", type=click.IntRange(min=1), default=None,
               help="Window width; overrides any 'within' in the pattern.")
 @click.option("--cap", type=click.IntRange(min=1), default=100_000, show_default=True,
-              help="Maximum simultaneous configurations.")
+              help="Maximum simultaneous configurations of an unwindowed pattern; "
+                   "a windowed pattern runs as one configuration.")
 @click.option("--report-empty-match", is_flag=True,
               help="Also report a match at index 0 when the pattern accepts the empty stream.")
 @click.option("--strict", is_flag=True, help="Abort on the first malformed input line.")
 def recognize(pattern, input_path, fmt, window, cap, report_empty_match, strict):
     """Run a pattern over an event stream, reporting match indexes as JSONL."""
     from . import compiler
-    from .automaton import StreamEngine
+    from .automaton import StreamEngine, SubsetRunner
 
     with _mapped_errors():
         _, expr = _load_pattern(pattern, window)
-        stage = "nsra-unrolled" if isinstance(expr, Window) else "sra"
-        engine = StreamEngine(compiler.streaming_automaton(_build_stage(expr, stage)), cap=cap)
+        if isinstance(expr, Window):
+            engine = SubsetRunner(compiler.never_sinking(_build_stage(expr, "nsra-unrolled")))
+        else:
+            engine = StreamEngine(compiler.streaming_automaton(_build_stage(expr, "sra")), cap=cap)
         with contextlib.closing(_open_input(input_path)) as fp:
             if report_empty_match and engine.matched_at_start:
                 _emit_record({"index": 0})

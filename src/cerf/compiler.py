@@ -21,7 +21,15 @@ from .algebra import (
     registers_of,
     substitute_registers,
 )
-from .automaton import NotDeterministic, PreconditionFailed, Sra, Transition, epsilon_closure
+from .automaton import (
+    NotDeterministic,
+    PreconditionFailed,
+    Sra,
+    Transition,
+    epsilon_closure,
+    outgoing,
+    successor,
+)
 from .pattern import (
     Alt,
     Concat,
@@ -560,19 +568,15 @@ def determinize(a: Sra) -> Sra:
     families: dict[tuple[Condition, ...], tuple] = {}
 
     def step(subset: frozenset[str]) -> Iterable[Move]:
-        by_condition: dict[Condition, list[Transition]] = {}
-        for q in sorted(subset):
-            for t in a.out(q):
-                by_condition.setdefault(t.condition, []).append(t)
+        by_condition = outgoing(a, subset)
         conditions = tuple(by_condition)
         if conditions not in families:
             families[conditions] = minterms(conditions)
         groups = list(by_condition.values())
         for mt, positives in families[conditions]:
-            entailed = [t for i in positives for t in groups[i]]
-            if entailed:
-                writes = frozenset().union(*(t.writes for t in entailed))
-                yield mt, writes, frozenset(t.target for t in entailed)
+            writes, targets = successor(groups, positives)
+            if targets:
+                yield mt, writes, targets
 
     return _reachable(
         frozenset((a.start,)),
@@ -739,3 +743,45 @@ def streaming_automaton(a: Sra) -> Sra:
         transitions=transitions,
     )
     return eliminate_epsilon(wrapped)
+
+
+def never_sinking(tree: Sra) -> Sra:
+    """The ε-free machine for `TRUE* ; (R within w)`, built from R's
+    unrolled tree (`compile_windowed`): a clock of w `TRUE` steps
+    c0 -> c1 -> ... -> c0, and one copy of the tree per phase p, with states
+    `q@p` and registers `r@p`, whose root is the clock state c_p.
+
+    A run that starts at c_p lives at most w events, so it has ended before
+    the clock is back at c_p, and the tree writes each register copy on one
+    transition and reads it only below it. So the runs alive at once never
+    need two events in one register, and one slot tuple holds them all
+    (`automaton.SubsetRunner`). The clock always steps, so nothing sinks
+    and no completion is needed. A clock state is final when the root is,
+    that is when R matches the empty string."""
+    if tree.window is None or tree.has_epsilon or not tree.is_acyclic():
+        raise NotUnrolled("the never-sinking machine needs an unrolled tree")
+    clock = [f"c{p}" for p in range(tree.window)]
+    states, finals, registers, transitions = set(clock), set(), set(), []
+    for p, tick in enumerate(clock):
+        renamed = {r: Register(f"{r.name}@{p}") for r in tree.registers}
+        copies = {q: tick if q == tree.start else f"{q}@{p}" for q in tree.states}
+        # equal conditions of one copy become one object, compiled once
+        conditions: dict[Condition, Condition] = {}
+        transitions.append(Transition(tick, clock[(p + 1) % len(clock)], TRUE))
+        for t in tree.transitions:
+            condition = conditions.get(t.condition)
+            if condition is None:
+                condition = conditions[t.condition] = substitute_registers(t.condition, renamed)
+            writes = frozenset(renamed[r] for r in t.writes)
+            transitions.append(Transition(copies[t.source], copies[t.target], condition, writes))
+        states.update(copies.values())
+        finals.update(copies[q] for q in tree.finals)
+        registers.update(renamed.values())
+    return Sra(
+        states=frozenset(states),
+        start=clock[0],
+        finals=frozenset(finals),
+        registers=frozenset(registers),
+        transitions=tuple(transitions),
+        window=tree.window,
+    )

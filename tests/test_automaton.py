@@ -22,6 +22,7 @@ from cerf.automaton import (
     NotDeterministic,
     Sra,
     StreamEngine,
+    SubsetRunner,
     Transition,
     UnverifiableDeterminism,
     _fire,
@@ -32,11 +33,22 @@ from cerf.automaton import (
 from random import Random
 
 from cerf import algebra, automaton, compiler
-from cerf.pattern import Window, accepts, parse, to_streaming
+from cerf.pattern import (
+    EPSILON,
+    Concat,
+    Cond,
+    CondWrite,
+    Oracle,
+    Star,
+    Window,
+    accepts,
+    parse,
+    to_streaming,
+)
 from cerf.serialize import to_dot
 
 from conftest import E1_TEXT, E3_TEXT, make_table1, make_t_then_h_automaton
-from gen import UNIVERSE, universe_library
+from gen import UNIVERSE, random_expr, universe_library
 
 R1 = Register("r1")
 
@@ -522,6 +534,133 @@ class TestRegisterProjection:
         assert len(visits) == 2 * len(distinct)
         # complete and determinize share subtrees, so most nodes repeat
         assert len(distinct) * 3 < len(nodes)
+
+
+def _never_sinking_runner(e: Window) -> SubsetRunner:
+    return SubsetRunner(compiler.never_sinking(compiler.compile_windowed(e)))
+
+
+class TestSubsetRunner:
+    """`cerf recognize` runs a windowed pattern as one configuration of the
+    never-sinking machine's subset machine, built as the stream reaches it."""
+
+    # events with attributes no predicate reads, which registers drop
+    RICH = UNIVERSE + tuple(
+        Event.of(kind=kind, num=num, tag=tag) for kind in "AB" for num in (1, 2) for tag in "xy"
+    )
+
+    def _agree(self, e: Window, stream: list[Event]) -> None:
+        """The runner, `StreamEngine` on the streaming automaton and the
+        oracle agree at every index, and on the empty prefix."""
+        runner = _never_sinking_runner(e)
+        engine = StreamEngine(compiler.streaming_automaton(compiler.compile_windowed(e)))
+        oracle = Oracle(to_streaming(e))
+        pairs = oracle.start()
+        expected = bool(Oracle.derived(pairs))
+        assert runner.matched_at_start == engine.matched_at_start == expected
+        for k, ev in enumerate(stream, start=1):
+            pairs = oracle.step(pairs, ev)
+            expected = bool(Oracle.derived(pairs))
+            assert runner.step(ev) == engine.step(ev) == expected, (e, k)
+        assert runner.consumed == len(stream)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    def test_random_windowed_patterns(self, width):
+        lib = universe_library()
+        rng = Random(1800 + width)
+        for _ in range(40):
+            e = Window(random_expr(rng, 3, lib), width)
+            self._agree(e, [rng.choice(self.RICH) for _ in range(30)])
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    def test_patterns_whose_root_is_final(self, width):
+        kind_a = Cond(_atom("KindA", CURRENT))
+        rng = Random(1810 + width)
+        for body in (EPSILON, Star(Cond(TRUE)), Star(kind_a), Concat(Star(kind_a), Star(kind_a))):
+            e = Window(body, width)
+            assert _never_sinking_runner(e).matched_at_start
+            self._agree(e, [rng.choice(self.RICH) for _ in range(30)])
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    def test_predicate_without_footprint(self, width):
+        same_tag = Predicate("SameTag", 2, lambda x, y: x.get("tag") == y.get("tag"))
+        body = Concat(
+            CondWrite(_atom("KindA", CURRENT), R1),
+            Concat(Star(Cond(TRUE)), Cond(Atom(same_tag, (CURRENT, R1)))),
+        )
+        machine = compiler.never_sinking(compiler.compile_windowed(Window(body, width)))
+        # whole events; at width 1 the body is pruned away with its register
+        assert set(machine.observed_attributes.values()) == ({None} if width > 1 else set())
+        rng = Random(1820 + width)
+        self._agree(Window(body, width), [rng.choice(self.RICH) for _ in range(60)])
+
+    def test_e3_table_size(self):
+        # the table grows with the machine, not with the distinct values
+        _, e3 = parse(E3_TEXT)
+        e = Window(e3.body, 4)
+        sizes = []
+        for ids in (5, 10**5):
+            rng = Random(18)
+            runner, engine = _never_sinking_runner(e), StreamEngine(
+                compiler.streaming_automaton(compiler.compile_windowed(e))
+            )
+            for _ in range(20_000):
+                ev = Event.of(type=rng.choice("TH"), id=rng.randint(1, ids), value=rng.randint(0, 100))
+                assert runner.step(ev) == engine.step(ev)
+            sizes.append((runner.subsets, runner.entries))
+        assert sizes == [(91, 317), (36, 69)]  # (subsets, entries) at 5 and 10^5 ids
+        assert sizes[1][1] <= sizes[0][1]
+
+    def test_machine_shape(self):
+        _, e3 = parse(E3_TEXT)
+        tree = compiler.compile_windowed(e3)
+        machine = compiler.never_sinking(tree)
+        assert machine.start == "c0" and not machine.has_epsilon
+        assert Transition("c2", "c0", TRUE) in machine.out("c2")
+        assert machine.registers == {
+            Register(f"{r.name}@{p}") for r in tree.registers for p in range(3)
+        }
+        assert len(machine.states) == 3 * len(tree.states)
+        # the clock always steps, so no subset the stream reaches is empty
+        runner = SubsetRunner(machine)
+        for ev in _sensor_events(7, 500):
+            runner.step(ev)
+        assert all(s & {"c0", "c1", "c2"} for s in runner._subsets)
+        with pytest.raises(compiler.NotUnrolled):
+            compiler.never_sinking(compiler.streaming_automaton(tree))
+
+    def test_each_condition_is_compiled_once_per_phase(self, monkeypatch):
+        _, e3 = parse(E3_TEXT)
+        machine = compiler.never_sinking(compiler.compile_windowed(Window(e3.body, 4)))
+        compiled = []
+        original = algebra._compile_node
+        monkeypatch.setattr(
+            algebra, "_compile_node",
+            lambda node, *args: compiled.append(node) or original(node, *args),
+        )
+        runner = SubsetRunner(machine)
+        for ev in _sensor_events(3, 2000):
+            runner.step(ev)
+        roots = {id(t.condition) for t in machine.transitions}
+        compiled_roots = [id(node) for node in compiled if id(node) in roots]
+        assert len(compiled_roots) == len(set(compiled_roots))
+        # equal conditions of one phase copy are one object
+        by_phase: dict = {}
+        for t in machine.transitions:
+            by_phase.setdefault(t.target.rpartition("@")[2], []).append(t.condition)
+        for conditions in by_phase.values():
+            assert len({id(c) for c in conditions}) == len(set(conditions))
+
+    def test_rejects_epsilon_automata(self):
+        a = Sra(
+            states=frozenset({"s", "f"}),
+            start="s",
+            finals=frozenset({"f"}),
+            registers=frozenset(),
+            transitions=(Transition("s", "f", None),),
+        )
+        with pytest.raises(ValueError):
+            SubsetRunner(a)
 
 
 class TestDot:

@@ -651,6 +651,17 @@ class TestRecognizeCommand:
         plain = runner.invoke(main, ["recognize", "any.pat", "--input", "events.jsonl"])
         assert _indexes(plain.stdout) == [1, 2, 3, 4, 5, 6]
 
+    @pytest.mark.parametrize("text", ["TRUE*", "EPS"], ids=["star", "epsilon"])
+    def test_report_empty_match_windowed(self, runner, workdir, text):
+        # the windowed machine's clock states are final when the body
+        # matches the empty string
+        Path("any.pat").write_text(text + "\n")
+        args = ["recognize", "any.pat", "--input", "events.jsonl", "--window", "2"]
+        result = runner.invoke(main, [*args, "--report-empty-match"])
+        assert result.exit_code == 0, result.stderr
+        assert _indexes(result.stdout) == [0, 1, 2, 3, 4, 5, 6]
+        assert _indexes(runner.invoke(main, args).stdout) == [1, 2, 3, 4, 5, 6]
+
     @pytest.mark.parametrize("joiner", [" ; ", " & "])
     def test_nesting_bound(self, runner, workdir, joiner):
         declarations = 'pred TypeIsT(x): x.type == "T"\n\n'
@@ -669,6 +680,15 @@ class TestRecognizeCommand:
             main, ["recognize", "e1.pat", "--input", "events.jsonl", "--cap", "1"]
         )
         assert result.exit_code == 4
+
+    def test_cap_bounds_only_the_unwindowed_engine(self, runner, workdir):
+        # a windowed pattern runs one configuration of its subset machine
+        Path("stream.jsonl").write_text(TABLE1_JSONL * 50)
+        args = ["recognize", "e3.pat", "--input", "stream.jsonl", "--window", "4"]
+        capped = runner.invoke(main, [*args, "--cap", "1"])
+        assert capped.exit_code == 0, capped.stderr
+        assert capped.stdout == runner.invoke(main, args).stdout
+        assert len(_indexes(capped.stdout)) == 100
 
 
 class TestPipelineCommands:

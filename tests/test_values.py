@@ -3,9 +3,15 @@ stays frozen and compares, hashes and prints as it did when it was a
 frozen dataclass."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import cerf
 
 from cerf.algebra import (
     CURRENT,
@@ -152,3 +158,40 @@ def test_event_from_mapping_checks_names():
         Event((("", 1),))
     with pytest.raises(ValueError, match="unique"):
         Event((("a", 1), ("a", 2)))
+
+
+def test_event_equality_ignores_the_order_pairs_are_given_in():
+    given = Event((("b", 1), ("a", 2)))
+    assert given == Event.of(a=2, b=1) and hash(given) == hash(Event.of(a=2, b=1))
+    assert given.attrs == (("a", 2), ("b", 1)) and str(given) == "(2,1)"
+    with pytest.raises(ValueError, match="unique"):
+        Event((("b", 1), ("a", 2), ("b", "x")))
+
+
+_BUILD_CONDITION = (
+    "from cerf.algebra import CURRENT, And, Atom, Not, comparison_predicate\n"
+    "a = Atom(comparison_predicate('P', 'x', '==', 1), (CURRENT,))\n"
+    "built = And(Not(a), a)\n"
+)
+
+
+def test_connectives_hash_again_when_unpickled_in_another_process():
+    # Type and text hashes differ between processes (here by hash seed), so
+    # a hash kept from the pickling process would make the loaded condition
+    # unequal to the one built where it is loaded, and miss it as a key.
+    src = str(Path(cerf.__file__).resolve().parents[1])
+
+    def run(code: str, seed: str, data: bytes = b"") -> bytes:
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", _BUILD_CONDITION + code], env=env,
+                              input=data, capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr.decode()
+        return done.stdout
+
+    data = run("import pickle, sys; sys.stdout.buffer.write(pickle.dumps(built))", "1")
+    loaded = (
+        "import pickle, sys\n"
+        "c = pickle.loads(sys.stdin.buffer.read())\n"
+        "print(c == built, hash(c) == hash(built), {built: 'hit'}.get(c), c.left == Not(a))\n"
+    )
+    assert run(loaded, "2", data).split() == [b"True", b"True", b"hit", b"True"]
