@@ -469,9 +469,10 @@ def learn(pattern, train, fmt, window, max_order, p_min, ratio, gamma, alpha, st
         _, expr = _load_pattern(pattern, window)
         d = compiler.complete(_build_stage(expr, "dsra"))
         symbol_map = forecast.SymbolMap.for_automaton(d)
+        # Events are symbolized as they are read: only the symbols are kept.
         with contextlib.closing(_open_input(train)) as fp:
-            events = list(read_events(fp, fmt, strict, _stderr_diagnostic))
-        symbols = forecast.symbolize(d, events, symbol_map)
+            events = read_events(fp, fmt, strict, _stderr_diagnostic)
+            symbols = forecast.symbolize(d, events, symbol_map)
         pst = forecast.Pst.learn(
             symbols,
             max_order=max_order,

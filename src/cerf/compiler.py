@@ -148,9 +148,11 @@ def _reachable(
 
     Keys are explored breadth-first and named by `name` when first reached;
     each (condition, writes, target key) that `step(key)` yields becomes one
-    transition, in the order yielded. `fields` are the remaining Sra fields
-    (registers, window, deterministic)."""
+    transition, in the order yielded. Equal write sets become one object, as
+    a construction yields a new set per move but few distinct ones. `fields`
+    are the remaining Sra fields (registers, window, deterministic)."""
     names = {start: name(start)}
+    shared: dict[frozenset[Register], frozenset[Register]] = {}
     queue = deque((start,))
     transitions = []
     while queue:
@@ -159,6 +161,7 @@ def _reachable(
             if target not in names:
                 names[target] = name(target)
                 queue.append(target)
+            writes = shared.setdefault(writes, writes)
             transitions.append(Transition(names[key], names[target], condition, writes))
     return Sra(
         states=frozenset(names.values()),

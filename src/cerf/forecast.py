@@ -70,10 +70,10 @@ class SymbolMap:
         return len(self._symbol_of)
 
 
-def symbolize(d: Sra, events: Sequence[Event], symbol_map: SymbolMap) -> list[str]:
-    """Run the single deterministic run over the events and emit the symbol
-    of each transition taken. Raises NoTransition when the automaton is not
-    complete and nothing fires."""
+def symbolize(d: Sra, events: Iterable[Event], symbol_map: SymbolMap) -> list[str]:
+    """Run the single deterministic run over the events, read once in order,
+    and emit the symbol of each transition taken. Raises NoTransition when
+    the automaton is not complete and nothing fires."""
     runner = DeterministicRunner(d)
     return [symbol_map.symbol_for(runner.step(event).condition) for event in events]
 

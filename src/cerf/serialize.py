@@ -278,12 +278,15 @@ def model_from_doc(doc: dict) -> tuple[Sra, SymbolMap, Pst, PredicateLibrary]:
 
 
 def dump(doc: dict, target: Union[str, IO[str]]) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    """Write the document to a file or stream as `json.dumps(doc, indent=2)`
+    and a newline. Each chunk goes to the target as the encoder makes it, so
+    the whole text is never held in memory."""
     if isinstance(target, str):
         with open(target, "w", encoding="utf-8") as fp:
-            fp.write(text)
-    else:
-        target.write(text)
+            dump(doc, fp)
+        return
+    json.dump(doc, target, indent=2)
+    target.write("\n")
 
 
 def load(source: Union[str, IO[str]]) -> dict:

@@ -144,6 +144,12 @@ class TestEliminateEpsilon:
         a = eliminate_epsilon(compile_expr(e1))
         assert eliminate_epsilon(a) == a
 
+    @pytest.mark.parametrize("text", [E1_TEXT, E3_TEXT], ids=["E1", "E3"])
+    def test_equal_write_sets_are_one_object(self, text):
+        _, e = parse(text)
+        a = eliminate_epsilon(compile_expr(getattr(e, "body", e)))
+        assert len({id(t.writes) for t in a.transitions}) == len({t.writes for t in a.transitions})
+
 
 class TestToSingleRegister:
     def test_single_write_automata_unchanged(self, t_then_h):
@@ -283,6 +289,14 @@ class TestDeterminize:
         silent = [t for t in out if not t.writes]
         assert len(writing) == 1 and len(silent) == 1
         assert len(writing[0].writes) == 1
+
+    def test_equal_write_sets_are_one_object(self):
+        # Each minterm's successor makes its own write set; the machine
+        # keeps one object per distinct set.
+        _, e3 = parse(E3_TEXT)
+        d = determinize(compile_windowed(Window(e3.body, 7)))
+        assert len(d.transitions) == 4512
+        assert len({id(t.writes) for t in d.transitions}) == len({t.writes for t in d.transitions}) == 7
 
     def test_language_preserved(self):
         sensor_events = make_table1()

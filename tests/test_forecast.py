@@ -85,6 +85,11 @@ class TestSymbolize:
     def test_empty_stream(self, two_state_dfa, dfa_symbol_map):
         assert symbolize(two_state_dfa, [], dfa_symbol_map) == []
 
+    def test_one_pass_iterator(self, two_state_dfa, dfa_symbol_map):
+        events = iter(_sym_events("abba"))
+        assert symbolize(two_state_dfa, events, dfa_symbol_map) == ["a", "b", "b", "a"]
+        assert next(events, None) is None
+
     def test_deterministic_replay(self, two_state_dfa, dfa_symbol_map):
         events = _sym_events("abab")
         once = symbolize(two_state_dfa, events, dfa_symbol_map)

@@ -40,7 +40,7 @@ from cerf.compiler import (
     determinize,
 )
 from cerf.forecast import NotComplete, Pst, SymbolMap
-from cerf.pattern import MAX_NESTING, Oracle, accepts, parse
+from cerf.pattern import MAX_NESTING, Oracle, Window, accepts, parse
 
 from conftest import E1_TEXT, E3_TEXT, make_table1, make_two_state_dfa
 
@@ -209,6 +209,51 @@ class TestSerializeAutomaton:
         buf = io.StringIO()
         serialize.dump(doc, buf)
         assert json.loads(buf.getvalue()) == doc
+
+    @pytest.mark.parametrize("kind", ["automaton", "model"])
+    def test_dump_writes_the_indented_text(self, tmp_path, kind):
+        _, e3 = parse(E3_TEXT)
+        d = complete(determinize(compile_windowed(e3)))
+        if kind == "automaton":
+            doc = serialize.automaton_to_doc(d)
+        else:
+            smap = SymbolMap.for_automaton(d)
+            from cerf.forecast import symbolize
+
+            pst = Pst.learn(symbolize(d, make_table1() * 20, smap), max_order=2,
+                            alphabet=smap.symbols)
+            doc = serialize.model_to_doc(d, smap, pst)
+        text = json.dumps(doc, indent=2) + "\n"
+        target = tmp_path / "doc.json"
+        serialize.dump(doc, str(target))
+        assert target.read_bytes() == text.encode("utf-8")
+        buf = io.StringIO()
+        serialize.dump(doc, buf)
+        assert buf.getvalue() == text
+
+    def test_dump_holds_no_copy_of_the_text(self):
+        # E3 within 7 has 4,512 transitions and a 1.19 MB document; writing
+        # it chunk by chunk as encoded keeps a few kilobytes at a time.
+        _, e3 = parse(E3_TEXT)
+        doc = serialize.automaton_to_doc(determinize(compile_windowed(Window(e3.body, 7))))
+
+        class Discard:
+            written = 0
+
+            def write(self, chunk):
+                self.written += len(chunk)
+                return len(chunk)
+
+        sink = Discard()
+        tracemalloc.start()
+        try:
+            serialize.dump(doc, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        text = len(json.dumps(doc, indent=2)) + 1
+        assert sink.written == text > 1_000_000
+        assert peak < text / 4
 
     def test_load_drops_a_byte_order_mark(self, tmp_path, two_state_dfa):
         doc = serialize.automaton_to_doc(two_state_dfa)
@@ -940,6 +985,40 @@ class TestLearnAndForecast:
         )
         assert result.exit_code == 5
 
+    def test_learn_symbolizes_events_as_it_reads_them(self, runner, workdir, monkeypatch):
+        # symbolize gets the one-pass event reader, not a list of events
+        from cerf.forecast import symbolize
+
+        given = []
+
+        def recording(d, events, symbol_map):
+            given.append(events)
+            return symbolize(d, events, symbol_map)
+
+        monkeypatch.setattr("cerf.forecast.symbolize", recording)
+        self._train_file()
+        result = runner.invoke(
+            main, ["learn", "e3.pat", "--train", "train.jsonl", "--max-order", "2",
+                   "--out", "model.json"]
+        )
+        assert result.exit_code == 0, result.stderr
+        assert len(given) == 1 and iter(given[0]) is given[0]
+
+    def test_learn_reports_skipped_lines_before_its_summary(self, runner, workdir):
+        Path("train.jsonl").write_text(
+            TABLE1_JSONL * 3 + "{not json\n" + TABLE1_JSONL + "[1]\n" + TABLE1_JSONL
+        )
+        result = runner.invoke(
+            main, ["learn", "e3.pat", "--train", "train.jsonl", "--max-order", "2",
+                   "--out", "model.json"]
+        )
+        assert result.exit_code == 0, result.stderr
+        assert result.stderr == (
+            "line 19: invalid JSON (Expecting property name enclosed in double quotes)\n"
+            "line 26: expected a non-empty JSON object\n"
+            "trained on 30 symbols, tree has 5 contexts\n"
+        )
+
     def test_nine_alternatives_learn_and_forecast(self, runner, workdir):
         # `complete` guards the start state with one chain of 511 negated
         # minterms, which the symbol map hashes
@@ -1350,19 +1429,23 @@ class TestUnopenablePaths:
         assert result.exit_code == 2 and "invalid JSON" in result.stderr
 
     @pytest.mark.parametrize(
-        "args, code",
+        "args, code, message",
         [
-            (["e3.pat", "--train", "bad.jsonl", "--strict"], 2),
-            (["e3.pat", "--train", "train.jsonl", "--max-order", "50"], 5),
-            (["e1.pat", "--train", "train.jsonl"], 3),
+            (["e3.pat", "--train", "bad.jsonl", "--strict"], 2,
+             "line 7: invalid JSON (Expecting property name enclosed in double quotes)"),
+            (["e3.pat", "--train", "train.jsonl", "--max-order", "50"], 5,
+             "need at least 51 symbols, got 6"),
+            (["e1.pat", "--train", "train.jsonl"], 3,
+             "unrolling needs a window (use 'within N' or --window)"),
         ],
         ids=["malformed", "insufficient", "unwindowed"],
     )
-    def test_failed_learn_leaves_no_model(self, runner, workdir, args, code):
+    def test_failed_learn_leaves_no_model(self, runner, workdir, args, code, message):
         Path("train.jsonl").write_text(TABLE1_JSONL)
         Path("bad.jsonl").write_text(TABLE1_JSONL + "{not json\n")
         result = runner.invoke(main, ["learn", *args, "--out", "m.json"])
         assert result.exit_code == code, result.stderr
+        assert result.stderr == f"error: {message}\n"
         assert not Path("m.json").exists()
         Path("m.json").write_text("kept")
         result = runner.invoke(main, ["learn", *args, "--out", "m.json"])
