@@ -18,7 +18,7 @@ import random
 import stat
 import sys
 from collections import deque
-from typing import IO, TYPE_CHECKING, Callable, Iterator, Optional
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from . import __version__
 from .algebra import Event, UnknownPredicate
@@ -297,7 +297,7 @@ def _emit_automaton(a: Sra, out: Optional[str], dot: Optional[str], stats: bool)
     with _output(out) as out_fp, _output(dot) as dot_fp:
         serialize.dump(doc, out_fp)
         if dot:
-            dot_fp.write(serialize.to_dot(a, memo=memo))
+            serialize.to_dot(a, dot_fp, memo=memo)
     if stats:
         parts = ", ".join(f"{k}={v}" for k, v in a.stats().items())
         click.echo(parts, err=True)
@@ -535,55 +535,48 @@ def forecast_cmd(model, input_path, fmt, horizon, classify_window, threshold, em
                 _emit_record(record)
 
 
-def _event_payload(event: Event) -> dict:
-    return event.as_dict()
-
-
-# The most configurations `oracle --enumerate` keeps for deriving longer
-# strings from; the least recently used beyond this are dropped.
-_PREFIX_CACHE = 4096
-
-
-def _position(count: int, index: int) -> tuple[int, int]:
-    """(length, rank) of the string at `index` in enumeration order over
-    `count` events: shorter strings first, then as itertools.product orders
-    them, so the base-`count` digits of the rank index the string's
-    events."""
+def _digits(count: int, index: int) -> list[int]:
+    """The string at `index` in enumeration order over `count` events, as
+    universe indexes: shorter strings first, then as itertools.product
+    orders them, so the indexes are the base-`count` digits of the string's
+    rank among those of its length, most significant first."""
     length = 0
     while index >= count**length:
         index -= count**length
         length += 1
-    return length, index
+    digits = [0] * length
+    for place in reversed(range(length)):
+        index, digits[place] = divmod(index, count)
+    return digits
 
 
-def _string_at(events: list[Event], length: int, rank: int) -> list[Event]:
-    string = []
-    for _ in range(length):
-        rank, digit = divmod(rank, len(events))
-        string.append(events[digit])
-    return string[::-1]
-
-
-def _derived(oracle: Oracle, events: list[Event], cache: dict, length: int, rank: int):
-    """The oracle's configuration after the string at (length, rank): the
-    nearest prefix `cache` holds (the empty string if none), stepped over
-    the rest. A loop walks back to that prefix, so any length works. Each
-    configuration reached is kept in `cache`, most recently used last."""
-    digits = []
-    while length and (length, rank) not in cache:
-        rank, digit = divmod(rank, len(events))
-        digits.append(digit)
-        length -= 1
-    key = (length, rank)
-    pairs = cache.pop(key) if key in cache else oracle.start()
-    cache[key] = pairs
-    for digit in reversed(digits):
-        pairs = oracle.step(pairs, events[digit])
-        length, rank = length + 1, rank * len(events) + digit
-        cache[(length, rank)] = pairs
-        if len(cache) > _PREFIX_CACHE:
-            del cache[next(iter(cache))]
-    return pairs
+def _verdicts(
+    oracle: Oracle, events: list[Event], picked: Iterable[int]
+) -> Iterator[tuple[list[int], bool]]:
+    """(universe indexes, accepted) of each picked string, folded through a
+    lazily built table of the oracle's configurations over the universe.
+    Each configuration is numbered when first reached, and its successor
+    on a universe event is one `Oracle.step` on the first lookup that
+    misses, so memory is bounded by the configurations reached times the
+    universe, never by the strings folded."""
+    ids = {oracle.start(): 0}
+    configs = list(ids)
+    successors: list[list[Optional[int]]] = [[None] * len(events)]
+    accepting = [bool(Oracle.derived(configs[0]))]
+    for index in picked:
+        digits, state = _digits(len(events), index), 0
+        for digit in digits:
+            row = successors[state]
+            if row[digit] is None:
+                config = oracle.step(configs[state], events[digit])
+                if config not in ids:
+                    ids[config] = len(configs)
+                    configs.append(config)
+                    successors.append([None] * len(events))
+                    accepting.append(bool(Oracle.derived(config)))
+                row[digit] = ids[config]
+            state = row[digit]
+        yield digits, accepting[state]
 
 
 @main.command()
@@ -594,8 +587,8 @@ def _derived(oracle: Oracle, events: list[Event], cache: dict, length: int, rank
               show_default=True)
 @click.option("--enumerate", "enumerate_", is_flag=True,
               help="Enumerate strings over a finite universe instead.")
-@click.option("--universe", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Events making up the enumeration universe.")
+@click.option("--universe", type=click.Path(exists=True, dir_okay=False, allow_dash=True),
+              default=None, help="Events making up the enumeration universe, '-' for stdin.")
 @click.option("--max-len", type=click.IntRange(min=0), default=3, show_default=True)
 @click.option("--sample", type=click.IntRange(min=1), default=None,
               help="Randomly sample this many strings instead of all of them.")
@@ -608,8 +601,9 @@ def oracle(pattern, input_path, fmt, enumerate_, universe, max_len, sample, seed
     The ground truth for checking the pipeline: it folds the pattern's
     derivatives over each string, holding only the live (residual,
     valuation) pairs. --input reads the stream once, in time linear in its
-    length. --enumerate derives each string from its one shorter prefix,
-    kept in a bounded cache of recent prefixes."""
+    length. --enumerate numbers each configuration the strings over the
+    universe reach and steps each (configuration, event) once, so a string
+    costs one table lookup per event."""
     with _mapped_errors():
         _, expr = _load_pattern(pattern, None)
         derivatives = Oracle(expr)
@@ -624,16 +618,15 @@ def oracle(pattern, input_path, fmt, enumerate_, universe, max_len, sample, seed
                 # sample() only indexes its population, so drawing indices
                 # picks the strings a drawn list of all strings would.
                 picked = random.Random(seed).sample(picked, sample)
-            cache: dict = {}
-            for index in picked:
-                length, rank = _position(len(events), index)
-                pairs = _derived(derivatives, events, cache, length, rank)
-                _emit_record(
-                    {
-                        "events": [_event_payload(ev) for ev in _string_at(events, length, rank)],
-                        "accepts": bool(Oracle.derived(pairs)),
-                    }
+            # Each event is encoded once; a record is then the text
+            # json.dumps would make of {"events": [...], "accepts": ...}.
+            texts = [json.dumps(event.as_dict()) for event in events]
+            for digits, accepted in _verdicts(derivatives, events, picked):
+                sys.stdout.write(
+                    '{"events": [' + ", ".join([texts[d] for d in digits])
+                    + '], "accepts": ' + ("true" if accepted else "false") + "}\n"
                 )
+                sys.stdout.flush()
         else:
             if input_path is None:
                 raise click.UsageError("give --input or --enumerate")

@@ -103,28 +103,29 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(a: Sra, name: str = "sra", memo: Optional[dict] = None) -> str:
-    """Graphviz rendering: finals double-circled, start marked, labels in
-    pattern syntax with the written registers after a down arrow. `memo` is
-    used as `automaton_to_doc` uses it."""
+def to_dot(a: Sra, target: IO[str], name: str = "sra", memo: Optional[dict] = None) -> None:
+    """Write the Graphviz rendering to a stream, each line as it is made:
+    finals double-circled, start marked, labels in pattern syntax with the
+    written registers after a down arrow. `memo` is used as
+    `automaton_to_doc` uses it."""
     memo = {} if memo is None else memo
-    lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=point, label=""];']
+    target.write(f'digraph {name} {{\n  rankdir=LR;\n  __start [shape=point, label=""];\n')
     for state in sorted(a.states):
         shape = "doublecircle" if state in a.finals else "circle"
-        lines.append(f"  {_dot_quote(state)} [shape={shape}];")
-    lines.append(f"  __start -> {_dot_quote(a.start)};")
-    for t in sorted(a.transitions, key=lambda t: (t.source, t.target)):
+        target.write(f"  {_dot_quote(state)} [shape={shape}];\n")
+    target.write(f"  __start -> {_dot_quote(a.start)};\n")
+    # By target, then stably by source: one key per transition, no tuple.
+    for t in sorted(sorted(a.transitions, key=lambda t: t.target), key=lambda t: t.source):
         if t.is_epsilon:
             label = "ε"
         else:
             label = unparse_condition(t.condition, 0, memo)
             if t.writes:
                 label += " ↓ " + ",".join(sorted(r.name for r in t.writes))
-        lines.append(
-            f"  {_dot_quote(t.source)} -> {_dot_quote(t.target)} [label={_dot_quote(label)}];"
+        target.write(
+            f"  {_dot_quote(t.source)} -> {_dot_quote(t.target)} [label={_dot_quote(label)}];\n"
         )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    target.write("}\n")
 
 
 def _check_header(doc: dict, expected: str) -> None:

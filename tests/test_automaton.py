@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from cerf.algebra import (
@@ -663,9 +665,15 @@ class TestSubsetRunner:
             SubsetRunner(a)
 
 
+def _dot(a) -> str:
+    buf = io.StringIO()
+    to_dot(a, buf)
+    return buf.getvalue()
+
+
 class TestDot:
     def test_dot_output_shape(self, t_then_h):
-        dot = to_dot(t_then_h)
+        dot = _dot(t_then_h)
         assert dot.startswith("digraph")
         assert dot.count("doublecircle") == 1
         assert "q_s" in dot and "q_f" in dot
@@ -681,4 +689,4 @@ class TestDot:
             registers=frozenset(),
             transitions=(Transition("a", "b", None),),
         )
-        assert "ε" in to_dot(a)
+        assert "ε" in _dot(a)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, given, settings, strategies as st
 
 import cerf
 from cerf import serialize
@@ -40,9 +41,18 @@ from cerf.compiler import (
     determinize,
 )
 from cerf.forecast import NotComplete, Pst, SymbolMap
-from cerf.pattern import MAX_NESTING, Oracle, Window, accepts, parse
+from cerf.pattern import (
+    MAX_NESTING,
+    Oracle,
+    UnknownRegister,
+    Window,
+    accepts,
+    parse,
+    unparse_pattern,
+)
 
 from conftest import E1_TEXT, E3_TEXT, make_table1, make_two_state_dfa
+from gen import random_expr, universe_library
 
 TABLE1_JSONL = "\n".join(
     json.dumps(row)
@@ -253,6 +263,35 @@ class TestSerializeAutomaton:
             tracemalloc.stop()
         text = len(json.dumps(doc, indent=2)) + 1
         assert sink.written == text > 1_000_000
+        assert peak < text / 4
+
+    def test_to_dot_holds_no_copy_of_the_text(self):
+        # E3 within 7 renders to 862,230 characters of DOT; each line goes
+        # to the stream as it is made. The memo is filled by the document
+        # first, as `--out` and `--dot` share it.
+        _, e3 = parse(E3_TEXT)
+        a = determinize(compile_windowed(Window(e3.body, 7)))
+        memo: dict = {}
+        serialize.automaton_to_doc(a, memo)
+        buf = io.StringIO()
+        serialize.to_dot(a, buf, memo=memo)
+        text = len(buf.getvalue())
+
+        class Discard:
+            written = 0
+
+            def write(self, chunk):
+                self.written += len(chunk)
+                return len(chunk)
+
+        sink = Discard()
+        tracemalloc.start()
+        try:
+            serialize.to_dot(a, sink, memo=memo)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.written == text > 800_000
         assert peak < text / 4
 
     def test_load_drops_a_byte_order_mark(self, tmp_path, two_state_dfa):
@@ -1329,6 +1368,82 @@ class TestOracleCommand:
         # all 349,525 strings as lists would take tens of megabytes
         assert peak < 5_000_000
 
+    def test_enumerate_steps_each_configuration_and_event_once(self, runner, workdir, monkeypatch):
+        universe = self._four_event_universe()
+        step = Oracle.step
+        oracles, calls = [], []
+
+        def counted(self, pairs, event):
+            oracles.append(self)
+            calls.append((pairs, universe.index(event)))
+            return step(self, pairs, event)
+
+        monkeypatch.setattr(Oracle, "step", counted)
+        args = ["oracle", "e1.pat", "--enumerate", "--universe", "universe.jsonl"]
+        result = runner.invoke(main, args + ["--max-len", "5"])
+        assert result.exit_code == 0, result.stderr
+        assert len(result.stdout.splitlines()) == 1365
+        # every configuration a string shorter than 5 reaches, on every event
+        oracle = oracles[0]
+        reached = frontier = {oracle.start()}
+        for _ in range(4):
+            frontier = {step(oracle, c, ev) for c in frontier for ev in universe} - reached
+            reached = reached | frontier
+        assert set(oracles) == {oracle}
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {(c, i) for c in reached for i in range(len(universe))}
+        calls.clear()
+        result = runner.invoke(main, args + ["--max-len", "9", "--sample", "200", "--seed", "4"])
+        assert result.exit_code == 0, result.stderr
+        assert len(calls) == len(set(calls)) > 0
+
+    def test_enumerate_long_strings_in_full(self, runner, workdir, monkeypatch):
+        Path("star.pat").write_text('pred TypeIsT(x): x.type == "T"\n\nTypeIsT(~)*\n')
+        Path("one.jsonl").write_text('{"type": "T"}\n')
+        steps = []
+        step = Oracle.step
+
+        def counted(self, pairs, event):
+            steps.append(event)
+            return step(self, pairs, event)
+
+        monkeypatch.setattr(Oracle, "step", counted)
+        result = runner.invoke(
+            main, ["oracle", "star.pat", "--enumerate", "--universe", "one.jsonl", "--max-len", "300"]
+        )
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            json.dumps({"events": [{"type": "T"}] * n, "accepts": True}) for n in range(301)
+        ]
+        assert len(steps) <= 2
+
+    def test_enumerate_empty_universe(self, runner, workdir):
+        Path("empty.jsonl").write_text("")
+        for extra in ([], ["--max-len", "0"], ["--sample", "3"]):
+            result = runner.invoke(
+                main, ["oracle", "e1.pat", "--enumerate", "--universe", "empty.jsonl", *extra]
+            )
+            assert (result.exit_code, result.stdout) == (0, '{"events": [], "accepts": false}\n')
+
+    def test_enumerate_max_len_zero(self, runner, workdir):
+        self._four_event_universe()
+        Path("star.pat").write_text('pred TypeIsT(x): x.type == "T"\n\nTypeIsT(~)*\n')
+        for pattern, verdict in (("e1.pat", "false"), ("star.pat", "true")):
+            result = runner.invoke(
+                main,
+                ["oracle", pattern, "--enumerate", "--universe", "universe.jsonl", "--max-len", "0"],
+            )
+            assert (result.exit_code, result.stdout) == (0, f'{{"events": [], "accepts": {verdict}}}\n')
+
+    def test_enumerate_reads_the_universe_from_stdin(self, runner, workdir):
+        self._four_event_universe()
+        args = ["oracle", "e1.pat", "--enumerate", "--max-len", "3", "--universe"]
+        from_file = runner.invoke(main, args + ["universe.jsonl"])
+        from_stdin = runner.invoke(main, args + ["-"], input=Path("universe.jsonl").read_text())
+        assert from_file.exit_code == from_stdin.exit_code == 0, from_stdin.stderr
+        assert from_stdin.stdout == from_file.stdout
+        assert len(from_file.stdout.splitlines()) == 85
+
     def test_enumerate_needs_universe(self, runner, workdir):
         result = runner.invoke(main, ["oracle", "e1.pat", "--enumerate"])
         assert result.exit_code == 2
@@ -1336,6 +1451,53 @@ class TestOracleCommand:
     def test_membership_needs_input(self, runner, workdir):
         result = runner.invoke(main, ["oracle", "e1.pat"])
         assert result.exit_code == 2
+
+
+# Attribute values for enumeration universes: the ones the universe
+# predicates test, text that JSON escapes, and numbers of every kind.
+_UNIVERSE_VALUES = st.one_of(
+    st.sampled_from(["A", "B", 1, 2]),
+    st.text(alphabet='AB "\\\t\né日😀', max_size=4),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    rows=st.lists(
+        st.dictionaries(st.sampled_from(["kind", "num", "é", 'say "hi"']), _UNIVERSE_VALUES,
+                        min_size=1, max_size=3),
+        max_size=3,
+    ),
+    max_len=st.integers(min_value=0, max_value=3),
+    sample=st.one_of(st.none(), st.integers(min_value=1, max_value=45)),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_enumerate_prints_what_json_dumps_prints(rng, rows, max_len, sample, seed):
+    lib = universe_library()
+    text = unparse_pattern(lib, random_expr(rng, 3, lib))
+    try:
+        _, expr = parse(text)
+    except UnknownRegister:  # it reads a register that it never writes
+        assume(False)
+    universe = [Event.from_mapping(row) for row in rows]
+    strings = [list(s) for n in range(max_len + 1) for s in itertools.product(universe, repeat=n)]
+    args = ["oracle", "p.pat", "--enumerate", "--universe", "u.jsonl", "--max-len", str(max_len)]
+    if sample is not None:
+        args += ["--sample", str(sample), "--seed", str(seed)]
+        if sample < len(strings):
+            strings = random.Random(seed).sample(strings, sample)
+    with CliRunner().isolated_filesystem():
+        Path("p.pat").write_text(text, encoding="utf-8")
+        Path("u.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+        result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        json.dumps({"events": [e.as_dict() for e in s], "accepts": accepts(expr, s)})
+        for s in strings
+    ]
 
 
 # Commands whose file option names a path that cannot be opened, and that path.
