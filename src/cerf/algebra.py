@@ -64,14 +64,16 @@ class _Frozen:
 
 
 class Event(_Frozen):
-    """One element of the universe: a flat record of named attributes, kept
-    as (name, value) pairs sorted by name, however they were given.
+    """One element of the universe: a flat record of named attributes, held
+    as a dict from name to value, however the attributes were given. Its
+    `attrs` are the (name, value) pairs sorted by name, made on first use;
+    equality, hashing, repr and str read the event as those pairs.
 
     Attribute values are text or numbers. Two events compare equal iff all
     their attributes match exactly.
     """
 
-    __slots__ = ("attrs",)
+    __slots__ = ("_values", "_attrs")
 
     def __init__(self, attrs: Iterable[tuple[str, Value]]) -> None:
         attrs = tuple(sorted(attrs, key=operator.itemgetter(0)))
@@ -80,15 +82,27 @@ class Event(_Frozen):
             raise ValueError("attribute names must be non-empty")
         if len(set(names)) != len(names):
             raise ValueError("attribute names must be unique within an event")
-        _set(self, "attrs", attrs)
+        _set(self, "_values", dict(attrs))
+        _set(self, "_attrs", attrs)
+
+    @property
+    def attrs(self) -> tuple[tuple[str, Value], ...]:
+        attrs = self._attrs
+        if attrs is None:
+            attrs = tuple(sorted(self._values.items()))
+            _set(self, "_attrs", attrs)
+        return attrs
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.attrs == other.attrs
+        return self._values == other._values
 
     def __hash__(self) -> int:
-        return hash((self.attrs,))
+        return hash((self._attrs or self.attrs,))
+
+    def __repr__(self) -> str:
+        return f"Event(attrs={self.attrs!r})"
 
     @classmethod
     def of(cls, **attrs: Value) -> "Event":
@@ -96,41 +110,35 @@ class Event(_Frozen):
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Value]) -> "Event":
-        """The event of a mapping's items. Its keys are unique already, so
+        """The event of a copy of a mapping. Its keys are unique already, so
         only an empty name needs checking."""
         if "" in mapping:
             raise ValueError("attribute names must be non-empty")
         event = object.__new__(cls)
-        _set(event, "attrs", tuple(sorted(mapping.items())))
+        _set(event, "_values", dict(mapping))
+        _set(event, "_attrs", None)
         return event
 
     def get(self, name: str, default: Optional[Value] = None) -> Optional[Value]:
-        for key, value in self.attrs:
-            if key == name:
-                return value
-        return default
+        return self._values.get(name, default)
 
     def __getitem__(self, name: str) -> Value:
-        value = self.get(name)
-        if value is None and self.get(name, _MISSING) is _MISSING:
-            raise KeyError(name)
-        return value  # type: ignore[return-value]
+        return self._values[name]
 
     def as_dict(self) -> dict[str, Value]:
+        """The attributes as a dict in name order."""
         return dict(self.attrs)
 
     def project(self, names: frozenset[str]) -> "Event":
         """The event cut down to the named attributes it has. A cut of a
         valid event is valid, so this skips the constructor's checks."""
         cut = object.__new__(Event)
-        _set(cut, "attrs", tuple([pair for pair in self.attrs if pair[0] in names]))
+        _set(cut, "_values", {k: v for k, v in self._values.items() if k in names})
+        _set(cut, "_attrs", None)
         return cut
 
     def __str__(self) -> str:
         return "(" + ",".join(str(v) for _, v in self.attrs) + ")"
-
-
-_MISSING = object()
 
 
 @functools.total_ordering
@@ -765,6 +773,8 @@ def _compile_atom(atom: Atom, slots: Mapping[Register, int]) -> Holds:
     if literal and not guards and isinstance(right[1], (str, int, float)):
         return _literal_test(left[2], op, right[1])
     compare = _COMPARISONS[op]
+    if left[0] == right[0] == "attr":
+        return _join_test(left, compare, right, positions, guards)
     read_left, read_right = _operand(left, positions), _operand(right, positions)
 
     def holds(event, stored):
@@ -776,6 +786,9 @@ def _compile_atom(atom: Atom, slots: Mapping[Register, int]) -> Holds:
     return holds
 
 
+_NUMBER = (int, float)
+
+
 def _literal_test(name: str, op: str, constant: Value) -> Holds:
     """`~.name op constant` for a text or number constant, as
     `_compare_values` decides it: false unless the attribute is there and
@@ -783,15 +796,36 @@ def _literal_test(name: str, op: str, constant: Value) -> Holds:
     kind test, since only text equals text."""
     if isinstance(constant, str):
         if op == "==":
-            return lambda event, stored: event.get(name) == constant
+            return lambda event, stored: event._values.get(name) == constant
         kind: Union[type, tuple[type, ...]] = str
     else:
-        kind = (int, float)
+        kind = _NUMBER
     compare = _COMPARISONS[op]
 
     def holds(event, stored):
-        value = event.get(name)
+        value = event._values.get(name)
         return isinstance(value, kind) and compare(value, constant)
+
+    return holds
+
+
+def _join_test(left: tuple, compare: Callable, right: tuple, positions: tuple,
+               guards: tuple) -> Holds:
+    """`left op right` over two attributes, of `~` or of registers, as
+    `_compare_values` decides it, reading the slots in the generic path's
+    order: each guard, false at the first empty one, then the operands'."""
+    left_slot, left_name = positions[left[1]], left[2]
+    right_slot, right_name = positions[right[1]], right[2]
+
+    def holds(event, stored):
+        for slot in guards:
+            if stored[slot] is None:
+                return False
+        a = (event if left_slot is None else stored[left_slot])._values.get(left_name)
+        b = (event if right_slot is None else stored[right_slot])._values.get(right_name)
+        if isinstance(a, str):
+            return isinstance(b, str) and compare(a, b)
+        return isinstance(a, _NUMBER) and isinstance(b, _NUMBER) and compare(a, b)
 
     return holds
 

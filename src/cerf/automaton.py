@@ -5,23 +5,20 @@ instrumented deterministic runner."""
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import (
-    EMPTY_VALUATION,
     And,
     Atom,
     Condition,
     EvalCounters,
     Event,
     Holds,
-    Not,
-    Or,
     Register,
     TrueCondition,
     Valuation,
     _Frozen,
+    _all,
     _set,
     _walk,
     _walk_distinct,
@@ -42,11 +39,6 @@ class PreconditionFailed(ValueError):
 
 class NotDeterministic(PreconditionFailed):
     """The operation needs a deterministic automaton."""
-
-
-class UnverifiableDeterminism(PreconditionFailed):
-    """Determinism could not be decided syntactically and no test universe
-    was supplied for exhaustive checking."""
 
 
 class NoTransition(PreconditionFailed, RuntimeError):
@@ -94,10 +86,9 @@ class Sra(_Frozen):
 
     Immutable; the outgoing-transition index is computed once at
     construction, while `is_acyclic()` walks the graph on every call.
-    `deterministic` is a constructor-asserted flag (set by constructions
-    that guarantee it); `is_deterministic` checks the property. The
-    instance `__dict__` holds only what `functools.cached_property` builds
-    on first use.
+    `deterministic` is a constructor-asserted flag, set by the constructions
+    that guarantee it and not checked here. The instance `__dict__` holds
+    only what `functools.cached_property` builds on first use.
     """
 
     __slots__ = (
@@ -387,74 +378,6 @@ def run_accepts(a: Sra, events: Sequence[Event], cap: int = 100_000) -> bool:
     return any(state in a.finals for state, _ in current)
 
 
-def _literals(cond: Condition) -> Optional[list[tuple[Condition, bool]]]:
-    """Flatten a conjunction into (base, sign) literals, or None when the
-    shape is not a plain sign-conjunction."""
-    conjuncts = [c for c in _walk(cond, (And,)) if not isinstance(c, (And, TrueCondition))]
-    if any(isinstance(c, Or) for c in conjuncts):
-        return None
-    return [(c.operand, False) if isinstance(c, Not) else (c, True) for c in conjuncts]
-
-
-def _syntactically_exclusive(c1: Condition, c2: Condition) -> Optional[bool]:
-    l1 = _literals(c1)
-    l2 = _literals(c2)
-    if l1 is None or l2 is None:
-        return None
-    signs1 = dict(l1)
-    for base, sign in l2:
-        if base in signs1 and signs1[base] != sign:
-            return True
-    return None
-
-
-def is_deterministic(
-    a: Sra,
-    universe: Optional[Iterable[Event]] = None,
-    valuations: Optional[Iterable[Valuation]] = None,
-) -> bool:
-    """Whether at most one transition can fire at any state for any
-    (event, valuation).
-
-    Per state, each pair of outgoing conditions is first checked
-    syntactically (two sign-conjunctions sharing a base condition with
-    opposite signs cannot fire together). States with a pair the syntactic
-    check cannot decide are run over the supplied universe and valuations,
-    looking for more than one transition firing; without a universe such
-    states raise UnverifiableDeterminism.
-    """
-    if a.has_epsilon:
-        return False
-    undecided = [
-        state
-        for state in a.states
-        if any(
-            _syntactically_exclusive(t1.condition, t2.condition) is None
-            for t1, t2 in itertools.combinations(a.out(state), 2)
-        )
-    ]
-    if not undecided:
-        return True
-    if universe is None:
-        raise UnverifiableDeterminism(
-            "outgoing conditions are not one minterm family; supply a test universe"
-        )
-    events = list(universe)
-    if valuations is None:
-        if a.registers:
-            raise UnverifiableDeterminism(
-                "registers present; supply sample valuations for exhaustive checking"
-            )
-        valuations = [EMPTY_VALUATION]
-    slotted = [a._plan.slots(v) for v in valuations]
-    for state in undecided:
-        for event in events:
-            for stored in slotted:
-                if len(list(itertools.islice(_fire(a, [(state, stored)], event), 2))) > 1:
-                    return False
-    return True
-
-
 class StreamEngine:
     """Nondeterministic recognition over an unbounded stream.
 
@@ -500,18 +423,16 @@ class StreamEngine:
 class _Subset:
     """One state of a lazily built subset machine, for a set of states of
     the nondeterministic automaton: whether the set holds a final, its
-    transitions grouped by condition (`outgoing`) with each distinct
-    condition compiled, and its table from each sign vector of those
-    conditions seen so far to (target subset, slots written)."""
+    transitions grouped by condition (`outgoing`), the diagram that gives
+    the sign vector of those conditions (`diagram.diagram`), and its table
+    from each sign vector seen so far to (target subset, slots written)."""
 
-    __slots__ = ("final", "holds", "groups", "table")
+    __slots__ = ("final", "groups", "diagram", "table")
 
-    def __init__(self, a: Sra, members: frozenset[str]) -> None:
-        plan = a._plan
-        by_condition = outgoing(a, members)
-        self.final = bool(members & a.finals)
-        self.holds = tuple(compile_condition(c, plan._slots, plan._compiled) for c in by_condition)
-        self.groups = tuple(by_condition.values())
+    def __init__(self, final: bool, groups: tuple, diagram) -> None:
+        self.final = final
+        self.groups = groups
+        self.diagram = diagram
         self.table: dict[tuple[bool, ...], tuple[_Subset, tuple[int, ...]]] = {}
 
 
@@ -526,12 +447,13 @@ class SubsetRunner:
     no two runs that need different events in a register are alive at once;
     `compiler.never_sinking` builds such a machine for a windowed pattern.
 
-    A step evaluates the current subset's distinct conditions into a sign
-    vector, and one lookup in the subset's table gives the target subset
-    and the slots written, stored through `_store`. On a miss, `successor`
-    reads the target off the asserted conditions, the rule `determinize`
-    follows; no minterm is built and no subset is expanded beyond the sign
-    vectors the stream shows."""
+    A step gets the sign vector of the current subset's distinct conditions
+    through its diagram (`diagram.diagram`), testing the conjunct that
+    heads the most of them once, and one lookup in the subset's table gives
+    the target subset and the slots written, stored through `_store`. On a
+    miss, `successor` reads the target off the asserted conditions, the
+    rule `determinize` follows; no minterm is built and no subset is
+    expanded beyond the sign vectors the stream shows."""
 
     def __init__(self, automaton: Sra) -> None:
         if automaton.has_epsilon:
@@ -539,6 +461,11 @@ class SubsetRunner:
         self.automaton = automaton
         self.consumed = 0
         self._subsets: dict[frozenset[str], _Subset] = {}
+        # By the identities of the automaton's conditions, which it keeps
+        # alive: each one's spine (equal conjuncts one object) and diagrams.
+        self._spines: dict[int, tuple[Condition, ...]] = {}
+        self._canonical: dict[Condition, Condition] = {}
+        self._diagrams: dict[tuple[int, ...], object] = {}
         self._state = self._subset(frozenset((automaton.start,)))
         self._stored: Slots = (None,) * len(automaton.registers)
 
@@ -560,7 +487,12 @@ class SubsetRunner:
     def step(self, event: Event) -> bool:
         """Consume one event; report whether a match completes at this index."""
         state, stored = self._state, self._stored
-        signs = tuple([holds(event, stored) for holds in state.holds])
+        signs = state.diagram  # a Branch, a list or the sign vector
+        while signs.__class__ is not tuple:
+            if signs.__class__ is list:
+                signs = tuple([s if s.__class__ is bool else s(event, stored) for s in signs])
+            else:
+                signs = signs.hi if signs.test(event, stored) else signs.lo
         hit = state.table.get(signs)
         if hit is None:
             hit = self._miss(state, signs)
@@ -573,8 +505,32 @@ class SubsetRunner:
     def _subset(self, members: frozenset[str]) -> _Subset:
         subset = self._subsets.get(members)
         if subset is None:
-            subset = self._subsets[members] = _Subset(self.automaton, members)
+            a = self.automaton
+            by_condition = outgoing(a, members)
+            key = tuple([id(c) for c in by_condition])  # many subsets share it
+            diagram = self._diagrams.get(key)
+            if diagram is None:
+                from .diagram import diagram as build
+
+                spines = [self._spine(c) for c in by_condition]
+                diagram = self._diagrams[key] = build(spines, self._conjunction)
+            subset = _Subset(bool(members & a.finals), tuple(by_condition.values()), diagram)
+            self._subsets[members] = subset
         return subset
+
+    def _spine(self, condition: Condition) -> tuple[Condition, ...]:
+        spine = self._spines.get(id(condition))
+        if spine is None:
+            canonical = self._canonical
+            spine = self._spines[id(condition)] = tuple(
+                canonical.setdefault(c, c)
+                for c in _walk(condition, (And,)) if not isinstance(c, (And, TrueCondition))
+            )
+        return spine
+
+    def _conjunction(self, conjuncts: tuple[Condition, ...]) -> Holds:
+        plan = self.automaton._plan
+        return _all([compile_condition(c, plan._slots, plan._compiled) for c in conjuncts])
 
     def _miss(self, state: _Subset, signs: tuple[bool, ...]) -> tuple[_Subset, tuple[int, ...]]:
         writes, targets = successor(state.groups, [i for i, sign in enumerate(signs) if sign])

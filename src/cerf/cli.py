@@ -111,29 +111,45 @@ def _coerce_csv_value(text: str):
     return value if math.isfinite(value) else text
 
 
+# What json.loads runs, as one C call: the scanner, from the first non-blank.
+_scan_json = json.JSONDecoder().scan_once
+_json_blanks = json.decoder.WHITESPACE.match
+
+
 def _event_from_json_line(line: str, lineno: int) -> Event:
+    """The event of one JSON object line, else MalformedInput with the
+    reason `json.loads` gives, or naming the first attribute with an empty
+    name or a value other than text or a finite number."""
     try:
-        record = json.loads(line)
+        if line.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+        record, end = _scan_json(line, _json_blanks(line, 0).end())
+        if _json_blanks(line, end).end() != len(line):
+            raise json.JSONDecodeError("Extra data", line, end)
+    except StopIteration:
+        raise MalformedInput(f"line {lineno}: invalid JSON (Expecting value)")
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"line {lineno}: invalid JSON ({exc.msg})")
     except ValueError:  # an integer literal past Python's digit limit
         raise MalformedInput(f"line {lineno}: invalid JSON (a number has too many digits)")
     except RecursionError:
         raise MalformedInput(f"line {lineno}: invalid JSON (nested too deeply)")
-    if not isinstance(record, dict) or not record:
+    if record.__class__ is not dict or not record:
         raise MalformedInput(f"line {lineno}: expected a non-empty JSON object")
     for name, value in record.items():
         if not name:
             raise MalformedInput(f"line {lineno}: attribute names must be non-empty")
-        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        kind = value.__class__  # json's own classes; a bool's is not int
+        if kind is float:
+            # json reads NaN, Infinity and overflowing literals such as
+            # 1e400 as non-finite floats; NaN never equals itself, so such
+            # an event would never deduplicate.
+            if not math.isfinite(value):
+                raise MalformedInput(f"line {lineno}: attribute {name!r} must be a finite number")
+        elif kind is not str and kind is not int:
             raise MalformedInput(
                 f"line {lineno}: attribute {name!r} must be a string or number"
             )
-        # json reads NaN, Infinity and overflowing literals such as 1e400
-        # as non-finite floats; NaN never equals itself, so such an event
-        # would never deduplicate.
-        if isinstance(value, float) and not math.isfinite(value):
-            raise MalformedInput(f"line {lineno}: attribute {name!r} must be a finite number")
     return Event.from_mapping(record)
 
 
@@ -303,10 +319,16 @@ def _emit_automaton(a: Sra, out: Optional[str], dot: Optional[str], stats: bool)
         click.echo(parts, err=True)
 
 
-def _emit_record(record: dict) -> None:
-    """One JSON line on stdout, flushed at once, as `click.echo` writes it."""
-    sys.stdout.write(json.dumps(record) + "\n")
+def _emit_line(line: str) -> None:
+    """One line on stdout, flushed at once, so that a reader sees each
+    record as it is made, whatever stdout is."""
+    sys.stdout.write(line)
     sys.stdout.flush()
+
+
+def _emit_record(record: dict) -> None:
+    """One JSON line, as `click.echo` writes it, through `_emit_line`."""
+    _emit_line(json.dumps(record) + "\n")
 
 
 # --- commands -----------------------------------------------------------
@@ -363,11 +385,12 @@ def recognize(pattern, input_path, fmt, window, cap, report_empty_match, strict)
         else:
             engine = StreamEngine(compiler.streaming_automaton(_build_stage(expr, "sra")), cap=cap)
         with contextlib.closing(_open_input(input_path)) as fp:
+            # each record is the text json.dumps makes of {"index": n}
             if report_empty_match and engine.matched_at_start:
-                _emit_record({"index": 0})
+                _emit_line('{"index": 0}\n')
             for event in read_events(fp, fmt, strict, _stderr_diagnostic):
                 if engine.step(event):
-                    _emit_record({"index": engine.consumed})
+                    _emit_line('{"index": %d}\n' % engine.consumed)
 
 
 def _load_source(pattern, automaton_path, window, build: Callable[[Expr], Sra]):

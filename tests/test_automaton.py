@@ -15,6 +15,7 @@ from cerf.algebra import (
     Register,
     Valuation,
     comparison_predicate,
+    compile_condition,
     conjoin,
 )
 from cerf.automaton import (
@@ -26,10 +27,8 @@ from cerf.automaton import (
     StreamEngine,
     SubsetRunner,
     Transition,
-    UnverifiableDeterminism,
     _fire,
     epsilon_closure,
-    is_deterministic,
     run_accepts,
 )
 from random import Random
@@ -50,6 +49,7 @@ from cerf.pattern import (
 from cerf.serialize import to_dot
 
 from conftest import E1_TEXT, E3_TEXT, make_table1, make_t_then_h_automaton
+from determinism import UnverifiableDeterminism, is_deterministic
 from gen import UNIVERSE, random_expr, universe_library
 
 R1 = Register("r1")
@@ -595,6 +595,74 @@ class TestSubsetRunner:
         assert set(machine.observed_attributes.values()) == ({None} if width > 1 else set())
         rng = Random(1820 + width)
         self._agree(Window(body, width), [rng.choice(self.RICH) for _ in range(60)])
+
+    @staticmethod
+    def _signs(runner: SubsetRunner, members: frozenset, event: Event, stored: tuple) -> tuple:
+        """The sign vector one step of the runner keys its table with, from
+        the subset of `members` with `stored` in the slots."""
+        subset = runner._subset(members)
+        subset.table.clear()
+        runner._state, runner._stored = subset, stored
+        runner.step(event)
+        (signs,) = subset.table
+        return signs
+
+    def _check_signs(self, machine: Sra, rng: Random, subsets: int, pool=RICH) -> None:
+        """On random subsets of the machine's states, random events of the
+        pool and random slot contents, the diagram's sign vector is the
+        vector of the subset's conditions compiled one by one."""
+        runner, plan = SubsetRunner(machine), machine._plan
+        states = sorted(machine.states)
+        for _ in range(subsets):
+            members = frozenset(rng.sample(states, rng.randint(1, len(states))))
+            conditions = [compile_condition(c, plan._slots, plan._compiled)
+                          for c in automaton.outgoing(machine, members)]
+            for _ in range(8):
+                event = rng.choice(pool)
+                stored = tuple(rng.choice((None, *pool)) for _ in plan.registers)
+                expected = tuple(holds(event, stored) for holds in conditions)
+                assert self._signs(runner, members, event, stored) == expected
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    def test_diagram_signs_are_the_per_condition_signs(self, width):
+        lib = universe_library()
+        rng = Random(2100 + width)
+        for _ in range(25):
+            e = Window(random_expr(rng, 3, lib), width)
+            self._check_signs(compiler.never_sinking(compiler.compile_windowed(e)), rng, 10)
+        _, e3 = parse(E3_TEXT)
+        machine = compiler.never_sinking(compiler.compile_windowed(Window(e3.body, width)))
+        self._check_signs(machine, rng, 40, _sensor_events(width, 12))
+
+    def test_diagram_branches_once_on_the_most_shared_head(self):
+        # four heads, each heading two conditions and the third three; each
+        # tail is a head too, so a deeper expansion would find more to share
+        heads = [Atom(comparison_predicate(f"N{i}", "num", "==", i % 3), (CURRENT,))
+                 for i in range(4)]
+        tails = [_atom("KindA", CURRENT), _atom("SameNum", CURRENT, R1)]
+        conditions = [And(h, t) for h in heads for t in tails]
+        conditions += [And(heads[2], heads[0]), heads[3], TRUE]
+        transitions = [Transition("s", "s", TRUE, frozenset({R1}))]
+        transitions += [Transition("s", f"t{i}", c) for i, c in enumerate(conditions)]
+        machine = Sra(
+            states=frozenset({"s"} | {t.target for t in transitions}),
+            start="s", finals=frozenset(), registers=frozenset({R1}),
+            transitions=tuple(transitions),
+        )
+        diagram = SubsetRunner(machine)._subset(frozenset({"s"})).diagram
+        plan = machine._plan
+        assert diagram.test is compile_condition(heads[2], plan._slots, plan._compiled)
+        assert isinstance(diagram.hi, list) and isinstance(diagram.lo, list)
+        self._check_signs(machine, Random(7), 30)
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_e3_agrees_with_the_stream_engine(self, width):
+        _, e3 = parse(E3_TEXT)
+        e = Window(e3.body, width)
+        runner = _never_sinking_runner(e)
+        engine = StreamEngine(compiler.streaming_automaton(compiler.compile_windowed(e)))
+        for k, ev in enumerate(_sensor_events(2100 + width, 5000), start=1):
+            assert runner.step(ev) == engine.step(ev), (width, k)
 
     def test_e3_table_size(self):
         # the table grows with the machine, not with the distinct values

@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import random
+import selectors
 import shutil
 import socket
 import subprocess
@@ -28,7 +29,6 @@ from cerf.automaton import (
     PreconditionFailed,
     Sra,
     Transition,
-    UnverifiableDeterminism,
     run_accepts,
 )
 from cerf.cli import MalformedInput, main, read_events
@@ -52,6 +52,7 @@ from cerf.pattern import (
 )
 
 from conftest import E1_TEXT, E3_TEXT, make_table1, make_two_state_dfa
+from determinism import UnverifiableDeterminism
 from gen import random_expr, universe_library
 
 TABLE1_JSONL = "\n".join(
@@ -1672,6 +1673,91 @@ def _run_fresh(*args):
     return done, Path("loaded.txt").read_text().split()
 
 
+def _buffered_env() -> dict:
+    """`_cerf_env` without PYTHONUNBUFFERED, which would make every write
+    to stdout reach its reader at once."""
+    env = _cerf_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _event_line(kind: str, ident: int) -> bytes:
+    return (json.dumps({"type": kind, "id": ident, "value": 7}) + "\n").encode()
+
+
+def _recognize_e3_from_stdin(tmp_path, stdout) -> subprocess.Popen:
+    Path(tmp_path, "e3.pat").write_text(E3_TEXT)
+    return subprocess.Popen(
+        [sys.executable, "-m", "cerf.cli", "recognize", "e3.pat", "--input", "-"],
+        cwd=tmp_path, env=_buffered_env(), stdin=subprocess.PIPE, stdout=stdout,
+        stderr=subprocess.PIPE,
+    )
+
+
+class TestRecordOutput:
+    """A record reaches the reader while the input is still open, as a
+    recognizer of an unbounded stream must deliver it."""
+
+    # T then H of the same id complete a match at the second event
+    MATCH = _event_line("T", 1) + _event_line("H", 1)
+
+    def test_a_pipe_reader_gets_each_record_before_the_input_ends(self, tmp_path):
+        proc = _recognize_e3_from_stdin(tmp_path, subprocess.PIPE)
+        try:
+            proc.stdin.write(self.MATCH)
+            proc.stdin.flush()
+            with selectors.DefaultSelector() as selector:
+                selector.register(proc.stdout, selectors.EVENT_READ)
+                assert selector.select(timeout=60), "no record while the input was open"
+            assert proc.stdout.readline() == b'{"index": 2}\n'
+            assert proc.poll() is None
+        finally:
+            proc.stdin.close()
+            proc.wait(timeout=60)
+            proc.stdout.close()
+            proc.stderr.close()
+        assert proc.returncode == 0
+
+    def test_a_file_gets_each_record_before_the_input_ends(self, tmp_path):
+        path = tmp_path / "matches.jsonl"
+        with open(path, "wb") as out:
+            proc = _recognize_e3_from_stdin(tmp_path, out)
+        try:
+            proc.stdin.write(self.MATCH)
+            proc.stdin.flush()
+            deadline = time.monotonic() + 60
+            while not path.read_bytes() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert path.read_bytes() == b'{"index": 2}\n'
+            assert proc.poll() is None
+        finally:
+            proc.stdin.close()
+            proc.wait(timeout=60)
+            proc.stderr.close()
+        assert proc.returncode == 0
+
+    def test_a_file_gets_what_json_dumps_makes_of_each_record(self, tmp_path):
+        Path(tmp_path, "e3.pat").write_text(E3_TEXT)
+        rng = random.Random(21)
+        events = [(rng.choice("TH"), rng.randint(1, 3)) for _ in range(10_000)]
+        Path(tmp_path, "in.jsonl").write_bytes(b"".join(_event_line(*e) for e in events))
+        with open(tmp_path / "out.jsonl", "wb") as out:
+            done = subprocess.run(
+                [sys.executable, "-m", "cerf.cli", "recognize", "e3.pat", "--input",
+                 "in.jsonl", "--report-empty-match"],
+                cwd=tmp_path, env=_buffered_env(), stdout=out, stderr=subprocess.PIPE,
+                timeout=120,
+            )
+        assert done.returncode == 0, done.stderr
+        piped = CliRunner().invoke(
+            main, ["recognize", str(tmp_path / "e3.pat"), "--input", str(tmp_path / "in.jsonl")]
+        )
+        indexes = [json.loads(line)["index"] for line in piped.stdout.splitlines()]
+        expected = "".join(json.dumps({"index": i}) + "\n" for i in indexes)
+        assert len(expected) > 2 * io.DEFAULT_BUFFER_SIZE  # more than one write buffer
+        assert (tmp_path / "out.jsonl").read_text() == expected
+
+
 class TestFreshProcess:
     """In-process runs cannot show what a command loads: the suite has
     imported every module already."""
@@ -1681,7 +1767,7 @@ class TestFreshProcess:
         [
             (["oracle", "e3.pat", "--input", "events.jsonl"], ["algebra", "pattern"]),
             (["recognize", "e3.pat", "--input", "events.jsonl"],
-             ["algebra", "automaton", "compiler", "pattern"]),
+             ["algebra", "automaton", "compiler", "diagram", "pattern"]),
             (["determinize", "e3.pat"], ["algebra", "automaton", "compiler", "pattern", "serialize"]),
             (["forecast", "--model", "model.json", "--input", "events.jsonl"],
              ["algebra", "automaton", "forecast", "pattern", "serialize"]),
