@@ -1,23 +1,30 @@
 """Constructions between expressions and automata: compilation,
-ε-elimination, single-register normalization, closure operations, window
-unrolling, determinization, complement, and back-translation to an
-expression."""
+ε-elimination, single-register normalization, window unrolling, minterms,
+determinization, completion, complement, and the two stream machines.
+The closure operations and the translation back to an expression, which
+no command but `to-srem` runs, are in `cerf.closure`."""
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from typing import Callable, Hashable, Iterable, Optional
+from collections import deque
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .algebra import (
+    _COMPARISONS,
+    _FLIPPED,
     And,
+    Atom,
     Condition,
     Not,
+    Or,
     Register,
     TRUE,
+    TrueCondition,
+    Value,
     _Frozen,
+    _compare_values,
+    _walk,
     conjoin,
-    entails,  # not called here; perfbench/tracing.py reads and rebinds compiler.entails
-    minterms,
     registers_of,
     substitute_registers,
 )
@@ -35,8 +42,6 @@ from .pattern import (
     Concat,
     Cond,
     CondWrite,
-    EMPTY,
-    EPSILON,
     Empty,
     Epsilon,
     Expr,
@@ -57,6 +62,10 @@ class NotWindowed(PreconditionFailed):
 
 class NotUnrolled(PreconditionFailed):
     """The operation needs an acyclic (unrolled) ε-free automaton."""
+
+
+class NotAMinterm(ValueError):
+    """The condition does not have the conjunct structure minterms() produces."""
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +185,15 @@ def _reachable(
 # ε-elimination
 
 
+def _fresh_state(base: str, avoid: frozenset[str]) -> str:
+    name = base
+    k = 2
+    while name in avoid:
+        name = f"{base}{k}"
+        k += 1
+    return name
+
+
 def _set_name(members: frozenset[str]) -> str:
     return "+".join(sorted(members))
 
@@ -262,158 +280,6 @@ def to_single_register(a: Sra) -> Sra:
         lambda key: key[0] in a.finals,
         registers=frozenset(slots),
         window=a.window,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Closure operations
-
-
-def rename_registers(a: Sra, mapping: dict[Register, Register]) -> Sra:
-    if not mapping:
-        return a
-    new_transitions = tuple(
-        Transition(
-            t.source,
-            t.target,
-            None if t.condition is None else substitute_registers(t.condition, mapping),
-            frozenset(mapping.get(r, r) for r in t.writes),
-        )
-        for t in a.transitions
-    )
-    return Sra(
-        states=a.states,
-        start=a.start,
-        finals=a.finals,
-        registers=frozenset(mapping.get(r, r) for r in a.registers),
-        transitions=new_transitions,
-        window=a.window,
-        deterministic=a.deterministic,
-    )
-
-
-def _relabel_states(a: Sra, fn: Callable[[str], str]) -> Sra:
-    return Sra(
-        states=frozenset(fn(q) for q in a.states),
-        start=fn(a.start),
-        finals=frozenset(fn(q) for q in a.finals),
-        registers=a.registers,
-        transitions=tuple(
-            Transition(fn(t.source), fn(t.target), t.condition, t.writes)
-            for t in a.transitions
-        ),
-        window=a.window,
-        deterministic=a.deterministic,
-    )
-
-
-def _disjoint_operands(a1: Sra, a2: Sra) -> tuple[Sra, Sra]:
-    shared = a1.registers & a2.registers
-    if shared:
-        avoid = {r.name for r in a1.registers | a2.registers}
-        mapping = {}
-        for reg in sorted(shared):
-            k = 2
-            while f"{reg.name}_{k}" in avoid:
-                k += 1
-            fresh = f"{reg.name}_{k}"
-            avoid.add(fresh)
-            mapping[reg] = Register(fresh)
-        a2 = rename_registers(a2, mapping)
-    if a1.states & a2.states:
-        used = set(a1.states)
-        state_map = {}
-        for q in sorted(a2.states):
-            name = q
-            k = 2
-            while name in used:
-                name = f"{q}~{k}"
-                k += 1
-            used.add(name)
-            state_map[q] = name
-        a2 = _relabel_states(a2, state_map.__getitem__)
-    return a1, a2
-
-
-def _fresh_state(base: str, avoid: frozenset[str]) -> str:
-    name = base
-    k = 2
-    while name in avoid:
-        name = f"{base}{k}"
-        k += 1
-    return name
-
-
-def union_of(a1: Sra, a2: Sra) -> Sra:
-    """Fresh start/final joined to both operands by ε-moves."""
-    b1, b2 = _disjoint_operands(a1, a2)
-    states = b1.states | b2.states
-    start = _fresh_state("s", frozenset(states))
-    final = _fresh_state("f", frozenset(states | {start}))
-    eps = [Transition(start, b1.start, None), Transition(start, b2.start, None)]
-    eps += [Transition(g, final, None) for g in sorted(b1.finals | b2.finals)]
-    return Sra(
-        states=states | {start, final},
-        start=start,
-        finals=frozenset((final,)),
-        registers=b1.registers | b2.registers,
-        transitions=b1.transitions + b2.transitions + tuple(eps),
-    )
-
-
-def concat_of(a1: Sra, a2: Sra) -> Sra:
-    """ε-moves from every final of the first operand into the second."""
-    b1, b2 = _disjoint_operands(a1, a2)
-    eps = tuple(Transition(g, b2.start, None) for g in sorted(b1.finals))
-    return Sra(
-        states=b1.states | b2.states,
-        start=b1.start,
-        finals=b2.finals,
-        registers=b1.registers | b2.registers,
-        transitions=b1.transitions + eps + b2.transitions,
-    )
-
-
-def star_of(a: Sra) -> Sra:
-    """Fresh start/final with skip and loop-back ε-moves."""
-    start = _fresh_state("s", a.states)
-    final = _fresh_state("f", frozenset(a.states | {start}))
-    eps = [Transition(start, a.start, None), Transition(start, final, None)]
-    for g in sorted(a.finals):
-        eps.append(Transition(g, final, None))
-        eps.append(Transition(g, a.start, None))
-    return Sra(
-        states=a.states | {start, final},
-        start=start,
-        finals=frozenset((final,)),
-        registers=a.registers,
-        transitions=a.transitions + tuple(eps),
-    )
-
-
-def intersect(a1: Sra, a2: Sra) -> Sra:
-    """Product construction over ε-free operands (ε-elimination is applied
-    first when needed): states are pairs of operand states, conditions
-    conjoined, write sets unioned, and shared register names renamed apart
-    in the second operand. The result may write several registers per
-    transition; normalize with to_single_register when single-write form
-    matters."""
-    b1 = eliminate_epsilon(a1) if a1.has_epsilon else a1
-    b2 = eliminate_epsilon(a2) if a2.has_epsilon else a2
-    b1, b2 = _disjoint_operands(b1, b2)
-
-    def step(pair: tuple[str, str]) -> Iterable[Move]:
-        for t1 in b1.out(pair[0]):
-            for t2 in b2.out(pair[1]):
-                condition = And(t1.condition, t2.condition)
-                yield condition, t1.writes | t2.writes, (t1.target, t2.target)
-
-    return _reachable(
-        (b1.start, b2.start),
-        step,
-        lambda pair: f"({pair[0]},{pair[1]})",
-        lambda pair: pair[0] in b1.finals and pair[1] in b2.finals,
-        registers=b1.registers | b2.registers,
     )
 
 
@@ -550,6 +416,201 @@ def compile_windowed(e: Expr) -> Sra:
 
 
 # ---------------------------------------------------------------------------
+# Minterms
+
+
+def _literal_bounds(condition: Condition) -> tuple:
+    """The ((argument, attribute), (op, constant)) bounds a condition asserts
+    when it holds: one per atom on its conjunction spine whose declaration
+    compares one parameter's attribute to a text or number literal, turned
+    to read `attribute op constant`. Other atoms add no bound."""
+    bounds = []
+    for node in _walk(condition, (And,)):
+        if not isinstance(node, Atom) or node.predicate.declaration is None:
+            continue
+        left, op, right = node.predicate.declaration
+        if left[0] == "lit":
+            left, op, right = right, _FLIPPED[op], left
+        if left[0] == "attr" and right[0] == "lit" and isinstance(right[1], (str, int, float)):
+            bounds.append(((node.args[left[1]], left[2]), (op, right[1])))
+    return tuple(bounds)
+
+
+def _satisfiable(bounds: Sequence[tuple[str, Value]]) -> bool:
+    """Whether one attribute value can meet every (op, constant) bound under
+    `_compare_values`. Sound and partial: an open range low < value < high
+    counts as satisfiable whenever low < high."""
+    if len({isinstance(constant, str) for _, constant in bounds}) > 1:
+        return False  # text against number: every such comparison is false
+    for op, constant in bounds:
+        if op == "==":
+            return all(_compare_values(constant, _COMPARISONS[o], c) for o, c in bounds)
+    excluded = [constant for op, constant in bounds if op == "!="]
+    for low_op, low in bounds:
+        if low_op not in (">", ">="):
+            continue
+        for high_op, high in bounds:
+            if high_op not in ("<", "<=") or low < high:
+                continue
+            closed = low_op == ">=" and high_op == "<="
+            if not (closed and low == high and all(low != c for c in excluded)):
+                return False
+    return True
+
+
+def _narrowed(groups: dict, bounds: tuple) -> Optional[dict]:
+    """The bounds by (argument, attribute) with `bounds` added, or None when
+    a group they join becomes unsatisfiable."""
+    if not bounds:
+        return groups
+    groups = dict(groups)
+    for key, bound in bounds:
+        groups[key] = groups.get(key, ()) + (bound,)
+        if not _satisfiable(groups[key]):
+            return None
+    return groups
+
+
+def _folds(condition: Condition, base: Sequence[Condition], earlier: Sequence[int]) -> list:
+    """The sign vectors, as (index, sign) tuples over a prefix of the
+    `earlier` base indices, whose literals fold left into `condition`:
+    And(And(l0, l1), l2) for three literals, where a literal is b or Not(b)."""
+    vectors = []
+    rights: list[Condition] = []
+    node = condition
+    while isinstance(node, And) and len(rights) < len(earlier) - 1:
+        rights.append(node.right)
+        node = node.left
+        vector = []
+        for i, part in zip(earlier, [node, *reversed(rights)]):
+            if part == base[i]:
+                vector.append((i, True))
+            elif isinstance(part, Not) and part.operand == base[i]:
+                vector.append((i, False))
+            else:
+                break
+        else:
+            vectors.append(tuple(vector))
+    return vectors
+
+
+def _sign_clashes(base: Sequence[Condition]) -> list[tuple[list, list]]:
+    """Per base index j, the sign requirements on earlier bases under which
+    giving b_j the negative sign (first list) or the positive sign (second
+    list) is cut, each a tuple of (i, sign of b_i) pairs that must all hold.
+    They are the sign vectors whose minterm has on its conjunction spine a
+    base it negates (a node of an asserted base's spine, the literal
+    Not(b_i) or the conjunction of the literals before b_j), or that assert
+    both b_i and Not(b_i): such minterms never hold."""
+    index = {cond: k for k, cond in enumerate(base)}
+    clashes: list[tuple[list, list]] = [([], []) for _ in base]
+    earlier: list[int] = []  # indices of the bases before, TRUE left out
+    for i, cond in enumerate(base):
+        for node in _walk(cond, (And,)):
+            j = index.get(node, i)
+            if j > i:
+                clashes[j][False].append(((i, True),))
+            elif j < i:
+                clashes[i][True].append(((j, False),))
+        j = index.get(Not(cond))
+        if j is not None:
+            low, high = min(i, j), max(i, j)
+            clashes[high][False].append(((low, False),))
+            clashes[high][True].append(((low, True),))
+        clashes[i][False].extend(_folds(cond, base, earlier))
+        if not isinstance(cond, TrueCondition):
+            earlier.append(i)
+    return clashes
+
+
+def minterms(conditions: Sequence[Condition]) -> tuple[tuple[Condition, tuple[int, ...]], ...]:
+    """Maximal satisfiable sign combinations of the given conditions, each
+    with its signs: (minterm, positives) pairs, where `positives` are the
+    sorted indices, into the conditions deduplicated in first-seen order,
+    of the conditions the minterm asserts. TRUE is always asserted.
+
+    Each input condition appears exactly once per minterm, positively or
+    negated, with positive TRUE conjuncts dropped. Sign vectors are
+    generated depth first, positive branch first, so kept minterms come out
+    in `itertools.product((True, False), ...)` order. A prefix is cut, with
+    everything below it, as soon as it negates TRUE, or its signs clash
+    structurally, or its positive literals conflict.
+    - Structural clash (precomputed per base list, see `_sign_clashes`):
+      the minterm would have on its conjunction spine a base it negates,
+      such as a base asserted b_i with b_j on b_i's spine and b_j negated,
+      or b and Not(b) both negated; or it asserts both b and Not(b). With
+      these cut, the signs are exact: a kept minterm has a base on its
+      spine exactly when it asserts it, which is what `entails` tests.
+    - Literal conflict: the positive literals bound one attribute of one
+      argument (`~` or a register) to constants of different kinds, to
+      unequal `==` constants, or to an empty `== != < <= > >=` range.
+    Both checks are sound and partial: negated literals, `Or`,
+    attribute-against-attribute atoms and predicates without a declaration
+    bound no range, so a kept minterm may still be unsatisfiable. The
+    minterms are pairwise mutually exclusive and exhaustive: exactly one
+    holds for any (event, valuation). Minterms sharing a prefix share its
+    conjunction node.
+    """
+    base = list(dict.fromkeys(conditions))
+    if not base:
+        return ((TRUE, ()),)
+    bounds = [_literal_bounds(cond) for cond in base]
+    clashes = _sign_clashes(base)
+    negated = [Not(cond) for cond in base]
+    out: list[tuple[Condition, tuple[int, ...]]] = []
+    # (depth, conjunction of the literals so far or None, positives so far,
+    # bounds so far)
+    stack: list[tuple[int, Optional[Condition], tuple[int, ...], dict]] = [(0, None, (), {})]
+    while stack:
+        depth, prefix, positives, groups = stack.pop()
+        if depth == len(base):
+            out.append((TRUE if prefix is None else prefix, positives))
+            continue
+        cond = base[depth]
+        # a negated TRUE never holds, and a positive one adds no conjunct
+        is_true = isinstance(cond, TrueCondition)
+        for positive in (True,) if is_true else (False, True):
+            clash = clashes[depth][positive]
+            if clash and any(
+                all((i in positives) is sign for i, sign in vector) for vector in clash
+            ):
+                continue
+            if not positive:
+                stack.append((depth + 1, _conjoined(prefix, negated[depth]), positives, groups))
+                continue
+            kept = _narrowed(groups, bounds[depth])
+            if kept is not None:
+                conjunction = prefix if is_true else _conjoined(prefix, cond)
+                stack.append((depth + 1, conjunction, positives + (depth,), kept))
+    return tuple(out)
+
+
+def _conjoined(prefix: Optional[Condition], literal: Condition) -> Condition:
+    return literal if prefix is None else And(prefix, literal)
+
+
+def entails(minterm: Condition, condition: Condition) -> bool:
+    """Whether a minterm entails one of the conditions it was built from.
+
+    True iff the condition occurs as a positive conjunct anywhere on the
+    minterm's conjunction spine. The tautology is entailed by every minterm
+    (its conjunct is dropped during simplification, but everything implies
+    TRUE). Descending the full spine rather than only the top-level fold
+    keeps the test exact when a base condition is itself a conjunction.
+
+    `minterms` hands out each minterm's signs, which `determinize` reads
+    instead; this spine test is the independent reference they are checked
+    against. No command calls it; perfbench/tracing.py wraps it by its name
+    here, `compiler.entails`, as it wraps `compiler.minterms`.
+    """
+    if not isinstance(minterm, (TrueCondition, Atom, Not, And, Or)):
+        raise NotAMinterm(repr(minterm))
+    if condition == TRUE:
+        return True
+    return any(node == condition for node in _walk(minterm, (And,)))
+
+
+# ---------------------------------------------------------------------------
 # Determinization and complement
 
 
@@ -632,97 +693,6 @@ def complete_and_complement(a: Sra) -> Sra:
         window=completed.window,
         deterministic=completed.deterministic,
     )
-
-
-# ---------------------------------------------------------------------------
-# Automaton -> expression (state elimination over expression-labeled edges)
-
-
-def _smart_seq(x: Expr, y: Expr) -> Expr:
-    if isinstance(x, Empty) or isinstance(y, Empty):
-        return EMPTY
-    if isinstance(x, Epsilon):
-        return y
-    if isinstance(y, Epsilon):
-        return x
-    return Concat(x, y)
-
-
-def _smart_alt(x: Expr, y: Expr) -> Expr:
-    if isinstance(x, Empty):
-        return y
-    if isinstance(y, Empty):
-        return x
-    if x == y:
-        return x
-    return Alt(x, y)
-
-
-def _smart_star(x: Expr) -> Expr:
-    if isinstance(x, (Empty, Epsilon)):
-        return EPSILON
-    return Star(x)
-
-
-def sra_to_srem(a: Sra) -> Expr:
-    """Translate an automaton back to an expression.
-
-    The automaton is normalized (ε-free, single-write), lifted to a graph of
-    expression-labeled edges with a fresh start and final, and states are
-    eliminated one at a time - each detour through an eliminated state q
-    rewrites the p→s label to (p→q) · (q→q)* · (q→s) joined by alternation
-    with the direct label. Elimination removes the state with the fewest
-    incident labeled edges first (ties to the lowest name), which keeps the
-    final expression small."""
-    b = eliminate_epsilon(a) if a.has_epsilon else a
-    b = to_single_register(b)
-    source = _fresh_state("gs", b.states)
-    sink = _fresh_state("gf", frozenset(b.states | {source}))
-
-    label: dict[tuple[str, str], Expr] = {}
-    # How many labeled edges touch each state, a loop once: kept as edges
-    # come and go, so choosing the next state does not scan every label.
-    incident: Counter = Counter()
-
-    def add(p: str, s: str, e: Expr) -> None:
-        if isinstance(e, Empty):
-            return
-        if (p, s) not in label:
-            incident.update({p, s})
-        label[(p, s)] = _smart_alt(label.get((p, s), EMPTY), e)
-
-    def drop(p: str, s: str) -> Expr:
-        incident.subtract({p, s})
-        return label.pop((p, s))
-
-    add(source, b.start, EPSILON)
-    for final in sorted(b.finals):
-        add(final, sink, EPSILON)
-    for t in b.transitions:
-        if t.writes:
-            add(t.source, t.target, CondWrite(t.condition, next(iter(t.writes))))
-        else:
-            add(t.source, t.target, Cond(t.condition))
-
-    remaining = set(b.states)
-    while remaining:
-        q = min(remaining, key=lambda q: (incident[q], q))
-        remaining.discard(q)
-        loop = drop(q, q) if (q, q) in label else EMPTY
-        ins = sorted(
-            ((p, e) for (p, tq), e in label.items() if tq == q), key=lambda x: x[0]
-        )
-        outs = sorted(
-            ((s, e) for (sq, s), e in label.items() if sq == q), key=lambda x: x[0]
-        )
-        for p, _ in ins:
-            drop(p, q)
-        for s, _ in outs:
-            drop(q, s)
-        for p, e_in in ins:
-            for s, e_out in outs:
-                add(p, s, _smart_seq(e_in, _smart_seq(_smart_star(loop), e_out)))
-    return label.get((source, sink), EMPTY)
 
 
 # ---------------------------------------------------------------------------

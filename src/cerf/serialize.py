@@ -77,6 +77,16 @@ def automaton_to_doc(a: Sra, memo: Optional[dict] = None) -> dict:
     (a fresh one if none is given), as `unparse_condition` keeps them, so a
     memo given must not outlive `a`, which holds every node it is keyed by."""
     memo = {} if memo is None else memo
+    # one sorted list of names per write set: equal sets, which an automaton
+    # mostly holds as one object, share it
+    written: dict[frozenset[Register], list[str]] = {}
+
+    def names(writes: frozenset[Register]) -> list[str]:
+        listed = written.get(writes)
+        if listed is None:
+            listed = written[writes] = sorted(r.name for r in writes)
+        return listed
+
     return {
         "format": FORMAT_SRA,
         "version": VERSION,
@@ -92,7 +102,7 @@ def automaton_to_doc(a: Sra, memo: Optional[dict] = None) -> dict:
                 "source": t.source,
                 "target": t.target,
                 "condition": None if t.condition is None else unparse_condition(t.condition, 0, memo),
-                "writes": sorted(r.name for r in t.writes),
+                "writes": names(t.writes),
             }
             for t in a.transitions
         ],

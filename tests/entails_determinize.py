@@ -13,18 +13,17 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from cerf.algebra import (
-    TRUE,
-    And,
-    Condition,
-    Not,
-    TrueCondition,
+from cerf.algebra import TRUE, And, Condition, Not, TrueCondition
+from cerf.automaton import Sra
+from cerf.compiler import (
+    Move,
+    NotUnrolled,
     _literal_bounds,
     _narrowed,
+    _reachable,
+    _set_name,
     entails,
 )
-from cerf.automaton import Sra
-from cerf.compiler import Move, NotUnrolled, _reachable, _set_name
 
 
 def minterms(conditions: Sequence[Condition]) -> tuple[Condition, ...]:

@@ -24,6 +24,7 @@ from cerf.algebra import (
     evaluate_condition,
     join_predicate,
 )
+from cerf.oracle import Oracle
 from cerf.pattern import (
     Alt,
     Concat,
@@ -31,7 +32,6 @@ from cerf.pattern import (
     CondWrite,
     EMPTY,
     EPSILON,
-    Oracle,
     Star,
     Window,
 )

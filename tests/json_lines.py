@@ -1,5 +1,5 @@
 """The JSON-lines decoder as `json.loads` and `isinstance` checks wrote it,
-kept as the reference that `cerf.cli._event_from_json_line` is checked
+kept as the reference that `cerf.shell._event_from_json_line` is checked
 against: the same events, and the same diagnostic for each line it
 refuses."""
 
@@ -9,7 +9,7 @@ import json
 import math
 
 from cerf.algebra import Event
-from cerf.cli import MalformedInput
+from cerf.shell import MalformedInput
 
 
 def _event_from_json_line(line: str, lineno: int) -> Event:

@@ -16,22 +16,18 @@ from cerf.algebra import (
     EvalCounters,
     EvalScope,
     Register,
-    minterms,
 )
 from cerf.automaton import DeterministicRunner, StreamEngine, run_accepts
+from cerf.closure import concat_of, intersect, sra_to_srem, star_of, union_of
 from cerf.compiler import (
     compile_expr,
     compile_windowed,
     complete,
     complete_and_complement,
-    concat_of,
     determinize,
     eliminate_epsilon,
-    intersect,
-    sra_to_srem,
-    star_of,
+    minterms,
     to_single_register,
-    union_of,
 )
 from cerf.forecast import (
     Pst,

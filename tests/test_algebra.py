@@ -4,7 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from cerf import algebra
+from cerf import compiler
 from cerf.algebra import (
     ALWAYS,
     CURRENT,
@@ -15,7 +15,6 @@ from cerf.algebra import (
     EvalScope,
     Event,
     Not,
-    NotAMinterm,
     Or,
     Predicate,
     PredicateLibrary,
@@ -25,14 +24,13 @@ from cerf.algebra import (
     compile_condition,
     comparison_predicate,
     conjoin,
-    entails,
     evaluate_condition,
     join_predicate,
-    minterms,
     predicates_of,
     registers_of,
     substitute_registers,
 )
+from cerf.compiler import NotAMinterm, entails, minterms
 from cerf.pattern import parse_predicates
 
 from gen import UNIVERSE, random_condition, universe_library
@@ -662,9 +660,9 @@ class TestMintermCut:
         # at most one positive literal are ever visited.
         conds = [_unary(f"pred V{i}(x): x.v == {i}") for i in range(40)]
         visits = []
-        narrowed = algebra._narrowed
+        narrowed = compiler._narrowed
         monkeypatch.setattr(
-            algebra, "_narrowed", lambda groups, bounds: visits.append(1) or narrowed(groups, bounds)
+            compiler, "_narrowed", lambda groups, bounds: visits.append(1) or narrowed(groups, bounds)
         )
         family = _kept(conds)
         assert len(family) == 41

@@ -34,12 +34,12 @@ from cerf.automaton import (
 from random import Random
 
 from cerf import algebra, automaton, compiler
+from cerf.oracle import Oracle
 from cerf.pattern import (
     EPSILON,
     Concat,
     Cond,
     CondWrite,
-    Oracle,
     Star,
     Window,
     accepts,

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from cerf import algebra, compiler
+from cerf import compiler
 from cerf.algebra import (
     CURRENT,
     EMPTY_VALUATION,
@@ -15,6 +15,7 @@ from cerf.algebra import (
     evaluate_condition,
 )
 from cerf.automaton import Sra, StreamEngine, Transition, run_accepts
+from cerf.closure import concat_of, intersect, rename_registers, sra_to_srem, star_of, union_of
 from cerf.compiler import (
     NotUnrolled,
     NotWindowed,
@@ -23,16 +24,10 @@ from cerf.compiler import (
     compile_windowed,
     complete,
     complete_and_complement,
-    concat_of,
     determinize,
     eliminate_epsilon,
-    intersect,
-    rename_registers,
-    sra_to_srem,
-    star_of,
     streaming_automaton,
     to_single_register,
-    union_of,
     unroll,
 )
 from cerf.pattern import (
@@ -250,8 +245,9 @@ class TestDeterminize:
             determinize(t_then_h)
 
     def test_minterms_and_entails_are_module_globals(self, monkeypatch):
-        # perfbench/tracing.py measures the algebra layer by wrapping these
-        # two names on the compiler module. E3 within 3 has seven distinct
+        # perfbench/tracing.py measures minterms and entailment (its
+        # `algebra.*` metrics) by wrapping these two names on the compiler
+        # module, which defines both. E3 within 3 has seven distinct
         # tuples of outgoing conditions, and entailment is read off the
         # minterms' signs.
         calls = {"minterms": 0, "entails": 0}
@@ -267,7 +263,7 @@ class TestDeterminize:
         determinize(compile_windowed(e3))
         assert calls == {"minterms": 7, "entails": 0}
         monkeypatch.undo()
-        assert compiler.entails is algebra.entails
+        assert compiler.entails.__module__ == compiler.minterms.__module__ == "cerf.compiler"
 
     def test_deterministic_flag_and_single_run(self):
         _, e3 = parse(E3_TEXT)
@@ -308,7 +304,7 @@ class TestDeterminize:
 
 
 # Minterms whose positive literals conflict, such as TypeIsT(~) & TypeIsH(~),
-# are cut as they are generated (`algebra.minterms`).
+# are cut as they are generated (`compiler.minterms`).
 E3_SIZES = {3: (10, 12), 4: (27, 52), 5: (70, 222), 6: (183, 982), 7: (490, 4512)}
 
 # The E3 sensor attributes, plus an event with no type at all.

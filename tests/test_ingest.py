@@ -7,7 +7,8 @@ from pathlib import Path
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from cerf.cli import MalformedInput, _event_from_json_line, main
+from cerf.cli import main
+from cerf.shell import MalformedInput, _event_from_json_line
 
 import json_lines
 from conftest import E3_TEXT

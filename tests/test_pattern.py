@@ -17,6 +17,7 @@ from cerf.algebra import (
     UnknownPredicate,
     comparison_predicate,
 )
+from cerf.oracle import Oracle
 from cerf.pattern import (
     MAX_NESTING,
     Alt,
@@ -25,7 +26,6 @@ from cerf.pattern import (
     CondWrite,
     EMPTY,
     EPSILON,
-    Oracle,
     PatternSyntaxError,
     Star,
     UnknownRegister,

@@ -31,7 +31,7 @@ from cerf.automaton import (
     Transition,
     run_accepts,
 )
-from cerf.cli import MalformedInput, main, read_events
+from cerf.cli import main
 from cerf.compiler import (
     NotUnrolled,
     NotWindowed,
@@ -41,15 +41,16 @@ from cerf.compiler import (
     determinize,
 )
 from cerf.forecast import NotComplete, Pst, SymbolMap
+from cerf.oracle import Oracle
 from cerf.pattern import (
     MAX_NESTING,
-    Oracle,
     UnknownRegister,
     Window,
     accepts,
     parse,
     unparse_pattern,
 )
+from cerf.shell import MalformedInput, read_events
 
 from conftest import E1_TEXT, E3_TEXT, make_table1, make_two_state_dfa
 from determinism import UnverifiableDeterminism
@@ -1765,17 +1766,27 @@ class TestFreshProcess:
     @pytest.mark.parametrize(
         "args, loaded",
         [
-            (["oracle", "e3.pat", "--input", "events.jsonl"], ["algebra", "pattern"]),
+            (["oracle", "e3.pat", "--input", "events.jsonl"],
+             ["algebra", "cmd_oracle", "oracle", "pattern", "shell"]),
             (["recognize", "e3.pat", "--input", "events.jsonl"],
-             ["algebra", "automaton", "compiler", "diagram", "pattern"]),
-            (["determinize", "e3.pat"], ["algebra", "automaton", "compiler", "pattern", "serialize"]),
+             ["algebra", "automaton", "cmd_stream", "compiler", "diagram", "pattern", "shell"]),
+            (["determinize", "e3.pat"],
+             ["algebra", "automaton", "cmd_automata", "compiler", "pattern", "serialize", "shell"]),
+            (["compile", "e3.pat", "--stage", "dsra"],
+             ["algebra", "automaton", "cmd_automata", "compiler", "pattern", "serialize", "shell"]),
+            (["complement", "e3.pat"],
+             ["algebra", "automaton", "cmd_automata", "compiler", "pattern", "serialize", "shell"]),
+            (["to-srem", "e3.pat"],
+             ["algebra", "automaton", "closure", "cmd_automata", "compiler", "pattern", "shell"]),
             (["forecast", "--model", "model.json", "--input", "events.jsonl"],
-             ["algebra", "automaton", "forecast", "pattern", "serialize"]),
+             ["algebra", "automaton", "cmd_stream", "forecast", "pattern", "serialize", "shell"]),
             (["learn", "e3.pat", "--train", "train.jsonl", "--max-order", "1",
               "--out", "again.json"],
-             ["algebra", "automaton", "compiler", "forecast", "pattern", "serialize"]),
+             ["algebra", "automaton", "cmd_stream", "compiler", "forecast", "pattern",
+              "serialize", "shell"]),
         ],
-        ids=["oracle", "recognize", "determinize", "forecast", "learn"],
+        ids=["oracle", "recognize", "determinize", "compile", "complement", "to-srem",
+             "forecast", "learn"],
     )
     def test_each_command_loads_only_the_modules_it_runs(self, runner, workdir, args, loaded):
         Path("train.jsonl").write_text(TABLE1_JSONL * 20)
@@ -1788,6 +1799,9 @@ class TestFreshProcess:
         assert done.returncode == 0, done.stderr
         # value types are written-out classes: nothing generates them
         assert "dataclasses" not in modules
+        # `python -m cerf.cli` runs cli.py as __main__; importing `cerf.cli`
+        # too would compile it a second time
+        assert "cerf.cli" not in modules
         assert modules == ["cerf", *(f"cerf.{name}" for name in loaded)]
 
     @pytest.mark.parametrize(
