@@ -19,9 +19,11 @@ def _emit_automaton(a: Sra, out: Optional[str], dot: Optional[str], stats: bool)
 
     # With --dot, one memo renders each condition node once for both files.
     memo = {} if dot else None
-    doc = serialize.automaton_to_doc(a, memo)
-    # Both files are opened before either is written, so a path that cannot
-    # be opened leaves stdout empty and neither file created.
+    # The document's transitions are made as they are written; the rest of
+    # it, and so any reason it cannot be made, comes before either file is
+    # opened. Both are opened before either is written, so a path that
+    # cannot be opened leaves stdout empty and neither file created.
+    doc = serialize.lazy_automaton_doc(a, memo)
     with _output(out) as out_fp, _output(dot) as dot_fp:
         serialize.dump(doc, out_fp)
         if dot:

@@ -113,7 +113,7 @@ def learn(pattern, train, fmt, window, max_order, p_min, ratio, gamma, alpha, st
             alpha=alpha,
             alphabet=symbol_map.symbols,
         )
-        serialize.dump(serialize.model_to_doc(d, symbol_map, pst), out_fp)
+        serialize.dump(serialize.lazy_model_doc(d, symbol_map, pst), out_fp)
         click.echo(
             f"trained on {len(symbols)} symbols, tree has {len(pst.nodes)} contexts",
             err=True,

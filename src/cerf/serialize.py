@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii as _quote
 from typing import IO, TYPE_CHECKING, Optional, Union
 
 from .algebra import (
@@ -72,11 +75,21 @@ def _predicate_sources(conditions) -> list[str]:
     return sources
 
 
-def automaton_to_doc(a: Sra, memo: Optional[dict] = None) -> dict:
-    """The automaton's document. Condition texts are kept by node in `memo`
-    (a fresh one if none is given), as `unparse_condition` keeps them, so a
-    memo given must not outlive `a`, which holds every node it is keyed by."""
-    memo = {} if memo is None else memo
+def lazy_automaton_doc(a: Sra, memo: Optional[dict] = None) -> dict:
+    """The automaton's document, its transitions a generator that makes each
+    entry as it is read, so `dump` writes them without ever holding them all.
+    Everything else, the predicates' declaration lines included, is made
+    here, so an automaton that cannot be written fails before a byte is.
+
+    Condition texts are kept by node in `memo`, as `unparse_condition` keeps
+    them, so a memo given must not outlive `a`, which holds every node it is
+    keyed by. Without one, the document keeps a memo of its own and empties
+    it whenever it passes 256 entries: transitions that share a condition
+    lie close together (E3 `within 7` has 4,512 transitions, 1,066 distinct
+    conditions, and never more than 31 between the first and last use of
+    one), so each is still rendered about once and the memo stays small."""
+    own = memo is None
+    memo = {} if own else memo
     # one sorted list of names per write set: equal sets, which an automaton
     # mostly holds as one object, share it
     written: dict[frozenset[Register], list[str]] = {}
@@ -86,6 +99,17 @@ def automaton_to_doc(a: Sra, memo: Optional[dict] = None) -> dict:
         if listed is None:
             listed = written[writes] = sorted(r.name for r in writes)
         return listed
+
+    def entries():
+        for t in a.transitions:
+            if own and len(memo) > 256:
+                memo.clear()
+            yield {
+                "source": t.source,
+                "target": t.target,
+                "condition": None if t.condition is None else unparse_condition(t.condition, 0, memo),
+                "writes": names(t.writes),
+            }
 
     return {
         "format": FORMAT_SRA,
@@ -97,16 +121,15 @@ def automaton_to_doc(a: Sra, memo: Optional[dict] = None) -> dict:
         "finals": sorted(a.finals),
         "window": a.window,
         "deterministic": a.deterministic,
-        "transitions": [
-            {
-                "source": t.source,
-                "target": t.target,
-                "condition": None if t.condition is None else unparse_condition(t.condition, 0, memo),
-                "writes": names(t.writes),
-            }
-            for t in a.transitions
-        ],
+        "transitions": entries(),
     }
+
+
+def automaton_to_doc(a: Sra, memo: Optional[dict] = None) -> dict:
+    """`lazy_automaton_doc` with its transitions listed."""
+    doc = lazy_automaton_doc(a, memo)
+    doc["transitions"] = list(doc["transitions"])
+    return doc
 
 
 def _dot_quote(text: str) -> str:
@@ -117,7 +140,7 @@ def to_dot(a: Sra, target: IO[str], name: str = "sra", memo: Optional[dict] = No
     """Write the Graphviz rendering to a stream, each line as it is made:
     finals double-circled, start marked, labels in pattern syntax with the
     written registers after a down arrow. `memo` is used as
-    `automaton_to_doc` uses it."""
+    `lazy_automaton_doc` uses it."""
     memo = {} if memo is None else memo
     target.write(f'digraph {name} {{\n  rankdir=LR;\n  __start [shape=point, label=""];\n')
     for state in sorted(a.states):
@@ -261,14 +284,23 @@ def pst_from_doc(doc: dict) -> Pst:
     return Pst(doc["max_order"], doc["alphabet"], nodes)
 
 
-def model_to_doc(automaton: Sra, symbol_map: SymbolMap, pst: Pst) -> dict:
+def lazy_model_doc(automaton: Sra, symbol_map: SymbolMap, pst: Pst) -> dict:
+    """The model's document, its automaton's transitions a generator, as
+    `lazy_automaton_doc` makes them."""
     return {
         "format": FORMAT_MODEL,
         "version": VERSION,
-        "automaton": automaton_to_doc(automaton),
+        "automaton": lazy_automaton_doc(automaton),
         "symbol_map": symbol_map_to_entries(symbol_map),
         "pst": pst_to_doc(pst),
     }
+
+
+def model_to_doc(automaton: Sra, symbol_map: SymbolMap, pst: Pst) -> dict:
+    """`lazy_model_doc` with its automaton's transitions listed."""
+    doc = lazy_model_doc(automaton, symbol_map, pst)
+    doc["automaton"]["transitions"] = list(doc["automaton"]["transitions"])
+    return doc
 
 
 @_validated
@@ -290,14 +322,65 @@ def model_from_doc(doc: dict) -> tuple[Sra, SymbolMap, Pst, PredicateLibrary]:
 
 def dump(doc: dict, target: Union[str, IO[str]]) -> None:
     """Write the document to a file or stream as `json.dumps(doc, indent=2)`
-    and a newline. Each chunk goes to the target as the encoder makes it, so
-    the whole text is never held in memory."""
+    and a newline. Where the document holds a list, it may hold an iterator
+    instead, a generator say, which is read once as it is written. The text
+    goes to the target a few kilobytes at a time as it is made, so neither
+    it nor a lazy array's items are ever held whole."""
     if isinstance(target, str):
         with open(target, "w", encoding="utf-8") as fp:
             dump(doc, fp)
         return
-    json.dump(doc, target, indent=2)
-    target.write("\n")
+    parts: list[str] = []
+
+    def put(o, indent: str) -> None:
+        # `indent` is the line break and indentation before o's closing bracket.
+        if isinstance(o, dict):
+            keyed, items, brackets = True, o.items(), "{}"
+        elif isinstance(o, (list, tuple, Iterator)):
+            keyed, items, brackets = False, o, "[]"
+        else:
+            parts.append(_quote(o) if isinstance(o, str) else _scalar(o))
+            return
+        inner = indent + "  "
+        comma = "," + inner
+        separator = brackets[0] + inner
+        for item in items:
+            parts.append(separator)
+            separator = comma
+            if keyed:
+                key, item = item
+                parts.append(_quote(key if isinstance(key, str) else _scalar(key)) + ": ")
+            if isinstance(item, str):  # most values: spare them a call
+                parts.append(_quote(item))
+            else:
+                put(item, inner)
+            if len(parts) > 256:
+                target.write("".join(parts))
+                parts.clear()
+        parts.append(indent + brackets[1] if separator is comma else brackets)
+
+    put(doc, "\n")
+    parts.append("\n")
+    target.write("".join(parts))
+
+
+def _scalar(o) -> str:
+    """The JSON text of a number, boolean or null, as `json` writes it."""
+    if o is None:
+        return "null"
+    if o is True or o is False:
+        return "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def load(source: Union[str, IO[str]]) -> dict:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import random
 import selectors
@@ -133,18 +134,27 @@ class TestSerializeAutomaton:
         json.dumps(doc)
 
     def test_unsourced_predicate_rejected(self):
-        from cerf.algebra import CURRENT, Atom
-
-        bare = Predicate("NoSrc", 1, lambda e: True)
-        a = Sra(
-            states=frozenset({"q"}),
-            start="q",
-            finals=frozenset({"q"}),
-            registers=frozenset(),
-            transitions=(Transition("q", "q", Atom(bare, (CURRENT,))),),
-        )
         with pytest.raises(ValueError):
-            serialize.automaton_to_doc(a)
+            serialize.automaton_to_doc(_unsourced_automaton())
+
+    def test_an_unwritable_automaton_fails_before_the_first_byte(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from cerf.cmd_automata import _emit_automaton
+
+        a = _unsourced_automaton()
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="no declaration source"):
+            serialize.dump(serialize.lazy_automaton_doc(a), buf)
+        assert buf.getvalue() == ""
+        monkeypatch.chdir(tmp_path)
+        Path("a.json").write_text("kept\n")
+        for out in ("a.json", None):
+            with pytest.raises(ValueError, match="no declaration source"):
+                _emit_automaton(a, out, "a.dot", False)
+        assert Path("a.json").read_text() == "kept\n"
+        assert not Path("a.dot").exists()
+        assert capsys.readouterr().out == ""
 
     def test_always_is_not_serializable(self):
         from cerf.algebra import ALWAYS, CURRENT, Atom
@@ -296,6 +306,28 @@ class TestSerializeAutomaton:
         assert sink.written == text > 800_000
         assert peak < text / 4
 
+    def test_writing_from_the_automaton_holds_no_document(self):
+        # A lazy document's transition entries are made as they are written,
+        # so neither their list nor the text is ever held.
+        _, e3 = parse(E3_TEXT)
+        a = determinize(compile_windowed(Window(e3.body, 7)))
+        tracemalloc.start()
+        try:
+            doc = serialize.automaton_to_doc(a)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del doc
+        sink = _Discard()
+        tracemalloc.start()
+        try:
+            serialize.dump(serialize.lazy_automaton_doc(a), sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.written > retained > 1_000_000
+        assert peak < retained / 4
+
     def test_load_drops_a_byte_order_mark(self, tmp_path, two_state_dfa):
         doc = serialize.automaton_to_doc(two_state_dfa)
         buf = io.StringIO()
@@ -304,6 +336,75 @@ class TestSerializeAutomaton:
         target.write_text("\ufeff" + buf.getvalue(), encoding="utf-8")
         assert serialize.load(str(target)) == doc
         assert serialize.load(io.StringIO("\ufeff" + buf.getvalue())) == doc
+
+
+def _unsourced_automaton() -> Sra:
+    """One state looping on a predicate declared by no source line."""
+    from cerf.algebra import CURRENT, Atom
+
+    bare = Predicate("NoSrc", 1, lambda e: True)
+    return Sra(
+        states=frozenset({"q"}),
+        start="q",
+        finals=frozenset({"q"}),
+        registers=frozenset(),
+        transitions=(Transition("q", "q", Atom(bare, (CURRENT,))),),
+    )
+
+
+class _Discard:
+    """A text sink that counts what it is given and keeps none of it."""
+
+    written = 0
+
+    def write(self, chunk):
+        self.written += len(chunk)
+        return len(chunk)
+
+
+class _Lazy(list):
+    """A list that `_lazily` hands to `dump` as a generator."""
+
+
+def _lazily(o):
+    """The document with each `_Lazy` list in it, at any depth, a generator."""
+    if isinstance(o, _Lazy):
+        return (_lazily(item) for item in o)
+    if isinstance(o, list):
+        return [_lazily(item) for item in o]
+    if isinstance(o, dict):
+        return {key: _lazily(value) for key, value in o.items()}
+    return o
+
+
+_TRICKY_TEXT = st.text(st.characters() | st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028é😀𝄞'))
+_JSON_DOCUMENTS = st.recursive(
+    st.none()
+    | st.booleans()
+    | _TRICKY_TEXT
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf]),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(_Lazy)
+    | st.dictionaries(
+        _TRICKY_TEXT | st.integers() | st.floats() | st.booleans() | st.none(), children, max_size=4
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(doc=_JSON_DOCUMENTS)
+def test_dump_writes_what_json_dumps_makes(doc):
+    text = json.dumps(doc, indent=2) + "\n"
+    buf = io.StringIO()
+    serialize.dump(_lazily(doc), buf)
+    assert buf.getvalue() == text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        serialize.dump(_lazily(doc), path)
+        assert Path(path).read_bytes() == text.encode("utf-8")
 
 
 class TestSerializeModel:
@@ -515,6 +616,20 @@ class TestCompileCommand:
         result = runner.invoke(
             main, ["compile", f"{pattern}.pat", "--stage", stage, "--window", str(width)]
         )
+        assert result.exit_code == 0, result.stderr
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "pattern, stage, digest",
+        [
+            ("e3", "sra", "f0a54a59f8858500be086161a7f7d745c0c01ad42b20d40b2557c3e3752fd889"),
+            ("e3", "nsra-unrolled", "ee67ea315918ba6428ee5f76e9a9f1739d235aa5b7a9afbaa23a796c00e256a6"),
+            ("e1", "sra", "2bed943d3a1c837c291a62a02f60a7703de40105c8634dc311219d82e362733e"),
+        ],
+    )
+    def test_undeterminized_documents_are_pinned(self, runner, workdir, pattern, stage, digest):
+        # Digests of what `compile` wrote while documents went through `json.dump`.
+        result = runner.invoke(main, ["compile", f"{pattern}.pat", "--stage", stage])
         assert result.exit_code == 0, result.stderr
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
@@ -1016,6 +1131,24 @@ class TestLearnAndForecast:
         doc = serialize.load("model.json")
         serialize.dump(doc, "again.json")
         assert Path("model.json").read_bytes() == Path("again.json").read_bytes()
+
+    def test_learned_model_is_pinned(self, runner, workdir):
+        # Digest of the model `learn` wrote while documents went through
+        # `json.dump`; its tree holds probabilities that are not round.
+        rng = random.Random(23)
+        Path("train.jsonl").write_text("".join(
+            json.dumps({"type": rng.choice("TH"), "id": rng.randint(1, 3),
+                        "value": rng.randint(0, 99)}) + "\n"
+            for _ in range(2000)
+        ))
+        result = runner.invoke(
+            main,
+            ["learn", "e3.pat", "--train", "train.jsonl", "--window", "4", "--max-order", "3",
+             "--out", "model.json"],
+        )
+        assert result.exit_code == 0, result.stderr
+        digest = hashlib.sha256(Path("model.json").read_bytes()).hexdigest()
+        assert digest == "17cb6dc605455ad1f26ca5b213b9f11beee0fa2280aa5c6b76b59cb4bb345e96"
 
     def test_learn_insufficient_data(self, runner, workdir):
         self._train_file(copies=1)
