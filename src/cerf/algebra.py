@@ -110,10 +110,7 @@ class Event(_Frozen):
         only an empty name needs checking."""
         if "" in mapping:
             raise ValueError("attribute names must be non-empty")
-        event = object.__new__(cls)
-        _set(event, "_values", dict(mapping))
-        _set(event, "_attrs", None)
-        return event
+        return _adopt(dict(mapping))
 
     def get(self, name: str, default: Optional[Value] = None) -> Optional[Value]:
         return self._values.get(name, default)
@@ -128,13 +125,20 @@ class Event(_Frozen):
     def project(self, names: frozenset[str]) -> "Event":
         """The event cut down to the named attributes it has. A cut of a
         valid event is valid, so this skips the constructor's checks."""
-        cut = object.__new__(Event)
-        _set(cut, "_values", {k: v for k, v in self._values.items() if k in names})
-        _set(cut, "_attrs", None)
-        return cut
+        return _adopt({k: v for k, v in self._values.items() if k in names})
 
     def __str__(self) -> str:
         return "(" + ",".join(str(v) for _, v in self.attrs) + ")"
+
+
+def _adopt(values: dict[str, Value]) -> Event:
+    """The event whose attribute dict is `values` itself, not a copy. The
+    caller hands the dict over, its names non-empty, its values text or
+    finite numbers."""
+    event = object.__new__(Event)
+    _set(event, "_values", values)
+    _set(event, "_attrs", None)
+    return event
 
 
 @functools.total_ordering

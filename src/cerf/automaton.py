@@ -289,7 +289,8 @@ def _fire(
     copies the tuple and stores at the register's slot `event` cut down to
     the register's observed attributes (`Sra.observed_attributes`), so
     configurations that no condition can tell apart are equal and callers
-    deduplicate them. Each cut is made once per call.
+    deduplicate them or expose them as valuations. Each cut is made once
+    per call.
 
     With `counters`, each condition tried counts one `condition_evals`, and
     each register a configuration's conditions read counts one
@@ -305,14 +306,15 @@ def _fire(
                 yield t, _store(a, stored, writes, event, cuts) if writes else stored
 
 
-def _store(a: Sra, stored: Slots, writes: tuple[int, ...], event: Event, cuts: dict) -> Slots:
-    """`stored` after writing `event` into the `writes` slots, each register
-    keeping its observed attributes; `cuts` holds the cuts of `event` made
-    so far."""
-    names_of = a._cut_names
+def _store(
+    a: Sra, stored: Slots, writes: tuple[int, ...], event: Event, cuts: Optional[dict] = None
+) -> Slots:
+    """`stored` after writing `event` into the `writes` slots. Given `cuts`,
+    the cuts of `event` made so far, each register keeps only its observed
+    attributes; without, the event is stored whole."""
     written = list(stored)
     for slot in writes:
-        names = names_of[slot]
+        names = None if cuts is None else a._cut_names[slot]
         cut = event if names is None else cuts.get(names)
         if cut is None:
             cut = cuts[names] = event.project(names)
@@ -453,7 +455,8 @@ class SubsetRunner:
     the target subset and the slots written, stored through `_store`. On a
     miss, `successor` reads the target off the asserted conditions, the
     rule `determinize` follows; no minterm is built and no subset is
-    expanded beyond the sign vectors the stream shows."""
+    expanded beyond the sign vectors the stream shows. Events are stored
+    whole: the run is one configuration, so nothing deduplicates it."""
 
     def __init__(self, automaton: Sra) -> None:
         if automaton.has_epsilon:
@@ -498,7 +501,7 @@ class SubsetRunner:
             hit = self._miss(state, signs)
         self._state, writes = hit
         if writes:
-            self._stored = _store(self.automaton, stored, writes, event, {})
+            self._stored = _store(self.automaton, stored, writes, event)
         self.consumed += 1
         return self._state.final
 

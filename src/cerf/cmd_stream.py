@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 from collections import deque
 
@@ -13,7 +14,6 @@ from .pattern import Window
 from .shell import (
     _build_stage,
     _emit_line,
-    _emit_record,
     _load_pattern,
     _mapped_errors,
     _open,
@@ -146,6 +146,9 @@ def forecast_cmd(model, input_path, fmt, horizon, classify_window, threshold, em
         runner = DeterministicRunner(d)
         waits = forecast.WaitingTimes(d, symbol_map, pst, horizon)
         history: deque = deque(maxlen=pst.max_order)
+        # By distribution, the text json.dumps makes of a record after its
+        # "index"; `waits` keeps every distribution, so no id is reused.
+        tails: dict[int, str] = {}
         index = 0
         with contextlib.closing(_open_input(input_path)) as fp:
             for event in read_events(fp, fmt, strict, _stderr_diagnostic):
@@ -153,14 +156,16 @@ def forecast_cmd(model, input_path, fmt, horizon, classify_window, threshold, em
                 index += 1
                 history.append(symbol_map.symbol_for(taken.condition))
                 wd = waits(runner.state, history)
-                record = {
-                    "index": index,
-                    "regression": forecast.forecast_regression(wd),
-                    "classification": forecast.forecast_classification(
-                        wd, classify_window, threshold
-                    ),
-                }
-                if emit_dist:
-                    record["dist"] = list(wd.masses)
-                    record["residual"] = wd.residual
-                _emit_record(record)
+                tail = tails.get(id(wd))
+                if tail is None:
+                    record = {
+                        "regression": forecast.forecast_regression(wd),
+                        "classification": forecast.forecast_classification(
+                            wd, classify_window, threshold
+                        ),
+                    }
+                    if emit_dist:
+                        record["dist"] = list(wd.masses)
+                        record["residual"] = wd.residual
+                    tail = tails[id(wd)] = ", " + json.dumps(record)[1:] + "\n"
+                _emit_line('{"index": %d' % index + tail)

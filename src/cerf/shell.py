@@ -20,7 +20,7 @@ import stat
 import sys
 from typing import IO, TYPE_CHECKING, Callable, Iterator, Optional
 
-from .algebra import Event, UnknownPredicate
+from .algebra import Event, UnknownPredicate, _adopt
 from .pattern import Expr, PatternSyntaxError, UnknownRegister, Window, parse
 
 # Every command reads pattern syntax (a pattern file, or the conditions of a
@@ -99,12 +99,16 @@ _json_blanks = json.decoder.WHITESPACE.match
 def _event_from_json_line(line: str, lineno: int) -> Event:
     """The event of one JSON object line, else MalformedInput with the
     reason `json.loads` gives, or naming the first attribute with an empty
-    name or a value other than text or a finite number."""
+    name or a value other than text or a finite number. The event holds
+    the dict json decoded."""
     try:
-        if line.startswith("\ufeff"):
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
-        record, end = _scan_json(line, _json_blanks(line, 0).end())
-        if _json_blanks(line, end).end() != len(line):
+        start = 0  # a line that opens the object at once needs no blanks skipped
+        if line[:1] != "{":
+            if line.startswith("\ufeff"):
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+            start = _json_blanks(line, 0).end()
+        record, end = _scan_json(line, start)
+        if line[end:] != "\n" and end != len(line) and _json_blanks(line, end).end() != len(line):
             raise json.JSONDecodeError("Extra data", line, end)
     except StopIteration:
         raise MalformedInput(f"line {lineno}: invalid JSON (Expecting value)")
@@ -117,20 +121,21 @@ def _event_from_json_line(line: str, lineno: int) -> Event:
     if record.__class__ is not dict or not record:
         raise MalformedInput(f"line {lineno}: expected a non-empty JSON object")
     for name, value in record.items():
+        kind = value.__class__  # json's own classes; a bool's is not int
+        if (kind is str or kind is int) and name:
+            continue
         if not name:
             raise MalformedInput(f"line {lineno}: attribute names must be non-empty")
-        kind = value.__class__  # json's own classes; a bool's is not int
-        if kind is float:
-            # json reads NaN, Infinity and overflowing literals such as
-            # 1e400 as non-finite floats; NaN never equals itself, so such
-            # an event would never deduplicate.
-            if not math.isfinite(value):
-                raise MalformedInput(f"line {lineno}: attribute {name!r} must be a finite number")
-        elif kind is not str and kind is not int:
+        if kind is not float:
             raise MalformedInput(
                 f"line {lineno}: attribute {name!r} must be a string or number"
             )
-    return Event.from_mapping(record)
+        # json reads NaN, Infinity and overflowing literals such as 1e400 as
+        # non-finite floats; NaN never equals itself, so such an event would
+        # never deduplicate.
+        if not math.isfinite(value):
+            raise MalformedInput(f"line {lineno}: attribute {name!r} must be a finite number")
+    return _adopt(record)
 
 
 def read_events(
@@ -157,12 +162,11 @@ def read_events(
         lines = itertools.chain([first.removeprefix("\ufeff")], lines)
     if fmt == "jsonl":
         for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
             try:
                 yield _event_from_json_line(line, lineno)
             except MalformedInput as exc:
-                report(exc)
+                if line.strip():  # a blank line is skipped, not malformed
+                    report(exc)
     elif fmt == "csv":
         import csv
 
@@ -195,7 +199,7 @@ def read_events(
                 )
                 continue
             # the header check made the names unique and non-empty
-            yield Event.from_mapping(dict(zip(header, map(_coerce_csv_value, row))))
+            yield _adopt(dict(zip(header, map(_coerce_csv_value, row))))
     else:
         raise ValueError(f"unknown input format {fmt!r}")
 

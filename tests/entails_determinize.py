@@ -1,9 +1,10 @@
 """The entails-based determinization, kept as the reference that
 `cerf.compiler.determinize` is checked against.
 
-`determinize` here finds the transitions a minterm entails with one
-`entails` call per distinct (minterm, condition) pair, and generates the
-minterms of each distinct tuple of outgoing conditions with `minterms`,
+`determinize` here finds the transitions a minterm entails by the
+relation `cerf.compiler.entails` decides: the condition is TRUE or a node
+of the minterm's conjunction spine. It generates the minterms of each
+distinct tuple of outgoing conditions with `minterms`,
 which cuts only negated TRUE and literal-bound conflicts, not structural
 sign clashes. So wherever nothing clashes structurally it builds the same
 automaton as the program's determinize, and elsewhere it may keep more
@@ -13,17 +14,9 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from cerf.algebra import TRUE, And, Condition, Not, TrueCondition
+from cerf.algebra import TRUE, And, Condition, Not, TrueCondition, _walk
 from cerf.automaton import Sra
-from cerf.compiler import (
-    Move,
-    NotUnrolled,
-    _literal_bounds,
-    _narrowed,
-    _reachable,
-    _set_name,
-    entails,
-)
+from cerf.compiler import Move, NotUnrolled, _literal_bounds, _narrowed, _reachable, _set_name
 
 
 def minterms(conditions: Sequence[Condition]) -> tuple[Condition, ...]:
@@ -80,16 +73,17 @@ def determinize(a: Sra) -> Sra:
         raise NotUnrolled("determinize needs an acyclic epsilon-free automaton")
 
     # Subsets with the same outgoing conditions share one minterm family, so
-    # each (minterm, condition) pair is decided by `entails` once; the
-    # pairs are then the same objects, which the memo compares by identity.
+    # each minterm's spine is walked once. Conditions hash consistently with
+    # `==`, so membership in the set of its spine nodes is `entails`'s "some
+    # node of the spine equals the condition".
     families: dict[tuple[Condition, ...], tuple[Condition, ...]] = {}
-    entailment: dict[tuple[Condition, Condition], bool] = {}
+    spines: dict[int, frozenset[Condition]] = {}  # by minterm identity
 
     def entailed_by(mt: Condition, cond: Condition) -> bool:
-        key = (mt, cond)
-        if key not in entailment:
-            entailment[key] = entails(mt, cond)
-        return entailment[key]
+        spine = spines.get(id(mt))
+        if spine is None:
+            spine = spines[id(mt)] = frozenset(_walk(mt, (And,)))
+        return cond == TRUE or cond in spine
 
     def step(subset: frozenset[str]) -> Iterable[Move]:
         outgoing = [t for q in sorted(subset) for t in a.out(q)]

@@ -596,6 +596,35 @@ class TestSubsetRunner:
         rng = Random(1820 + width)
         self._agree(Window(body, width), [rng.choice(self.RICH) for _ in range(60)])
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    def test_events_are_stored_whole(self, width, monkeypatch):
+        # the runner never deduplicates its one configuration, so it cuts
+        # no event; the stream engine beside it still cuts
+        cuts = []
+        original = Event.project
+        monkeypatch.setattr(Event, "project", lambda ev, names: cuts.append(ev) or original(ev, names))
+        same_tag = Predicate("SameTag", 2, lambda x, y: x.get("tag") == y.get("tag"))
+        footprintless = Concat(
+            CondWrite(_atom("KindA", CURRENT), R1),
+            Concat(Star(Cond(TRUE)), Cond(Atom(same_tag, (CURRENT, R1)))),
+        )
+        lib = universe_library()
+        rng = Random(2400 + width)
+        for body in [random_expr(rng, 3, lib) for _ in range(40)] + [footprintless]:
+            e = Window(body, width)
+            runner = _never_sinking_runner(e)
+            engine = StreamEngine(compiler.streaming_automaton(compiler.compile_windowed(e)))
+            stream = [rng.choice(self.RICH) for _ in range(30)]
+            for k, ev in enumerate(stream, start=1):
+                before = len(cuts)
+                matched = runner.step(ev)
+                assert len(cuts) == before, (e, k)
+                assert matched == engine.step(ev), (e, k)
+                # each stored event is one of the stream's, not a copy
+                assert all(any(s is x for x in stream) for s in runner._stored if s is not None)
+        # within 1 no register is read, so it keeps whole events anyway
+        assert bool(cuts) == (width > 1)
+
     @staticmethod
     def _signs(runner: SubsetRunner, members: frozenset, event: Event, stored: tuple) -> tuple:
         """The sign vector one step of the runner keys its table with, from

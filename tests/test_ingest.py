@@ -62,6 +62,10 @@ _CORPUS = [
     '{"a": ' + "9" * 4301 + '}\n', "[" * _DEEP + "]" * _DEEP + "\n",
     '{"a": ' + "[" * _DEEP + "]" * _DEEP + "}\n",
     "[1, 2]\n", '"text"\n', "3\n", "null\n", "true\n", "{}\n",
+    # lines that open the object at once: decided without skipping blanks
+    # when the object ends the line or one line break follows it
+    '{"a": 1}', '{"a": 1}\r\n', '{"a": 1}\t\n', '{"a": 1}\n\n', '{"a": 1} ', ' {"a": 1}\n',
+    '\t{"a": 1}', '{"a": 1}}', '{"a": 1}x', '{}', "{", '{"a": 1.5}', '{"a": NaN}', '{"": 1}',
 ]
 
 
@@ -115,7 +119,8 @@ _EVENTS = st.builds(
 )
 
 
-# Each item of `lines` ends in a line break, and may hold more than one.
+# Each drawn item of `lines` ends in a line break, and may hold more than
+# one; a corpus line without one runs on into the next item.
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(lines=st.lists(st.one_of(_EVENTS, _EVENTS, _LINES), max_size=12))
 @example(lines=[_CORPUS[0], *_CORPUS])

@@ -25,6 +25,7 @@ import cerf
 from cerf import serialize
 from cerf.algebra import Event, Predicate, _walk_distinct
 from cerf.automaton import (
+    DeterministicRunner,
     NoTransition,
     NotDeterministic,
     PreconditionFailed,
@@ -41,7 +42,14 @@ from cerf.compiler import (
     complete,
     determinize,
 )
-from cerf.forecast import NotComplete, Pst, SymbolMap
+from cerf.forecast import (
+    NotComplete,
+    Pst,
+    SymbolMap,
+    WaitingTimes,
+    forecast_classification,
+    forecast_regression,
+)
 from cerf.oracle import Oracle
 from cerf.pattern import (
     MAX_NESTING,
@@ -55,7 +63,7 @@ from cerf.shell import MalformedInput, read_events
 
 from conftest import E1_TEXT, E3_TEXT, make_table1, make_two_state_dfa
 from determinism import UnverifiableDeterminism
-from gen import random_expr, universe_library
+from gen import markov2_symbols, random_expr, universe_library
 
 TABLE1_JSONL = "\n".join(
     json.dumps(row)
@@ -891,6 +899,22 @@ class TestRecognizeCommand:
         assert capped.stdout == runner.invoke(main, args).stdout
         assert len(_indexes(capped.stdout)) == 100
 
+    def test_windowed_recognize_cuts_no_event(self, runner, workdir, monkeypatch):
+        # one configuration, never deduplicated, keeps its events whole;
+        # the unwindowed engine deduplicates, so it still cuts them
+        Path("stream.jsonl").write_text(TABLE1_JSONL * 50)
+        windowed = ["recognize", "e3.pat", "--input", "stream.jsonl", "--window", "4"]
+        unwindowed = ["recognize", "e1.pat", "--input", "stream.jsonl"]
+        expected = [runner.invoke(main, args).stdout for args in (windowed, unwindowed)]
+        cuts = []
+        original = Event.project
+        monkeypatch.setattr(Event, "project", lambda ev, names: cuts.append(ev) or original(ev, names))
+        result = runner.invoke(main, windowed)
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout == expected[0] and len(_indexes(result.stdout)) == 100
+        assert cuts == []
+        assert runner.invoke(main, unwindowed).stdout == expected[1] and cuts
+
 
 class TestPipelineCommands:
     def test_determinize_pattern(self, runner, workdir):
@@ -1238,6 +1262,55 @@ class TestLearnAndForecast:
              "--emit-dist", "--horizon", "8"],
         )
         assert replay.stdout == result.stdout
+
+    @pytest.mark.parametrize("horizon, window, threshold", [(16, 2, 0.3), (12, 5, 0.45)])
+    def test_forecast_records_are_what_json_dumps_makes(
+        self, runner, workdir, horizon, window, threshold
+    ):
+        # acceptance 08's Markov source keeps the run off the dead state for
+        # 40 events, so the distributions hold many distinct floats
+        def write(path, symbols):
+            Path(path).write_text("".join(json.dumps({"kind": s.upper()}) + "\n" for s in symbols))
+
+        write("train.jsonl", markov2_symbols(random.Random(88), 1200))
+        write("held.jsonl", markov2_symbols(random.Random(89), 60))
+        Path("aba.pat").write_text(
+            'pred KindA(x): x.kind == "A"\npred KindB(x): x.kind == "B"\n\n'
+            "(TRUE* ; KindA(~) ; KindB(~) ; KindA(~)) within 40\n"
+        )
+        learned = runner.invoke(
+            main, ["learn", "aba.pat", "--train", "train.jsonl", "--max-order", "2",
+                   "--out", "model.json"]
+        )
+        assert learned.exit_code == 0, learned.stderr
+        with open("model.json") as fp:
+            d, symbol_map, pst, _ = serialize.model_from_doc(serialize.load(fp))
+        for emit_dist in (False, True):
+            # each record built and dumped as a dict, event by event
+            run, waits = DeterministicRunner(d), WaitingTimes(d, symbol_map, pst, horizon)
+            history, expected = [], []
+            with open("held.jsonl") as fp:
+                for index, event in enumerate(read_events(fp), start=1):
+                    history.append(symbol_map.symbol_for(run.step(event).condition))
+                    wd = waits(run.state, history)
+                    record = {
+                        "index": index,
+                        "regression": forecast_regression(wd),
+                        "classification": forecast_classification(wd, window, threshold),
+                    }
+                    if emit_dist:
+                        record["dist"] = list(wd.masses)
+                        record["residual"] = wd.residual
+                    expected.append(json.dumps(record) + "\n")
+            args = ["forecast", "--model", "model.json", "--input", "held.jsonl",
+                    "--horizon", str(horizon), "--classify-window", str(window),
+                    "--threshold", str(threshold)]
+            result = runner.invoke(main, args + ["--emit-dist"] * emit_dist)
+            assert result.exit_code == 0, result.stderr
+            assert result.stdout == "".join(expected)
+        masses = {m for line in expected for m in json.loads(line)["dist"]}
+        assert len(masses) > 50
+        assert {json.loads(line)["classification"] for line in expected} == {True, False}
 
     def test_forecast_threshold_flags(self, runner, workdir):
         self._train_file()
