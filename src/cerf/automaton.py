@@ -1,6 +1,6 @@
 """Symbolic register automata: data model, nondeterministic simulation,
-the streaming recognition engine, the lazily built subset runner and the
-instrumented deterministic runner."""
+the streaming recognition engine and the instrumented deterministic
+runner. Windowed recognition's subset runner is in `cerf.diagram`."""
 
 from __future__ import annotations
 
@@ -8,19 +8,15 @@ import functools
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import (
-    And,
     Atom,
     Condition,
     EvalCounters,
     Event,
     Holds,
     Register,
-    TrueCondition,
     Valuation,
     _Frozen,
-    _all,
     _set,
-    _walk,
     _walk_distinct,
     compile_condition,
 )
@@ -286,11 +282,11 @@ def _fire(
     Each distinct condition of the automaton is compiled once, on the first
     step from its state, into a closure over the event and the slot tuple
     (`algebra.compile_condition`), so a transition costs one call. A write
-    copies the tuple and stores at the register's slot `event` cut down to
-    the register's observed attributes (`Sra.observed_attributes`), so
-    configurations that no condition can tell apart are equal and callers
-    deduplicate them or expose them as valuations. Each cut is made once
-    per call.
+    (`_store`) copies the tuple and stores at the register's slot `event`
+    cut down to the register's observed attributes
+    (`Sra.observed_attributes`), so configurations that no condition can
+    tell apart are equal and callers deduplicate them or expose them as
+    valuations. Each cut is made once per call.
 
     With `counters`, each condition tried counts one `condition_evals`, and
     each register a configuration's conditions read counts one
@@ -306,15 +302,13 @@ def _fire(
                 yield t, _store(a, stored, writes, event, cuts) if writes else stored
 
 
-def _store(
-    a: Sra, stored: Slots, writes: tuple[int, ...], event: Event, cuts: Optional[dict] = None
-) -> Slots:
-    """`stored` after writing `event` into the `writes` slots. Given `cuts`,
-    the cuts of `event` made so far, each register keeps only its observed
-    attributes; without, the event is stored whole."""
+def _store(a: Sra, stored: Slots, writes: tuple[int, ...], event: Event, cuts: dict) -> Slots:
+    """`stored` after writing `event` into the `writes` slots, each register
+    keeping only its observed attributes; `cuts` holds the cuts of `event`
+    made so far."""
     written = list(stored)
     for slot in writes:
-        names = None if cuts is None else a._cut_names[slot]
+        names = a._cut_names[slot]
         cut = event if names is None else cuts.get(names)
         if cut is None:
             cut = cuts[names] = event.project(names)
@@ -420,126 +414,6 @@ class StreamEngine:
         self._configs = advanced
         self.consumed += 1
         return any(state in a.finals for state, _ in advanced)
-
-
-class _Subset:
-    """One state of a lazily built subset machine, for a set of states of
-    the nondeterministic automaton: whether the set holds a final, its
-    transitions grouped by condition (`outgoing`), the diagram that gives
-    the sign vector of those conditions (`diagram.diagram`), and its table
-    from each sign vector seen so far to (target subset, slots written)."""
-
-    __slots__ = ("final", "groups", "diagram", "table")
-
-    def __init__(self, final: bool, groups: tuple, diagram) -> None:
-        self.final = final
-        self.groups = groups
-        self.diagram = diagram
-        self.table: dict[tuple[bool, ...], tuple[_Subset, tuple[int, ...]]] = {}
-
-
-class SubsetRunner:
-    """Recognition over an unbounded stream on the subset machine of an
-    ε-free automaton, built only as far as the stream reaches it, as RE2
-    builds its lazy DFA.
-
-    The run is one configuration: a subset of the automaton's states and
-    one slot tuple. One tuple holds every live run when each register is
-    written by one transition and read only after it on the same run, and
-    no two runs that need different events in a register are alive at once;
-    `compiler.never_sinking` builds such a machine for a windowed pattern.
-
-    A step gets the sign vector of the current subset's distinct conditions
-    through its diagram (`diagram.diagram`), testing the conjunct that
-    heads the most of them once, and one lookup in the subset's table gives
-    the target subset and the slots written, stored through `_store`. On a
-    miss, `successor` reads the target off the asserted conditions, the
-    rule `determinize` follows; no minterm is built and no subset is
-    expanded beyond the sign vectors the stream shows. Events are stored
-    whole: the run is one configuration, so nothing deduplicates it."""
-
-    def __init__(self, automaton: Sra) -> None:
-        if automaton.has_epsilon:
-            raise ValueError("the subset runner needs an epsilon-free automaton")
-        self.automaton = automaton
-        self.consumed = 0
-        self._subsets: dict[frozenset[str], _Subset] = {}
-        # By the identities of the automaton's conditions, which it keeps
-        # alive: each one's spine (equal conjuncts one object) and diagrams.
-        self._spines: dict[int, tuple[Condition, ...]] = {}
-        self._canonical: dict[Condition, Condition] = {}
-        self._diagrams: dict[tuple[int, ...], object] = {}
-        self._state = self._subset(frozenset((automaton.start,)))
-        self._stored: Slots = (None,) * len(automaton.registers)
-
-    @property
-    def matched_at_start(self) -> bool:
-        """Whether the empty suffix already matches (before any event)."""
-        return self.automaton.start in self.automaton.finals
-
-    @property
-    def subsets(self) -> int:
-        """How many subsets the run has reached."""
-        return len(self._subsets)
-
-    @property
-    def entries(self) -> int:
-        """How many (subset, sign vector) entries the tables hold."""
-        return sum(len(s.table) for s in self._subsets.values())
-
-    def step(self, event: Event) -> bool:
-        """Consume one event; report whether a match completes at this index."""
-        state, stored = self._state, self._stored
-        signs = state.diagram  # a Branch, a list or the sign vector
-        while signs.__class__ is not tuple:
-            if signs.__class__ is list:
-                signs = tuple([s if s.__class__ is bool else s(event, stored) for s in signs])
-            else:
-                signs = signs.hi if signs.test(event, stored) else signs.lo
-        hit = state.table.get(signs)
-        if hit is None:
-            hit = self._miss(state, signs)
-        self._state, writes = hit
-        if writes:
-            self._stored = _store(self.automaton, stored, writes, event)
-        self.consumed += 1
-        return self._state.final
-
-    def _subset(self, members: frozenset[str]) -> _Subset:
-        subset = self._subsets.get(members)
-        if subset is None:
-            a = self.automaton
-            by_condition = outgoing(a, members)
-            key = tuple([id(c) for c in by_condition])  # many subsets share it
-            diagram = self._diagrams.get(key)
-            if diagram is None:
-                from .diagram import diagram as build
-
-                spines = [self._spine(c) for c in by_condition]
-                diagram = self._diagrams[key] = build(spines, self._conjunction)
-            subset = _Subset(bool(members & a.finals), tuple(by_condition.values()), diagram)
-            self._subsets[members] = subset
-        return subset
-
-    def _spine(self, condition: Condition) -> tuple[Condition, ...]:
-        spine = self._spines.get(id(condition))
-        if spine is None:
-            canonical = self._canonical
-            spine = self._spines[id(condition)] = tuple(
-                canonical.setdefault(c, c)
-                for c in _walk(condition, (And,)) if not isinstance(c, (And, TrueCondition))
-            )
-        return spine
-
-    def _conjunction(self, conjuncts: tuple[Condition, ...]) -> Holds:
-        plan = self.automaton._plan
-        return _all([compile_condition(c, plan._slots, plan._compiled) for c in conjuncts])
-
-    def _miss(self, state: _Subset, signs: tuple[bool, ...]) -> tuple[_Subset, tuple[int, ...]]:
-        writes, targets = successor(state.groups, [i for i, sign in enumerate(signs) if sign])
-        slots = self.automaton._plan._slots
-        state.table[signs] = hit = (self._subset(targets), tuple(sorted(slots[r] for r in writes)))
-        return hit
 
 
 class DeterministicRunner:

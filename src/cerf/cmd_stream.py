@@ -52,12 +52,14 @@ class _Range(click.FloatRange):
 def recognize(pattern, input_path, fmt, window, cap, report_empty_match, strict):
     """Run a pattern over an event stream, reporting match indexes as JSONL."""
     from . import compiler
-    from .automaton import StreamEngine, SubsetRunner
+    from .automaton import StreamEngine
 
     with _mapped_errors():
         _, expr = _load_pattern(pattern, window)
         if isinstance(expr, Window):
-            engine = SubsetRunner(compiler.never_sinking(_build_stage(expr, "nsra-unrolled")))
+            from .diagram import SubsetRunner
+
+            engine = SubsetRunner(_build_stage(expr, "nsra-unrolled"))
         else:
             engine = StreamEngine(compiler.streaming_automaton(_build_stage(expr, "sra")), cap=cap)
         with contextlib.closing(_open_input(input_path)) as fp:

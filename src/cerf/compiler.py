@@ -1,6 +1,6 @@
 """Constructions between expressions and automata: compilation,
 ε-elimination, single-register normalization, window unrolling, minterms,
-determinization, completion, complement, and the two stream machines.
+determinization, completion, complement, and the streaming wrapper.
 The closure operations and the translation back to an expression, which
 no command but `to-srem` runs, are in `cerf.closure`."""
 
@@ -716,45 +716,3 @@ def streaming_automaton(a: Sra) -> Sra:
         transitions=transitions,
     )
     return eliminate_epsilon(wrapped)
-
-
-def never_sinking(tree: Sra) -> Sra:
-    """The ε-free machine for `TRUE* ; (R within w)`, built from R's
-    unrolled tree (`compile_windowed`): a clock of w `TRUE` steps
-    c0 -> c1 -> ... -> c0, and one copy of the tree per phase p, with states
-    `q@p` and registers `r@p`, whose root is the clock state c_p.
-
-    A run that starts at c_p lives at most w events, so it has ended before
-    the clock is back at c_p, and the tree writes each register copy on one
-    transition and reads it only below it. So the runs alive at once never
-    need two events in one register, and one slot tuple holds them all
-    (`automaton.SubsetRunner`). The clock always steps, so nothing sinks
-    and no completion is needed. A clock state is final when the root is,
-    that is when R matches the empty string."""
-    if tree.window is None or tree.has_epsilon or not tree.is_acyclic():
-        raise NotUnrolled("the never-sinking machine needs an unrolled tree")
-    clock = [f"c{p}" for p in range(tree.window)]
-    states, finals, registers, transitions = set(clock), set(), set(), []
-    for p, tick in enumerate(clock):
-        renamed = {r: Register(f"{r.name}@{p}") for r in tree.registers}
-        copies = {q: tick if q == tree.start else f"{q}@{p}" for q in tree.states}
-        # equal conditions of one copy become one object, compiled once
-        conditions: dict[Condition, Condition] = {}
-        transitions.append(Transition(tick, clock[(p + 1) % len(clock)], TRUE))
-        for t in tree.transitions:
-            condition = conditions.get(t.condition)
-            if condition is None:
-                condition = conditions[t.condition] = substitute_registers(t.condition, renamed)
-            writes = frozenset(renamed[r] for r in t.writes)
-            transitions.append(Transition(copies[t.source], copies[t.target], condition, writes))
-        states.update(copies.values())
-        finals.update(copies[q] for q in tree.finals)
-        registers.update(renamed.values())
-    return Sra(
-        states=frozenset(states),
-        start=clock[0],
-        finals=frozenset(finals),
-        registers=frozenset(registers),
-        transitions=tuple(transitions),
-        window=tree.window,
-    )

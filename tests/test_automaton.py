@@ -17,6 +17,7 @@ from cerf.algebra import (
     comparison_predicate,
     compile_condition,
     conjoin,
+    registers_of,
 )
 from cerf.automaton import (
     ConfigurationCapExceeded,
@@ -25,7 +26,6 @@ from cerf.automaton import (
     NotDeterministic,
     Sra,
     StreamEngine,
-    SubsetRunner,
     Transition,
     _fire,
     epsilon_closure,
@@ -34,6 +34,7 @@ from cerf.automaton import (
 from random import Random
 
 from cerf import algebra, automaton, compiler
+from cerf.diagram import UNSET, SubsetRunner, lag
 from cerf.oracle import Oracle
 from cerf.pattern import (
     EPSILON,
@@ -538,13 +539,26 @@ class TestRegisterProjection:
         assert len(distinct) * 3 < len(nodes)
 
 
-def _never_sinking_runner(e: Window) -> SubsetRunner:
-    return SubsetRunner(compiler.never_sinking(compiler.compile_windowed(e)))
+def _runner(e: Window) -> SubsetRunner:
+    return SubsetRunner(compiler.compile_windowed(e))
+
+
+def _tree(*edges, finals=()) -> Sra:
+    """A tree rooted at "n0" from (source, target, condition, writes)."""
+    transitions = tuple(Transition(s, t, c, frozenset(w)) for s, t, c, w in edges)
+    return Sra(
+        states=frozenset({"n0"} | {t.target for t in transitions}), start="n0",
+        finals=frozenset(finals),
+        registers=frozenset(r for t in transitions for r in t.writes | registers_of(t.condition)),
+        transitions=transitions,
+    )
 
 
 class TestSubsetRunner:
-    """`cerf recognize` runs a windowed pattern as one configuration of the
-    never-sinking machine's subset machine, built as the stream reaches it."""
+    """`cerf recognize` runs a windowed pattern as one subset of the states
+    of its unrolled tree, whose subset machine is built as the stream
+    reaches it, and one history of the last events, which the conditions
+    read by lag."""
 
     # events with attributes no predicate reads, which registers drop
     RICH = UNIVERSE + tuple(
@@ -554,7 +568,7 @@ class TestSubsetRunner:
     def _agree(self, e: Window, stream: list[Event]) -> None:
         """The runner, `StreamEngine` on the streaming automaton and the
         oracle agree at every index, and on the empty prefix."""
-        runner = _never_sinking_runner(e)
+        runner = _runner(e)
         engine = StreamEngine(compiler.streaming_automaton(compiler.compile_windowed(e)))
         oracle = Oracle(to_streaming(e))
         pairs = oracle.start()
@@ -580,7 +594,7 @@ class TestSubsetRunner:
         rng = Random(1810 + width)
         for body in (EPSILON, Star(Cond(TRUE)), Star(kind_a), Concat(Star(kind_a), Star(kind_a))):
             e = Window(body, width)
-            assert _never_sinking_runner(e).matched_at_start
+            assert _runner(e).matched_at_start
             self._agree(e, [rng.choice(self.RICH) for _ in range(30)])
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
@@ -590,16 +604,17 @@ class TestSubsetRunner:
             CondWrite(_atom("KindA", CURRENT), R1),
             Concat(Star(Cond(TRUE)), Cond(Atom(same_tag, (CURRENT, R1)))),
         )
-        machine = compiler.never_sinking(compiler.compile_windowed(Window(body, width)))
+        tree = compiler.compile_windowed(Window(body, width))
         # whole events; at width 1 the body is pruned away with its register
-        assert set(machine.observed_attributes.values()) == ({None} if width > 1 else set())
+        assert set(tree.observed_attributes.values()) == ({None} if width > 1 else set())
         rng = Random(1820 + width)
         self._agree(Window(body, width), [rng.choice(self.RICH) for _ in range(60)])
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
     def test_events_are_stored_whole(self, width, monkeypatch):
-        # the runner never deduplicates its one configuration, so it cuts
-        # no event; the stream engine beside it still cuts
+        # the runner keeps the last events in its history and writes no
+        # register, so it cuts no event; the stream engine beside it still
+        # cuts
         cuts = []
         original = Event.project
         monkeypatch.setattr(Event, "project", lambda ev, names: cuts.append(ev) or original(ev, names))
@@ -612,7 +627,7 @@ class TestSubsetRunner:
         rng = Random(2400 + width)
         for body in [random_expr(rng, 3, lib) for _ in range(40)] + [footprintless]:
             e = Window(body, width)
-            runner = _never_sinking_runner(e)
+            runner = _runner(e)
             engine = StreamEngine(compiler.streaming_automaton(compiler.compile_windowed(e)))
             stream = [rng.choice(self.RICH) for _ in range(30)]
             for k, ev in enumerate(stream, start=1):
@@ -620,37 +635,40 @@ class TestSubsetRunner:
                 matched = runner.step(ev)
                 assert len(cuts) == before, (e, k)
                 assert matched == engine.step(ev), (e, k)
-                # each stored event is one of the stream's, not a copy
-                assert all(any(s is x for x in stream) for s in runner._stored if s is not None)
+                # slot j holds the event j steps back, the very object
+                history = runner._history
+                assert history[0] is None
+                held = range(1, min(k, len(history) - 1) + 1)
+                assert all(history[j] is stream[k - j] for j in held)
         # within 1 no register is read, so it keeps whole events anyway
         assert bool(cuts) == (width > 1)
 
     @staticmethod
-    def _signs(runner: SubsetRunner, members: frozenset, event: Event, stored: tuple) -> tuple:
+    def _signs(runner: SubsetRunner, members: frozenset, event: Event, history: tuple) -> tuple:
         """The sign vector one step of the runner keys its table with, from
-        the subset of `members` with `stored` in the slots."""
+        the subset of `members` with `history` as the last events."""
         subset = runner._subset(members)
         subset.table.clear()
-        runner._state, runner._stored = subset, stored
+        runner._state, runner._history = subset, history
         runner.step(event)
         (signs,) = subset.table
         return signs
 
-    def _check_signs(self, machine: Sra, rng: Random, subsets: int, pool=RICH) -> None:
-        """On random subsets of the machine's states, random events of the
-        pool and random slot contents, the diagram's sign vector is the
-        vector of the subset's conditions compiled one by one."""
-        runner, plan = SubsetRunner(machine), machine._plan
-        states = sorted(machine.states)
+    def _check_signs(self, tree: Sra, rng: Random, subsets: int, pool=RICH) -> None:
+        """On random subsets of the tree's states, random events of the
+        pool and random histories, the diagram's sign vector is the vector
+        of the subset's lagged conditions compiled one by one."""
+        runner = SubsetRunner(tree)
+        states, slots = sorted(tree.states), runner._slots
         for _ in range(subsets):
             members = frozenset(rng.sample(states, rng.randint(1, len(states))))
-            conditions = [compile_condition(c, plan._slots, plan._compiled)
-                          for c in automaton.outgoing(machine, members)]
+            lagged = automaton.outgoing(runner._lagged, members)
+            conditions = [compile_condition(c, slots) for c in lagged]
             for _ in range(8):
                 event = rng.choice(pool)
-                stored = tuple(rng.choice((None, *pool)) for _ in plan.registers)
-                expected = tuple(holds(event, stored) for holds in conditions)
-                assert self._signs(runner, members, event, stored) == expected
+                history = (None, *(rng.choice((None, *pool)) for _ in runner._history[1:]))
+                expected = tuple(holds(event, history) for holds in conditions)
+                assert self._signs(runner, members, event, history) == expected
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
     def test_diagram_signs_are_the_per_condition_signs(self, width):
@@ -658,10 +676,10 @@ class TestSubsetRunner:
         rng = Random(2100 + width)
         for _ in range(25):
             e = Window(random_expr(rng, 3, lib), width)
-            self._check_signs(compiler.never_sinking(compiler.compile_windowed(e)), rng, 10)
+            self._check_signs(compiler.compile_windowed(e), rng, 10)
         _, e3 = parse(E3_TEXT)
-        machine = compiler.never_sinking(compiler.compile_windowed(Window(e3.body, width)))
-        self._check_signs(machine, rng, 40, _sensor_events(width, 12))
+        tree = compiler.compile_windowed(Window(e3.body, width))
+        self._check_signs(tree, rng, 40, _sensor_events(width, 12))
 
     def test_diagram_branches_once_on_the_most_shared_head(self):
         # four heads, each heading two conditions and the third three; each
@@ -671,84 +689,115 @@ class TestSubsetRunner:
         tails = [_atom("KindA", CURRENT), _atom("SameNum", CURRENT, R1)]
         conditions = [And(h, t) for h in heads for t in tails]
         conditions += [And(heads[2], heads[0]), heads[3], TRUE]
-        transitions = [Transition("s", "s", TRUE, frozenset({R1}))]
-        transitions += [Transition("s", f"t{i}", c) for i, c in enumerate(conditions)]
-        machine = Sra(
-            states=frozenset({"s"} | {t.target for t in transitions}),
-            start="s", finals=frozenset(), registers=frozenset({R1}),
-            transitions=tuple(transitions),
-        )
-        diagram = SubsetRunner(machine)._subset(frozenset({"s"})).diagram
-        plan = machine._plan
-        assert diagram.test is compile_condition(heads[2], plan._slots, plan._compiled)
+        tree = _tree(("n0", "s", TRUE, {R1}),
+                     *(("s", f"t{i}", c, ()) for i, c in enumerate(conditions)))
+        runner = SubsetRunner(tree)
+        diagram = runner._subset(frozenset({"s"})).diagram
+        head = runner._canonical[heads[2]]
+        assert diagram.test is compile_condition(head, runner._slots, runner._compiled)
         assert isinstance(diagram.hi, list) and isinstance(diagram.lo, list)
-        self._check_signs(machine, Random(7), 30)
+        self._check_signs(tree, Random(7), 30)
 
-    @pytest.mark.parametrize("width", range(1, 9))
+    @pytest.mark.parametrize("width", range(1, 10))
     def test_e3_agrees_with_the_stream_engine(self, width):
         _, e3 = parse(E3_TEXT)
         e = Window(e3.body, width)
-        runner = _never_sinking_runner(e)
+        runner = _runner(e)
         engine = StreamEngine(compiler.streaming_automaton(compiler.compile_windowed(e)))
         for k, ev in enumerate(_sensor_events(2100 + width, 5000), start=1):
             assert runner.step(ev) == engine.step(ev), (width, k)
 
     def test_e3_table_size(self):
-        # the table grows with the machine, not with the distinct values
+        # the table grows with the tree, not with the distinct values
         _, e3 = parse(E3_TEXT)
         e = Window(e3.body, 4)
         sizes = []
         for ids in (5, 10**5):
             rng = Random(18)
-            runner, engine = _never_sinking_runner(e), StreamEngine(
+            runner, engine = _runner(e), StreamEngine(
                 compiler.streaming_automaton(compiler.compile_windowed(e))
             )
             for _ in range(20_000):
                 ev = Event.of(type=rng.choice("TH"), id=rng.randint(1, ids), value=rng.randint(0, 100))
                 assert runner.step(ev) == engine.step(ev)
             sizes.append((runner.subsets, runner.entries))
-        assert sizes == [(91, 317), (36, 69)]  # (subsets, entries) at 5 and 10^5 ids
+        assert sizes == [(25, 84), (12, 21)]  # (subsets, entries) at 5 and 10^5 ids
         assert sizes[1][1] <= sizes[0][1]
 
     def test_machine_shape(self):
         _, e3 = parse(E3_TEXT)
         tree = compiler.compile_windowed(e3)
-        machine = compiler.never_sinking(tree)
-        assert machine.start == "c0" and not machine.has_epsilon
-        assert Transition("c2", "c0", TRUE) in machine.out("c2")
-        assert machine.registers == {
-            Register(f"{r.name}@{p}") for r in tree.registers for p in range(3)
-        }
-        assert len(machine.states) == 3 * len(tree.states)
-        # the clock always steps, so no subset the stream reaches is empty
-        runner = SubsetRunner(machine)
+        runner = SubsetRunner(tree)
+        lagged = runner._lagged
+        # the same tree, writing nothing, reading by lag
+        assert lagged.states == tree.states and lagged.start == tree.start
+        assert lagged.finals == tree.finals
+        assert not any(t.writes for t in lagged.transitions)
+        assert lagged.registers == {lag(1), lag(2)} and len(runner._history) == 3
+        # equal conditions at depths 1 and 2 read two different events
+        (h_same_id, *_) = (t.condition for t in tree.transitions if isinstance(t.condition, And))
+        (r,) = registers_of(h_same_id)
+        reads = {t.condition for t in lagged.transitions}
+        assert {algebra.substitute_registers(h_same_id, {r: lag(j)}) for j in (1, 2)} <= reads
+        # every step adds the root, so every reached subset holds it
         for ev in _sensor_events(7, 500):
             runner.step(ev)
-        assert all(s & {"c0", "c1", "c2"} for s in runner._subsets)
-        with pytest.raises(compiler.NotUnrolled):
-            compiler.never_sinking(compiler.streaming_automaton(tree))
+        assert runner.subsets > 1 and all(tree.start in s for s in runner._subsets)
 
-    def test_each_condition_is_compiled_once_per_phase(self, monkeypatch):
+    def test_each_lag_condition_is_compiled_once(self, monkeypatch):
         _, e3 = parse(E3_TEXT)
-        machine = compiler.never_sinking(compiler.compile_windowed(Window(e3.body, 4)))
+        tree = compiler.compile_windowed(Window(e3.body, 4))
         compiled = []
         original = algebra._compile_node
         monkeypatch.setattr(
             algebra, "_compile_node",
             lambda node, *args: compiled.append(node) or original(node, *args),
         )
-        runner = SubsetRunner(machine)
+        runner = SubsetRunner(tree)
         for ev in _sensor_events(3, 2000):
             runner.step(ev)
-        roots = {id(t.condition) for t in machine.transitions}
-        compiled_roots = [id(node) for node in compiled if id(node) in roots]
-        assert len(compiled_roots) == len(set(compiled_roots))
-        # equal conditions of one phase copy are one object
-        by_phase: dict = {}
-        for t in machine.transitions:
-            by_phase.setdefault(t.target.rpartition("@")[2], []).append(t.condition)
-        for conditions in by_phase.values():
-            assert len({id(c) for c in conditions}) == len(set(conditions))
+        # distinct conjuncts of the lagged conditions, each compiled once
+        assert compiled and len(compiled) == len(set(compiled))
+        # equal lagged conditions are one object
+        conditions = [t.condition for t in runner._lagged.transitions]
+        assert len({id(c) for c in conditions}) == len(set(conditions))
+
+    def test_registers_are_read_on_each_path(self):
+        # r1 written into depth 1 and read at depth 2, written into depth 2
+        # and read there, written twice on one path, and read where no path
+        # wrote it
+        kind_a, kind_b = _atom("KindA", CURRENT), _atom("KindB", CURRENT)
+        same = _atom("SameNum", CURRENT, R1)
+        tree = _tree(
+            ("n0", "a1", kind_a, {R1}), ("a1", "a2", TRUE, ()), ("a2", "a3", same, ()),
+            ("n0", "b1", TRUE, ()), ("b1", "b2", kind_b, {R1}), ("b2", "b3", same, ()),
+            ("n0", "c1", kind_a, {R1}), ("c1", "c2", kind_b, {R1}), ("c2", "c3", same, ()),
+            ("n0", "d1", TRUE, ()), ("d1", "d2", same, ()),
+            finals=("a3", "b3", "c3", "d2"),
+        )
+        runner = SubsetRunner(tree)
+        reads = {t.target: t.condition.args[1] for t in runner._lagged.transitions
+                 if t.condition.__class__ is Atom and len(t.condition.args) == 2}
+        assert reads == {"a3": lag(2), "b3": lag(1), "c3": lag(1), "d2": UNSET}
+        engine = StreamEngine(compiler.streaming_automaton(tree))
+        rng = Random(31)
+        for k in range(1, 400):
+            ev = rng.choice(self.RICH)
+            assert runner.step(ev) == engine.step(ev), k
+
+    def test_refuses_a_state_reached_twice(self):
+        _, e3 = parse(E3_TEXT)
+        tree = compiler.compile_windowed(e3)
+        looped = compiler.streaming_automaton(tree)
+        with pytest.raises(compiler.NotUnrolled):
+            SubsetRunner(Sra(looped.states, looped.start, looped.finals, looped.registers,
+                             looped.transitions, tree.window))
+        # reached at depths 1 and 2, and twice at depth 1
+        kind_a = _atom("KindA", CURRENT)
+        for edges in ((("n0", "x", TRUE, ()), ("x", "y", TRUE, ()), ("n0", "y", kind_a, ())),
+                      (("n0", "x", TRUE, ()), ("n0", "x", kind_a, ()))):
+            with pytest.raises(compiler.NotUnrolled):
+                SubsetRunner(_tree(*edges))
 
     def test_rejects_epsilon_automata(self):
         a = Sra(
@@ -758,7 +807,7 @@ class TestSubsetRunner:
             registers=frozenset(),
             transitions=(Transition("s", "f", None),),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(compiler.NotUnrolled):
             SubsetRunner(a)
 
 
