@@ -4,13 +4,16 @@ and conditions, with their evaluation.
 Everything here is immutable and hashable, so events, valuations and
 conditions can be shared freely across threads and used as dictionary keys
 (the streaming engine deduplicates configurations by state and register
-contents).
+contents). Conditions are hash-consed (see `Condition`): a built condition
+stays shareable across threads, but construction goes through one table
+without a lock, so conditions are built on one thread at a time.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
+import weakref
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 Value = Union[str, int, float]
@@ -405,111 +408,98 @@ class PredicateLibrary:
 
 class Condition(_Frozen):
     """Base class for Boolean formulas over predicate atoms whose arguments
-    are registers or the current-element marker."""
+    are registers or the current-element marker.
 
-    __slots__ = ()
+    Conditions are hash-consed: each constructor returns the one live node
+    of its value, from a weak table of this process, so equal conditions
+    are one object, and equality and hashing are identity. A copied or
+    unpickled node is built again through its constructor, so it too is
+    the node of its value."""
+
+    __slots__ = ("__weakref__",)
+
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, name) for name in self.__slots__])
+
+
+# The live node of each key. A connective is keyed by its type and operand
+# nodes, an atom by its predicate and arguments; an entry goes when its node
+# dies (`_forget`), so the table does not outgrow the conditions in use.
+_nodes: dict[tuple, weakref.KeyedRef] = {}
+
+
+def _forget(ref: weakref.KeyedRef) -> None:
+    if _nodes.get(ref.key) is ref:
+        del _nodes[ref.key]
 
 
 class TrueCondition(Condition):
     __slots__ = ()
 
-    def __eq__(self, other: object) -> bool:
-        return True if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(())
+    def __new__(cls) -> "TrueCondition":
+        return TRUE
 
     def __repr__(self) -> str:
         return "TRUE"
 
 
-TRUE = TrueCondition()
+TRUE = object.__new__(TrueCondition)
 
 
 class Atom(Condition):
     __slots__ = ("predicate", "args")
 
-    def __init__(self, predicate: Predicate, args: tuple[Argument, ...]) -> None:
-        if len(args) != predicate.arity:
-            raise ValueError(
-                f"{predicate.name} has arity {predicate.arity}, got {len(args)} arguments"
-            )
-        _set(self, "predicate", predicate)
-        _set(self, "args", args)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.predicate, self.args) == (other.predicate, other.args)
-
-    def __hash__(self) -> int:
-        return hash((self.predicate, self.args))
-
-
-class _Connective(Condition):
-    """Not, And and Or. Each hashes once, when it is built, from its type
-    and operands, and equality walks an explicit stack, so chains of any
-    depth (`complete` negates one minterm per outgoing transition) hash and
-    compare without recursing."""
-
-    __slots__ = ("_hash",)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __setstate__(self, state: tuple) -> None:
-        """Restore a copy, and hash it again: hashes of types and text
-        differ between processes, so an unpickled node cannot keep the hash
-        it was built with."""
-        super().__setstate__(state)
-        _set(self, "_hash", hash((self.__class__, *_operands(self))))
-
-    def __eq__(self, other: object) -> bool:
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b):
-                return False
-            if not isinstance(a, _Connective):
-                if a != b:
-                    return False
-            elif a._hash != b._hash:
-                return False
-            else:
-                stack += zip(_operands(a), _operands(b))
-        return True
+    def __new__(cls, predicate: Predicate, args: tuple[Argument, ...]) -> "Atom":
+        # A Python-built predicate is keyed as itself: two of them can
+        # compare equal and still evaluate differently. The atom holds it,
+        # so its id names it while the entry lives.
+        key = (Atom, predicate if predicate.declaration is not None else id(predicate), args)
+        ref = _nodes.get(key)
+        if ref is None or (node := ref()) is None:
+            if len(args) != predicate.arity:
+                raise ValueError(
+                    f"{predicate.name} has arity {predicate.arity}, got {len(args)} arguments"
+                )
+            node = object.__new__(Atom)
+            _set(node, "predicate", predicate)
+            _set(node, "args", args)
+            _nodes[key] = weakref.KeyedRef(node, _forget, key)
+        return node
 
 
-class Not(_Connective):
+class Not(Condition):
     __slots__ = ("operand",)
 
-    def __init__(self, operand: Condition) -> None:
-        _set(self, "operand", operand)
-        _set(self, "_hash", hash((Not, operand)))
+    def __new__(cls, operand: Condition) -> "Not":
+        key = (Not, operand)
+        ref = _nodes.get(key)
+        if ref is None or (node := ref()) is None:
+            node = object.__new__(Not)
+            _set(node, "operand", operand)
+            _nodes[key] = weakref.KeyedRef(node, _forget, key)
+        return node
 
 
-class And(_Connective):
+def _binary(cls: type, left: Condition, right: Condition) -> Condition:
+    """The `And` or `Or` node of two operands."""
+    key = (cls, left, right)
+    ref = _nodes.get(key)
+    if ref is None or (node := ref()) is None:
+        node = object.__new__(cls)
+        _set(node, "left", left)
+        _set(node, "right", right)
+        _nodes[key] = weakref.KeyedRef(node, _forget, key)
+    return node
+
+
+class And(Condition):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Condition, right: Condition) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "_hash", hash((And, left, right)))
+    __new__ = _binary
 
 
-class Or(_Connective):
+class Or(Condition):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Condition, right: Condition) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "_hash", hash((Or, left, right)))
-
-
-def _operands(node: _Connective) -> tuple[Condition, ...]:
-    return (node.operand,) if isinstance(node, Not) else (node.left, node.right)
+    __new__ = _binary
 
 
 def conjoin(conditions: Sequence[Condition]) -> Condition:
@@ -540,17 +530,15 @@ def _walk(condition: Condition, through: tuple[type, ...] = (Not, And, Or)) -> I
 
 
 def _walk_distinct(conditions: Iterable[Condition]) -> Iterator[Condition]:
-    """Every node object of the given condition trees once, however often
-    the trees share it (`determinize` and `complete` build conditions from
-    shared subtrees). Nodes are told apart by identity, which is stable
-    while the walk holds the roots and so every node below them."""
-    seen: set[int] = set()
+    """Every node of the given condition trees once, however often the
+    trees share it (equal subtrees are one node)."""
+    seen: set[Condition] = set()
     stack = list(conditions)
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         yield node
         if isinstance(node, Not):
             stack.append(node.operand)
@@ -688,16 +676,14 @@ def compile_condition(
     compares them with `_compare_values`; a Python-built one calls its
     evaluator.
 
-    `compiled` maps the identity of each node compiled so far to its
-    closure, so that nodes shared between conditions, as `minterms` shares
-    its literals, are compiled once. Identity, because comparing two equal
-    conditions walks both trees; the caller keeps the conditions alive while
-    it holds the map."""
+    `compiled` maps each node compiled so far to its closure, so that a
+    subtree shared between conditions, as `minterms` shares its literals, is
+    compiled once. Equal conditions are one node, so they share one entry."""
     if compiled is None:
         compiled = {}
-    holds = compiled.get(id(condition))
+    holds = compiled.get(condition)
     if holds is None:
-        holds = compiled[id(condition)] = _compile_node(condition, slots, compiled)
+        holds = compiled[condition] = _compile_node(condition, slots, compiled)
     return holds
 
 

@@ -54,9 +54,10 @@ def _leaf(signs: list):
 
 def diagram(spines: list[tuple[Condition, ...]], conjunction: Callable[[tuple], Holds]):
     """The diagram of conditions given by their conjunction spines (empty
-    for TRUE; equal conjuncts one object). A step walks it from its root: a
-    `Branch` runs its test and goes on to `hi` or `lo`, a list holds signs
-    and closures still to call in order, and a tuple is the sign vector.
+    for TRUE; equal conjuncts are one node, so heads are counted by node).
+    A step walks it from its root: a `Branch` runs its test and goes on to
+    `hi` or `lo`, a list holds signs and closures still to call in order,
+    and a tuple is the sign vector.
 
     The conjunct that heads the most of the conditions, if it heads two or
     more (the first seen on a tie), is tested once in a `Branch`: where it
@@ -66,17 +67,17 @@ def diagram(spines: list[tuple[Condition, ...]], conjunction: Callable[[tuple], 
     at the first false one, as its own closure does. A diagram has at most
     three branches: the head's, and one in each leaf left with a single
     test."""
-    counts: dict[int, int] = {}
+    counts: dict[Condition, int] = {}
     for spine in spines:
         if spine:
-            counts[id(spine[0])] = counts.get(id(spine[0]), 0) + 1
+            counts[spine[0]] = counts.get(spine[0], 0) + 1
     whole = [conjunction(spine) if spine else True for spine in spines]
     head = max(counts, key=counts.__getitem__, default=None)
     if head is None or counts[head] < 2:
         return _leaf(whole)
     hi, lo = list(whole), list(whole)
     for i, spine in enumerate(spines):
-        if spine and id(spine[0]) == head:
+        if spine and spine[0] is head:
             test = conjunction(spine[:1])
             hi[i], lo[i] = conjunction(spine[1:]) if spine[1:] else True, False
     return Branch(test, _leaf(hi), _leaf(lo))
@@ -94,11 +95,9 @@ def lagged(tree: Sra) -> tuple[Sra, int]:
     the tree's depth. A run at a state of depth d began d events ago on its
     one path from the root, so a register last written on that path by the
     transition into depth d_r holds the event `lag(d + 1 - d_r)` names, and
-    one not written on it reads `UNSET`. The result writes no register, and
-    equal rewritten conditions are one object."""
+    one not written on it reads `UNSET`. The result writes no register."""
     if tree.has_epsilon:
         raise NotUnrolled("the subset runner needs an epsilon-free tree")
-    conditions: dict[Condition, Condition] = {}
     transitions = []
     # (state, its depth, the depth of the last write of each register on
     # the path to it); each state is reached once, from its parent
@@ -113,10 +112,9 @@ def lagged(tree: Sra) -> tuple[Sra, int]:
             reads = {r: lag(depth + 1 - written[r]) if r in written else UNSET
                      for r in registers_of(t.condition)}
             condition = substitute_registers(t.condition, reads) if reads else t.condition
-            condition = conditions.setdefault(condition, condition)
             transitions.append(Transition(state, t.target, condition))
             queue.append((t.target, depth + 1, {**written, **dict.fromkeys(t.writes, depth + 1)}))
-    registers = frozenset(r for c in conditions for r in registers_of(c))
+    registers = frozenset().union(*map(registers_of, {t.condition for t in transitions}))
     return Sra(frozenset(reached), tree.start, tree.finals & reached, registers,
                tuple(transitions), tree.window), depth
 
@@ -159,11 +157,9 @@ class SubsetRunner:
         self._root = frozenset((tree.start,))
         self.consumed = 0
         self._subsets: dict[frozenset[str], _Subset] = {}
-        self._canonical: dict[Condition, Condition] = {}  # equal conjuncts one object
-        # by the ids of lagged conditions and conjuncts, which stay alive
-        self._spines: dict[int, tuple[Condition, ...]] = {}
-        self._diagrams: dict[tuple[int, ...], object] = {}
-        self._compiled: dict[int, Holds] = {}
+        self._spines: dict[Condition, tuple[Condition, ...]] = {}
+        self._diagrams: dict[tuple[Condition, ...], object] = {}
+        self._compiled: dict[Condition, Holds] = {}
         self._state = self._subset(self._root)
         # room for one event at least, so a step keeps the length
         self._history: tuple[Event | None, ...] = (None,) * max(depth, 2)
@@ -201,21 +197,20 @@ class SubsetRunner:
         subset = self._subsets.get(members)
         if subset is None:
             by_condition = outgoing(self._lagged, members)
-            key = tuple([id(c) for c in by_condition])  # many subsets share it
+            key = tuple(by_condition)  # many subsets share it
             shape = self._diagrams.get(key)
             if shape is None:
-                spines = [self._spine(c) for c in by_condition]
+                spines = [self._spine(c) for c in key]
                 shape = self._diagrams[key] = diagram(spines, self._conjunction)
             final = bool(members & self._lagged.finals)
             subset = self._subsets[members] = _Subset(final, tuple(by_condition.values()), shape)
         return subset
 
     def _spine(self, condition: Condition) -> tuple[Condition, ...]:
-        spine = self._spines.get(id(condition))
+        spine = self._spines.get(condition)
         if spine is None:
-            spine = self._spines[id(condition)] = tuple(
-                self._canonical.setdefault(c, c)
-                for c in _walk(condition, (And,)) if not isinstance(c, (And, TrueCondition))
+            spine = self._spines[condition] = tuple(
+                c for c in _walk(condition, (And,)) if not isinstance(c, (And, TrueCondition))
             )
         return spine
 

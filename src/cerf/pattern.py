@@ -634,12 +634,11 @@ def parse_condition(
 def unparse_condition(cond: Condition, level: int = 0, memo: Optional[dict] = None) -> str:
     """Render a condition in pattern syntax. Levels: 0=or, 1=and, 2=unary.
 
-    With a `memo`, each node object is rendered once: a subtree shared by
-    many conditions (as `determinize` and `complete` build them) costs one
-    rendering. The memo is keyed by node identity, so the caller must hold
-    every rendered node while it keeps the memo."""
-    if memo is not None and id(cond) in memo:
-        text, own = memo[id(cond)]
+    With a `memo`, each node is rendered once: a subtree shared by many
+    conditions (as `determinize` and `complete` build them) costs one
+    rendering."""
+    if memo is not None and cond in memo:
+        text, own = memo[cond]
     else:
         # `own` is the loosest level the text may appear at unparenthesized.
         if isinstance(cond, TrueCondition):
@@ -663,7 +662,7 @@ def unparse_condition(cond: Condition, level: int = 0, memo: Optional[dict] = No
         else:
             raise TypeError(f"not a condition: {cond!r}")
         if memo is not None:
-            memo[id(cond)] = text, own
+            memo[cond] = text, own
     return f"({text})" if level > own else text
 
 

@@ -17,17 +17,7 @@ from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _quote
 from typing import IO, TYPE_CHECKING, Optional, Union
 
-from .algebra import (
-    And,
-    Atom,
-    Condition,
-    Not,
-    Or,
-    PredicateLibrary,
-    Register,
-    _walk,
-    _walk_distinct,
-)
+from .algebra import Atom, Condition, PredicateLibrary, Register, _walk_distinct
 from .automaton import Sra, Transition
 from .pattern import parse_condition, parse_predicates, unparse_condition
 
@@ -82,8 +72,7 @@ def lazy_automaton_doc(a: Sra, memo: Optional[dict] = None) -> dict:
     here, so an automaton that cannot be written fails before a byte is.
 
     Condition texts are kept by node in `memo`, as `unparse_condition` keeps
-    them, so a memo given must not outlive `a`, which holds every node it is
-    keyed by. Without one, the document keeps a memo of its own and empties
+    them. Without one, the document keeps a memo of its own and empties
     it whenever it passes 256 entries: transitions that share a condition
     lie close together (E3 `within 7` has 4,512 transitions, 1,066 distinct
     conditions, and never more than 31 between the first and last use of
@@ -170,39 +159,16 @@ def _check_header(doc: dict, expected: str) -> None:
 
 def _condition_parser(library: PredicateLibrary, register_names: list[str]):
     """parse_condition against one document's predicates and registers,
-    parsing each distinct text once, with every parsed subtree interned
-    (see `_interned`). A text that is not a string goes straight to
-    parse_condition, which refuses it as it always has."""
+    parsing each distinct text once. A text that is not a string goes
+    straight to parse_condition, which refuses it as it always has."""
     memo: dict[str, Condition] = {}
-    table: dict[Condition, Condition] = {}
 
     def parsed(text) -> Condition:
         if not isinstance(text, str) or text not in memo:
-            memo[text] = _interned(parse_condition(text, library, register_names), table)
+            memo[text] = parse_condition(text, library, register_names)
         return memo[text]
 
     return parsed
-
-
-def _interned(condition: Condition, table: dict[Condition, Condition]) -> Condition:
-    """The condition with each subtree replaced by the first equal one in
-    `table`, which it joins, so that equal subtrees of one document are one
-    object. Bottom-up and iterative: reversed preorder puts every node after
-    its operands, which are then interned already, so comparing a node with
-    its table entry looks one level down."""
-    done: dict[int, Condition] = {}  # id of a parsed node -> its interned node
-    for node in reversed(list(_walk(condition))):
-        built = node
-        if isinstance(node, Not):
-            operand = done[id(node.operand)]
-            if operand is not node.operand:
-                built = Not(operand)
-        elif isinstance(node, (And, Or)):
-            left, right = done[id(node.left)], done[id(node.right)]
-            if left is not node.left or right is not node.right:
-                built = type(node)(left, right)
-        done[id(node)] = table.setdefault(built, built)
-    return done[id(condition)]
 
 
 @_validated

@@ -1,10 +1,11 @@
+import gc
 import itertools
 from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cerf import compiler
+from cerf import algebra, compiler
 from cerf.algebra import (
     ALWAYS,
     CURRENT,
@@ -430,6 +431,17 @@ class TestCompiledConditions:
         assert _compiled(cond, ev, EMPTY_VALUATION) == (False, {R1})
         assert len(calls) == 1
 
+    def test_python_built_predicates_of_one_name_make_two_atoms(self):
+        # equal predicates, but each evaluator is its own relation
+        yes = Atom(Predicate("Tag", 1, lambda x: True), (CURRENT,))
+        no = Atom(Predicate("Tag", 1, lambda x: False), (CURRENT,))
+        assert yes.predicate == no.predicate and yes is not no and yes != no
+        ev, compiled = Event.of(tag="x"), {}
+        assert evaluate_condition(yes, ev, EMPTY_VALUATION) is True
+        assert evaluate_condition(no, ev, EMPTY_VALUATION) is False
+        assert compile_condition(yes, {}, compiled)(ev, ()) is True
+        assert compile_condition(no, {}, compiled)(ev, ()) is False
+
 
 class TestConditionHelpers:
     def test_registers_of(self):
@@ -461,9 +473,19 @@ class TestConditionHelpers:
             return conjoin(reads + [Atom(lib.get(last), (CURRENT,))])
 
         one, other = chain("KindA"), chain("KindA")
-        assert one is not other and hash(one) == hash(other)
+        assert one is other and hash(one) == hash(other)
         assert one == other and {one: 1}[other] == 1
         assert one != chain("KindB")
+
+    def test_the_intern_table_forgets_dropped_conditions(self):
+        gc.collect()
+        size = len(algebra._nodes)
+        fresh = comparison_predicate("FreshlyNamed", "num", "==", 1)
+        cond = And(Not(Atom(fresh, (CURRENT,))), TRUE)
+        assert len(algebra._nodes) == size + 3
+        del cond
+        gc.collect()
+        assert len(algebra._nodes) == size
 
     def test_substitute_registers(self):
         cond = _atom("SameNum", CURRENT, R1)

@@ -693,8 +693,7 @@ class TestSubsetRunner:
                      *(("s", f"t{i}", c, ()) for i, c in enumerate(conditions)))
         runner = SubsetRunner(tree)
         diagram = runner._subset(frozenset({"s"})).diagram
-        head = runner._canonical[heads[2]]
-        assert diagram.test is compile_condition(head, runner._slots, runner._compiled)
+        assert diagram.test is compile_condition(heads[2], runner._slots, runner._compiled)
         assert isinstance(diagram.hi, list) and isinstance(diagram.lo, list)
         self._check_signs(tree, Random(7), 30)
 

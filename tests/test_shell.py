@@ -119,8 +119,8 @@ class TestSerializeAutomaton:
         }
 
     def test_loading_shares_equal_condition_subtrees(self):
-        # `complete` builds some equal subtrees as separate objects; loading
-        # makes every set of equal subtrees one object.
+        # Conditions are hash-consed, so the built and the loaded automaton
+        # each hold every set of equal subtrees as one object.
         _, e3 = parse(E3_TEXT)
         d = complete(determinize(compile_windowed(e3)))
         doc = serialize.automaton_to_doc(d)
@@ -130,7 +130,7 @@ class TestSerializeAutomaton:
             conditions = (t.condition for t in a.transitions if t.condition is not None)
             return list(_walk_distinct(conditions))
 
-        assert len(nodes(back)) == len(set(nodes(d))) < len(nodes(d))
+        assert len(nodes(back)) == len(set(nodes(d))) == len(nodes(d))
         assert serialize.automaton_to_doc(back) == doc
 
     def test_doc_shape(self, two_state_dfa):

@@ -17,6 +17,7 @@ from cerf.algebra import (
     CURRENT,
     And,
     Atom,
+    Condition,
     CurrentElement,
     EvalCounters,
     Event,
@@ -97,6 +98,8 @@ def test_frozen_value_types(make):
             delattr(value, name)
     assert value == again and not value != again and hash(value) == hash(again)
     assert copy.copy(value) == value and pickle.loads(pickle.dumps(value)) == value
+    if isinstance(value, Condition):  # hash-consed: a copy is the one node
+        assert copy.copy(value) is value and pickle.loads(pickle.dumps(value)) is value
     # Only Sra keeps a __dict__, for what cached_property builds.
     assert hasattr(value, "__dict__") == (type(value) is Sra)
 
@@ -192,6 +195,7 @@ def test_connectives_hash_again_when_unpickled_in_another_process():
     loaded = (
         "import pickle, sys\n"
         "c = pickle.loads(sys.stdin.buffer.read())\n"
-        "print(c == built, hash(c) == hash(built), {built: 'hit'}.get(c), c.left == Not(a))\n"
+        "print(c == built, hash(c) == hash(built), {built: 'hit'}.get(c), c.left == Not(a),\n"
+        "      c is built)\n"
     )
-    assert run(loaded, "2", data).split() == [b"True", b"True", b"hit", b"True"]
+    assert run(loaded, "2", data).split() == [b"True", b"True", b"hit", b"True", b"True"]
