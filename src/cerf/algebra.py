@@ -4,9 +4,10 @@ and conditions, with their evaluation.
 Everything here is immutable and hashable, so events, valuations and
 conditions can be shared freely across threads and used as dictionary keys
 (the streaming engine deduplicates configurations by state and register
-contents). Conditions are hash-consed (see `Condition`): a built condition
-stays shareable across threads, but construction goes through one table
-without a lock, so conditions are built on one thread at a time.
+contents). Conditions, and the expressions of `cerf.pattern`, are
+hash-consed (see `_Node`): a built node stays shareable across threads,
+but construction goes through one table without a lock, so conditions and
+expressions are built on one thread at a time.
 """
 
 from __future__ import annotations
@@ -406,12 +407,10 @@ class PredicateLibrary:
 # Conditions
 
 
-class Condition(_Frozen):
-    """Base class for Boolean formulas over predicate atoms whose arguments
-    are registers or the current-element marker.
-
-    Conditions are hash-consed: each constructor returns the one live node
-    of its value, from a weak table of this process, so equal conditions
+class _Node(_Frozen):
+    """Base of the hash-consed value types: conditions, and the expressions
+    of `cerf.pattern`. Each constructor returns the one live node of its
+    value, from a weak table of this process (`_intern`), so equal nodes
     are one object, and equality and hashing are identity. A copied or
     unpickled node is built again through its constructor, so it too is
     the node of its value."""
@@ -422,15 +421,37 @@ class Condition(_Frozen):
         return self.__class__, tuple([getattr(self, name) for name in self.__slots__])
 
 
-# The live node of each key. A connective is keyed by its type and operand
-# nodes, an atom by its predicate and arguments; an entry goes when its node
-# dies (`_forget`), so the table does not outgrow the conditions in use.
+# The live node of each key; an entry goes when its node dies (`_forget`),
+# so the table does not outgrow the nodes in use.
 _nodes: dict[tuple, weakref.KeyedRef] = {}
 
 
 def _forget(ref: weakref.KeyedRef) -> None:
     if _nodes.get(ref.key) is ref:
         del _nodes[ref.key]
+
+
+def _intern(cls: type, fields: dict, key: Optional[tuple] = None):
+    """The live node of `cls` whose slots hold `fields` (slot name to
+    value), built if there is none. It is keyed by `key`, by default the
+    class and the field values, so a node is keyed by its operand nodes."""
+    if key is None:
+        key = (cls, *fields.values())
+    ref = _nodes.get(key)
+    if ref is None or (node := ref()) is None:
+        node = object.__new__(cls)
+        for name, value in fields.items():
+            _set(node, name, value)
+        _nodes[key] = weakref.KeyedRef(node, _forget, key)
+    return node
+
+
+class Condition(_Node):
+    """Base class for Boolean formulas over predicate atoms whose arguments
+    are registers or the current-element marker. Conditions are
+    hash-consed (see `_Node`)."""
+
+    __slots__ = ()
 
 
 class TrueCondition(Condition):
@@ -443,53 +464,37 @@ class TrueCondition(Condition):
         return "TRUE"
 
 
-TRUE = object.__new__(TrueCondition)
+TRUE = _intern(TrueCondition, {})
 
 
 class Atom(Condition):
     __slots__ = ("predicate", "args")
 
     def __new__(cls, predicate: Predicate, args: tuple[Argument, ...]) -> "Atom":
-        # A Python-built predicate is keyed as itself: two of them can
-        # compare equal and still evaluate differently. The atom holds it,
-        # so its id names it while the entry lives.
-        key = (Atom, predicate if predicate.declaration is not None else id(predicate), args)
-        ref = _nodes.get(key)
-        if ref is None or (node := ref()) is None:
-            if len(args) != predicate.arity:
-                raise ValueError(
-                    f"{predicate.name} has arity {predicate.arity}, got {len(args)} arguments"
-                )
-            node = object.__new__(Atom)
-            _set(node, "predicate", predicate)
-            _set(node, "args", args)
-            _nodes[key] = weakref.KeyedRef(node, _forget, key)
-        return node
+        if len(args) != predicate.arity:
+            raise ValueError(
+                f"{predicate.name} has arity {predicate.arity}, got {len(args)} arguments"
+            )
+        # A declared predicate is keyed by its value and its declaration
+        # line, so an atom keeps the line it was parsed from. A Python-built
+        # one is keyed as itself: two of them can compare equal and still
+        # evaluate differently. The atom holds it, so its id names it while
+        # the entry lives.
+        named = predicate if predicate.declaration is not None else id(predicate)
+        key = (Atom, named, predicate.source, args)
+        return _intern(Atom, {"predicate": predicate, "args": args}, key)
 
 
 class Not(Condition):
     __slots__ = ("operand",)
 
     def __new__(cls, operand: Condition) -> "Not":
-        key = (Not, operand)
-        ref = _nodes.get(key)
-        if ref is None or (node := ref()) is None:
-            node = object.__new__(Not)
-            _set(node, "operand", operand)
-            _nodes[key] = weakref.KeyedRef(node, _forget, key)
-        return node
+        return _intern(Not, {"operand": operand})
 
 
 def _binary(cls: type, left: Condition, right: Condition) -> Condition:
     """The `And` or `Or` node of two operands."""
-    key = (cls, left, right)
-    ref = _nodes.get(key)
-    if ref is None or (node := ref()) is None:
-        node = object.__new__(cls)
-        _set(node, "left", left)
-        _set(node, "right", right)
-        _nodes[key] = weakref.KeyedRef(node, _forget, key)
-    return node
+    return _intern(cls, {"left": left, "right": right})
 
 
 class And(Condition):

@@ -1,14 +1,34 @@
 """The derivation oracle: membership decided from a pattern's expression
 directly, without automata. It is the ground truth the compiled pipeline
 is checked against; `cerf oracle` and `pattern.derive` step it. Only they
-load this module."""
+load this module.
+
+A residual, what an expression has left to match after some prefix, is
+itself an expression node, hash-consed like every other, so equal
+residuals are one object. A window's countdown is the one node type of
+its own, `_Bounded`."""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
-from .algebra import EMPTY_VALUATION, EvalScope, Event, Valuation
-from .pattern import Alt, Concat, Cond, CondWrite, Empty, Epsilon, Expr, Star, Window
+from .algebra import EMPTY_VALUATION, EvalScope, Event, Valuation, _intern
+from .pattern import EPSILON, Alt, Concat, Cond, CondWrite, Expr, Star, Window
+
+
+class _Bounded(Expr):
+    """A window's body residual, which may consume at most `width` more
+    elements. Unlike `Window`, it admits width 0 and does not walk its
+    body."""
+
+    __slots__ = ("body", "width")
+
+    def __new__(cls, body: Expr, width: int) -> "_Bounded":
+        return _intern(_Bounded, {"body": body, "width": width, "nullable": body.nullable})
+
+
+# One (residual, valuation) pair of a configuration set.
+Pair = tuple[Expr, Valuation]
 
 
 def _factors(e: Concat) -> list[Expr]:
@@ -24,31 +44,73 @@ def _factors(e: Concat) -> list[Expr]:
     return out
 
 
-class _Residual:
-    """What an expression has left to match after some prefix: a node of an
-    `Oracle`'s hash-consed residual graph. Only the oracle's interner builds
-    them, so equal residuals are one object, and they compare and hash by
-    identity.
-
-    `kind` is one of "eps", "none", "cond" (left: the condition, right: the
-    register written or None), "cat" (its left side is never a "cat"),
-    "alt", "star" (left: the body) and
-    "bounded" (left: the body, right: how many more elements it may
-    consume). `moves` is filled on first use: the (condition, register or
-    None, residual) triples by which the residual consumes one element."""
-
-    __slots__ = ("kind", "left", "right", "nullable", "moves")
-
-    def __init__(self, kind: str, left, right, nullable: bool) -> None:
-        self.kind = kind
-        self.left = left
-        self.right = right
-        self.nullable = nullable
-        self.moves: Optional[tuple] = None
+def _cat(left: Expr, right: Expr) -> Expr:
+    """The concatenation of two residuals, right-associated: `left`'s
+    factors are chained onto `right` one by one, so a residual
+    concatenation's left side is never itself one, and each residual of a
+    long chain is one new node."""
+    spine = []
+    while isinstance(left, Concat):
+        spine.append(left.left)
+        left = left.right
+    spine.append(left)
+    for factor in reversed(spine):
+        if right is EPSILON:
+            right = factor
+        elif factor is not EPSILON:
+            right = Concat(factor, right)
+    return right
 
 
-# One (residual, valuation) pair of a configuration set.
-Pair = tuple[_Residual, Valuation]
+def _bounded(body: Expr, width: int) -> Expr:
+    return body if body is EPSILON else _Bounded(body, width)
+
+
+def _residual(e: Expr) -> Expr:
+    """The expression as a residual: its concatenation chains
+    right-associated and its window a `_Bounded`. A concatenation tree is
+    converted as a whole, from its factors, so its nested concatenations
+    are never converted on their own. Iterative, so no expression is too
+    deep for it."""
+    preorder, factors, stack = [], {}, [e]
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        if isinstance(node, Concat):
+            factors[node] = _factors(node)
+            stack += factors[node]
+        elif isinstance(node, Alt):
+            stack += (node.left, node.right)
+        elif isinstance(node, (Star, Window)):
+            stack.append(node.body)
+    # Reversed preorder puts every node after its descendants.
+    converted: dict[Expr, Expr] = {}
+    for node in reversed(preorder):
+        if isinstance(node, Concat):
+            residual = EPSILON
+            for factor in reversed(factors[node]):
+                residual = _cat(converted[factor], residual)
+        elif isinstance(node, Alt):
+            residual = Alt(converted[node.left], converted[node.right])
+        elif isinstance(node, Star):
+            residual = Star(converted[node.body])
+        elif isinstance(node, Window):
+            residual = _bounded(converted[node.body], node.width)
+        else:
+            residual = node
+        converted[node] = residual
+    return converted[e]
+
+
+def _needs(node: Expr) -> tuple[Expr, ...]:
+    """The residuals whose moves make up `node`'s."""
+    if isinstance(node, Concat):
+        return (node.left, node.right) if node.left.nullable else (node.left,)
+    if isinstance(node, Alt):
+        return (node.left, node.right)
+    if isinstance(node, Star) or (isinstance(node, _Bounded) and node.width > 0):
+        return (node.body,)
+    return ()
 
 
 class Oracle:
@@ -65,134 +127,53 @@ class Oracle:
     pair whose residual is nullable has derived the prefix, whatever its
     valuation, as an empty match writes nothing.
 
-    Residuals are interned per oracle, and each one's moves are built once,
-    so after the first visit a step only evaluates conditions.
-    Concatenations are right-associated, so a chain of n factors, however
-    it nests, has O(n) residuals. Both walks are iterative, so no
-    expression is too deep for them."""
+    Residuals are expression nodes, one object per value. The oracle
+    builds each one's moves once, the (condition, register or None,
+    residual) triples by which it consumes one element, so after the first
+    visit a step only evaluates conditions. Concatenations are
+    right-associated, so a chain of n factors, however it nests, has O(n)
+    residuals. Both walks are iterative, so no expression is too deep for
+    them."""
 
     def __init__(self, e: Expr) -> None:
-        self._table: dict[tuple, _Residual] = {}
-        self._eps = self._node("eps", None, None)
-        # A concatenation tree is converted as a whole, from its factors,
-        # so its nested concatenations are never converted on their own.
-        preorder, factors, stack = [], {}, [e]
-        while stack:
-            node = stack.pop()
-            preorder.append(node)
-            if isinstance(node, Concat):
-                factors[id(node)] = _factors(node)
-                stack += factors[id(node)]
-            elif isinstance(node, Alt):
-                stack += (node.left, node.right)
-            elif isinstance(node, (Star, Window)):
-                stack.append(node.body)
-        # Reversed preorder puts every node after its descendants. The ids
-        # key only this loop, during which `e` keeps every node alive.
-        converted: dict[int, _Residual] = {}
-        for node in reversed(preorder):
-            if isinstance(node, Concat):
-                residual = self._eps
-                for factor in reversed(factors[id(node)]):
-                    residual = self._cat(converted[id(factor)], residual)
-                converted[id(node)] = residual
-            else:
-                converted[id(node)] = self._convert(node, converted)
-        self.root = converted[id(e)]
+        self.root = _residual(e)
+        self._moves: dict[Expr, tuple] = {}
 
-    def _node(self, kind: str, left, right) -> _Residual:
-        key = (kind, left, right)
-        node = self._table.get(key)
-        if node is None:
-            if kind in ("cat", "alt"):
-                both = left.nullable and right.nullable
-                nullable = both if kind == "cat" else left.nullable or right.nullable
-            elif kind == "bounded":
-                nullable = left.nullable
-            else:
-                nullable = kind in ("eps", "star")
-            node = self._table[key] = _Residual(kind, left, right, nullable)
-        return node
-
-    def _convert(self, e: Expr, converted: dict[int, _Residual]) -> _Residual:
-        if isinstance(e, Empty):
-            return self._node("none", None, None)
-        if isinstance(e, Epsilon):
-            return self._eps
-        if isinstance(e, Cond):
-            return self._node("cond", e.condition, None)
-        if isinstance(e, CondWrite):
-            return self._node("cond", e.condition, e.register)
-        if isinstance(e, Alt):
-            return self._node("alt", converted[id(e.left)], converted[id(e.right)])
-        if isinstance(e, Star):
-            return self._node("star", converted[id(e.body)], None)
-        if isinstance(e, Window):
-            return self._bounded(converted[id(e.body)], e.width)
-        raise TypeError(f"not an expression: {e!r}")
-
-    def _cat(self, left: _Residual, right: _Residual) -> _Residual:
-        """The concatenation, right-associated: `left`'s factors are chained
-        onto `right` one by one, so a concatenation's left side is never
-        itself one, and each residual of a long chain is one new node."""
-        spine = []
-        while left.kind == "cat":
-            spine.append(left.left)
-            left = left.right
-        spine.append(left)
-        for factor in reversed(spine):
-            if right is self._eps:
-                right = factor
-            elif factor is not self._eps:
-                right = self._node("cat", factor, right)
-        return right
-
-    def _bounded(self, body: _Residual, width: int) -> _Residual:
-        return body if body is self._eps else self._node("bounded", body, width)
-
-    def _needs(self, node: _Residual) -> tuple[_Residual, ...]:
-        """The residuals whose moves make up `node`'s."""
-        if node.kind == "cat":
-            return (node.left, node.right) if node.left.nullable else (node.left,)
-        if node.kind == "alt":
-            return (node.left, node.right)
-        if node.kind == "star" or (node.kind == "bounded" and node.right > 0):
-            return (node.left,)
-        return ()
-
-    def _moves(self, node: _Residual) -> tuple:
-        """`node.moves`, building it and those it needs first, depth first
-        with an explicit stack."""
-        stack = [node]
+    def _build(self, node: Expr) -> tuple:
+        """The moves of `node`, building them and those they need first,
+        depth first with an explicit stack."""
+        moves, stack = self._moves, [node]
         while stack:
             top = stack[-1]
-            pending = [n for n in self._needs(top) if n.moves is None]
+            pending = [n for n in _needs(top) if n not in moves]
             if pending:
                 stack += pending
                 continue
             stack.pop()
-            if top.moves is None:
-                top.moves = tuple(self._moves_of(top))
-        return node.moves  # type: ignore[return-value]
+            if top not in moves:
+                moves[top] = tuple(self._moves_of(top))
+        return moves[node]
 
-    def _moves_of(self, node: _Residual) -> Iterator[tuple]:
-        kind = node.kind
-        if kind == "cond":
-            yield node.left, node.right, self._eps
-        elif kind == "cat":
-            for cond, reg, rest in node.left.moves:
-                yield cond, reg, self._cat(rest, node.right)
+    def _moves_of(self, node: Expr) -> Iterator[tuple]:
+        moves = self._moves
+        if isinstance(node, Cond):
+            yield node.condition, None, EPSILON
+        elif isinstance(node, CondWrite):
+            yield node.condition, node.register, EPSILON
+        elif isinstance(node, Concat):
+            for cond, reg, rest in moves[node.left]:
+                yield cond, reg, _cat(rest, node.right)
             if node.left.nullable:
-                yield from node.right.moves
-        elif kind == "alt":
-            yield from node.left.moves
-            yield from node.right.moves
-        elif kind == "star":
-            for cond, reg, rest in node.left.moves:
-                yield cond, reg, self._cat(rest, node)
-        elif kind == "bounded" and node.right > 0:
-            for cond, reg, rest in node.left.moves:
-                yield cond, reg, self._bounded(rest, node.right - 1)
+                yield from moves[node.right]
+        elif isinstance(node, Alt):
+            yield from moves[node.left]
+            yield from moves[node.right]
+        elif isinstance(node, Star):
+            for cond, reg, rest in moves[node.body]:
+                yield cond, reg, _cat(rest, node)
+        elif isinstance(node, _Bounded) and node.width > 0:
+            for cond, reg, rest in moves[node.body]:
+                yield cond, reg, _bounded(rest, node.width - 1)
 
     def start(self, valuation: Valuation = EMPTY_VALUATION) -> frozenset[Pair]:
         """The configuration before any element is consumed."""
@@ -203,7 +184,9 @@ class Oracle:
         empty register does not hold."""
         out = set()
         for node, v in pairs:
-            moves = node.moves if node.moves is not None else self._moves(node)
+            moves = self._moves.get(node)
+            if moves is None:
+                moves = self._build(node)
             if not moves:
                 continue
             scope = EvalScope(v)

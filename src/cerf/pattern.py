@@ -41,6 +41,8 @@ from .algebra import (
     UnknownPredicate,
     Valuation,
     _Frozen,
+    _Node,
+    _intern,
     _set,
     declared_predicate,
 )
@@ -63,11 +65,15 @@ class UnknownRegister(KeyError):
 # AST
 
 
-class Expr(_Frozen):
-    """Base class of the AST nodes. Nodes compare by their type and fields
-    and hash by their fields."""
+class Expr(_Node):
+    """Base class of the AST nodes. Expressions are hash-consed like
+    conditions (see `algebra._Node`): equal expressions are one object,
+    and equality and hashing are identity. `nullable`, set when a node is
+    built, tells whether it accepts the empty string. A constructor builds
+    the node it is given and normalizes nothing, since `compile_expr`
+    numbers states by the tree's shape."""
 
-    __slots__ = ()
+    __slots__ = ("nullable",)
 
 
 class Empty(Expr):
@@ -75,11 +81,8 @@ class Empty(Expr):
 
     __slots__ = ()
 
-    def __eq__(self, other: object) -> bool:
-        return True if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(())
+    def __new__(cls) -> "Empty":
+        return EMPTY
 
 
 class Epsilon(Expr):
@@ -87,89 +90,46 @@ class Epsilon(Expr):
 
     __slots__ = ()
 
-    def __eq__(self, other: object) -> bool:
-        return True if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(())
+    def __new__(cls) -> "Epsilon":
+        return EPSILON
 
 
 class Cond(Expr):
     __slots__ = ("condition",)
 
-    def __init__(self, condition: Condition) -> None:
-        _set(self, "condition", condition)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.condition == other.condition
-
-    def __hash__(self) -> int:
-        return hash((self.condition,))
+    def __new__(cls, condition: Condition) -> "Cond":
+        return _intern(Cond, {"condition": condition, "nullable": False})
 
 
 class CondWrite(Expr):
     __slots__ = ("condition", "register")
 
-    def __init__(self, condition: Condition, register: Register) -> None:
-        _set(self, "condition", condition)
-        _set(self, "register", register)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.condition, self.register) == (other.condition, other.register)
-
-    def __hash__(self) -> int:
-        return hash((self.condition, self.register))
+    def __new__(cls, condition: Condition, register: Register) -> "CondWrite":
+        fields = {"condition": condition, "register": register, "nullable": False}
+        return _intern(CondWrite, fields)
 
 
 class Concat(Expr):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Expr, right: Expr) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.left, self.right) == (other.left, other.right)
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
+    def __new__(cls, left: Expr, right: Expr) -> "Concat":
+        nullable = left.nullable and right.nullable
+        return _intern(Concat, {"left": left, "right": right, "nullable": nullable})
 
 
 class Alt(Expr):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Expr, right: Expr) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.left, self.right) == (other.left, other.right)
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
+    def __new__(cls, left: Expr, right: Expr) -> "Alt":
+        nullable = left.nullable or right.nullable
+        return _intern(Alt, {"left": left, "right": right, "nullable": nullable})
 
 
 class Star(Expr):
     __slots__ = ("body",)
 
-    def __init__(self, body: Expr) -> None:
-        _set(self, "body", body)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.body == other.body
-
-    def __hash__(self) -> int:
-        return hash((self.body,))
+    def __new__(cls, body: Expr) -> "Star":
+        return _intern(Star, {"body": body, "nullable": True})
 
 
 class Window(Expr):
@@ -183,29 +143,20 @@ class Window(Expr):
 
     __slots__ = ("body", "width")
 
-    def __init__(self, body: Expr, width: int) -> None:
+    def __new__(cls, body: Expr, width: int) -> "Window":
         if width < 1:
             raise ValueError("window width must be at least 1")
         if _contains_window(body):
             raise ValueError("windows do not nest")
-        _set(self, "body", body)
-        _set(self, "width", width)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.body, self.width) == (other.body, other.width)
-
-    def __hash__(self) -> int:
-        return hash((self.body, self.width))
+        return _intern(Window, {"body": body, "width": width, "nullable": body.nullable})
 
 
 def _contains_window(e: Expr) -> bool:
     return any(isinstance(node, Window) for node, _ in _walk(e))
 
 
-EMPTY = Empty()
-EPSILON = Epsilon()
+EMPTY = _intern(Empty, {"nullable": False})
+EPSILON = _intern(Epsilon, {"nullable": True})
 TRUE_COND = Cond(TRUE)
 
 

@@ -32,7 +32,7 @@ from cerf.algebra import (
     substitute_registers,
 )
 from cerf.compiler import NotAMinterm, entails, minterms
-from cerf.pattern import parse_predicates
+from cerf.pattern import EPSILON, Concat, Cond, Star, parse_predicates
 
 from gen import UNIVERSE, random_condition, universe_library
 
@@ -483,7 +483,12 @@ class TestConditionHelpers:
         fresh = comparison_predicate("FreshlyNamed", "num", "==", 1)
         cond = And(Not(Atom(fresh, (CURRENT,))), TRUE)
         assert len(algebra._nodes) == size + 3
+        expr = Star(Concat(Cond(cond), EPSILON))
+        assert len(algebra._nodes) == size + 6
         del cond
+        gc.collect()
+        assert len(algebra._nodes) == size + 6
+        del expr
         gc.collect()
         assert len(algebra._nodes) == size
 

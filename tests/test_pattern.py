@@ -26,6 +26,9 @@ from cerf.pattern import (
     CondWrite,
     EMPTY,
     EPSILON,
+    TRUE_COND,
+    Empty,
+    Epsilon,
     PatternSyntaxError,
     Star,
     UnknownRegister,
@@ -133,6 +136,27 @@ class TestParsing:
         text = '# header\npred P(x): x.v == 1  # trailing\n\n# note\nP(~)\n'
         _, e = parse(text)
         assert accepts(e, [Event.of(v=1)])
+
+
+class TestInterning:
+    def test_constants_are_the_interned_nodes(self):
+        assert Empty() is EMPTY and Epsilon() is EPSILON
+        assert Cond(TRUE) is TRUE_COND
+        assert Concat(EPSILON, EPSILON) is not EPSILON  # constructors do not normalize
+
+    def test_deep_chains_are_one_object_and_hash(self):
+        leaf = Cond(TRUE)
+
+        def chain():
+            e = leaf
+            for _ in range(3 * sys.getrecursionlimit()):
+                e = Alt(e, leaf)
+            return e
+
+        one, other = chain(), chain()
+        assert one is other and hash(one) == hash(other)
+        assert one == other and {one: 1}[other] == 1
+        assert one != Alt(one, leaf)
 
 
 class TestParseErrors:
@@ -413,8 +437,9 @@ class TestOracle:
     @pytest.mark.parametrize("n", [25, 50, 100])
     def test_concatenation_chains_intern_linearly_many_residuals(self, n):
         # n distinct nullable factors, nested to the left as the parser
-        # builds `A0* ; A1* ; ...` and to the right. Right-associated, each
-        # factor adds its star, its condition leaf and one concatenation.
+        # builds `A0* ; A1* ; ...` and to the right. Right-associated, the
+        # residuals with moves are each factor's star and condition leaf
+        # and the chain's n - 1 concatenations.
         preds = [comparison_predicate(f"Min{i}", "num", ">=", i) for i in range(n)]
         factors = [Star(Cond(Atom(p, (CURRENT,)))) for p in preds]
         left, right = factors[0], factors[-1]
@@ -426,7 +451,7 @@ class TestOracle:
             for _ in range(3):
                 pairs = oracle.step(pairs, _ev("A", n))
             assert len(pairs) == n and bool(Oracle.derived(pairs))
-            assert len(oracle._table) == 3 * n
+            assert len(oracle._moves) == 3 * n - 1
 
     def test_deep_expressions_step_without_recursion(self):
         lib = universe_library()

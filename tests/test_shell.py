@@ -936,6 +936,17 @@ class TestPipelineCommands:
         doc = json.loads(result.stdout)
         assert doc["deterministic"] is True and len(doc["states"]) == 10
 
+    def test_a_document_names_the_declaration_its_pattern_parsed(self, runner, workdir):
+        # P(x) and P(y) declare equal predicates. While the atom of the
+        # first pattern lives, the second pattern's document still writes
+        # the second's own declaration line.
+        first = parse('pred P(x): x.v == 1\n\nP(~) within 2\n')
+        Path("p.pat").write_text('pred P(y): y.v == 1\n\nP(~) within 2\n')
+        result = runner.invoke(main, ["determinize", "p.pat"])
+        assert result.exit_code == 0, result.stderr
+        assert json.loads(result.stdout)["predicates"] == ["pred P(y): y.v == 1"]
+        assert first[1].body.condition.predicate.source == "pred P(x): x.v == 1"
+
     def test_float_literals_survive_a_saved_document(self, runner, workdir):
         Path("tiny.pat").write_text(
             "pred Tiny(x): x.value > 0.00001\n"

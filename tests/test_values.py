@@ -39,10 +39,14 @@ from cerf.pattern import (
     CondWrite,
     Empty,
     Epsilon,
+    Expr,
     Star,
     Window,
     _tokenize,
+    parse,
 )
+
+from conftest import E3_TEXT
 
 
 def _atom():
@@ -81,6 +85,7 @@ FROZEN = {
     "Alt": lambda: Alt(Empty(), Cond(_atom())),
     "Star": lambda: Star(Cond(_atom())),
     "Window": lambda: Window(Star(Cond(_atom())), 3),
+    "parsed": lambda: parse(E3_TEXT)[1],
     "Transition": lambda: Transition("q0", "q1", _atom(), frozenset({Register("r1")})),
     "Sra": _sra,
     "WaitingTimeDistribution": lambda: WaitingTimeDistribution("q0", ("a",), (0.5, 0.25), 0.25),
@@ -98,8 +103,10 @@ def test_frozen_value_types(make):
             delattr(value, name)
     assert value == again and not value != again and hash(value) == hash(again)
     assert copy.copy(value) == value and pickle.loads(pickle.dumps(value)) == value
-    if isinstance(value, Condition):  # hash-consed: a copy is the one node
-        assert copy.copy(value) is value and pickle.loads(pickle.dumps(value)) is value
+    if isinstance(value, (Condition, Expr)):  # hash-consed: a copy is the one node
+        assert value is again
+        assert copy.copy(value) is value and copy.deepcopy(value) is value
+        assert pickle.loads(pickle.dumps(value)) is value
     # Only Sra keeps a __dict__, for what cached_property builds.
     assert hasattr(value, "__dict__") == (type(value) is Sra)
 
