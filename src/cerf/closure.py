@@ -10,7 +10,7 @@ from typing import Callable, Iterable
 
 from .algebra import And, Register, substitute_registers
 from .automaton import Sra, Transition
-from .compiler import Move, _fresh_state, _reachable, eliminate_epsilon, to_single_register
+from .construct import Move, _fresh_state, _reachable, eliminate_epsilon, to_single_register
 from .pattern import EMPTY, EPSILON, Alt, Concat, Cond, CondWrite, Empty, Epsilon, Expr, Star
 
 

@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import click
 
-from . import compiler
+from . import construct
 from .automaton import Sra
 from .pattern import Expr, Window, unparse_pattern
 from .shell import _build_stage, _load_pattern, _mapped_errors, _open, _output
@@ -77,8 +77,10 @@ def compile_cmd(pattern, stage, window, out, dot, stats):
 @click.option("--stats", is_flag=True)
 def determinize(pattern, automaton_path, window, out, dot, stats):
     """Determinize a windowed pattern (or saved unrolled automaton)."""
+    from . import compiler
+
     with _mapped_errors():
-        _, a = _load_source(pattern, automaton_path, window, compiler.compile_windowed)
+        _, a = _load_source(pattern, automaton_path, window, construct.compile_windowed)
         _emit_automaton(compiler.determinize(a), out, dot, stats)
 
 
@@ -92,6 +94,8 @@ def determinize(pattern, automaton_path, window, out, dot, stats):
 @click.option("--stats", is_flag=True)
 def complement(pattern, automaton_path, window, out, dot, stats):
     """Complete and complement a windowed pattern (or saved deterministic automaton)."""
+    from . import compiler
+
     with _mapped_errors():
         _, a = _load_source(pattern, automaton_path, window, lambda e: _build_stage(e, "dsra"))
         _emit_automaton(compiler.complete_and_complement(a), out, dot, stats)
@@ -109,7 +113,7 @@ def to_srem(pattern, automaton_path, out):
     with _mapped_errors():
         library, a = _load_source(
             pattern, automaton_path, None,
-            lambda e: compiler.compile_expr(e.body if isinstance(e, Window) else e),
+            lambda e: construct.compile_expr(e.body if isinstance(e, Window) else e),
         )
         expr_back = sra_to_srem(a)
         with _output(out) as fp:

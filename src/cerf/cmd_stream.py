@@ -51,8 +51,8 @@ class _Range(click.FloatRange):
 @click.option("--strict", is_flag=True, help="Abort on the first malformed input line.")
 def recognize(pattern, input_path, fmt, window, cap, report_empty_match, strict):
     """Run a pattern over an event stream, reporting match indexes as JSONL."""
-    from . import compiler
     from .automaton import StreamEngine
+    from .construct import streaming_automaton
 
     with _mapped_errors():
         _, expr = _load_pattern(pattern, window)
@@ -61,7 +61,7 @@ def recognize(pattern, input_path, fmt, window, cap, report_empty_match, strict)
 
             engine = SubsetRunner(_build_stage(expr, "nsra-unrolled"))
         else:
-            engine = StreamEngine(compiler.streaming_automaton(_build_stage(expr, "sra")), cap=cap)
+            engine = StreamEngine(streaming_automaton(_build_stage(expr, "sra")), cap=cap)
         with contextlib.closing(_open_input(input_path)) as fp:
             # each record is the text json.dumps makes of {"index": n}
             if report_empty_match and engine.matched_at_start:

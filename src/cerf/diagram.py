@@ -24,7 +24,7 @@ from .algebra import (
     substitute_registers,
 )
 from .automaton import Sra, Transition, outgoing, successor
-from .compiler import NotUnrolled
+from .construct import NotUnrolled
 
 
 class Branch:
@@ -135,7 +135,7 @@ class _Subset:
 
 class SubsetRunner:
     """Recognition of `TRUE* ; L(tree)` over an unbounded stream on the
-    subset machine of an unrolled tree (`compiler.compile_windowed`), built
+    subset machine of an unrolled tree (`construct.compile_windowed`), built
     only as far as the stream reaches it, as RE2 builds its lazy DFA.
 
     The run is one subset of tree states, to which every step adds the

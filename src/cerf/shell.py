@@ -27,7 +27,9 @@ from .pattern import Expr, PatternSyntaxError, UnknownRegister, Window, parse
 # saved document), so `algebra` and `pattern` load here; each command imports
 # the other modules it runs when it runs. Run from source, each module is
 # compiled on import, and compiling these two before click is loaded keeps
-# their compile off every command's peak RSS.
+# their compile off every command's peak RSS. They are the only modules
+# over 4,096 tokens, where the parser's token array doubles: each module
+# loaded after click stays under it, and tests/test_shell.py checks that.
 import click
 
 if TYPE_CHECKING:
@@ -286,14 +288,17 @@ def _load_pattern(path: str, window: Optional[int]):
 
 def _build_stage(expr: Expr, stage: str) -> Sra:
     """The pattern's automaton at one stage of the pipeline; each stage past
-    "sra" is built from the one before it."""
-    from . import compiler
+    "sra" is built from the one before it. Only the stages past
+    "nsra-unrolled" load `cerf.compiler`."""
+    from . import construct
 
     if stage == "sra":
         body = expr.body if isinstance(expr, Window) else expr
-        return compiler.eliminate_epsilon(compiler.compile_expr(body))
+        return construct.eliminate_epsilon(construct.compile_expr(body))
     if stage == "nsra-unrolled":
-        return compiler.compile_windowed(expr)
+        return construct.compile_windowed(expr)
+    from . import compiler
+
     if stage == "dsra":
         return compiler.determinize(_build_stage(expr, "nsra-unrolled"))
     if stage == "complement":

@@ -16,7 +16,8 @@ from typing import Iterable, Optional, Sequence
 
 from cerf.algebra import TRUE, And, Condition, Not, TrueCondition, _walk
 from cerf.automaton import Sra
-from cerf.compiler import Move, NotUnrolled, _literal_bounds, _narrowed, _reachable, _set_name
+from cerf.compiler import _literal_bounds, _narrowed
+from cerf.construct import Move, NotUnrolled, _reachable, _set_name
 
 
 def minterms(conditions: Sequence[Condition]) -> tuple[Condition, ...]:

@@ -19,16 +19,8 @@ from cerf.algebra import (
 )
 from cerf.automaton import DeterministicRunner, StreamEngine, run_accepts
 from cerf.closure import concat_of, intersect, sra_to_srem, star_of, union_of
-from cerf.compiler import (
-    compile_expr,
-    compile_windowed,
-    complete,
-    complete_and_complement,
-    determinize,
-    eliminate_epsilon,
-    minterms,
-    to_single_register,
-)
+from cerf.compiler import complete, complete_and_complement, determinize, minterms
+from cerf.construct import compile_expr, compile_windowed, eliminate_epsilon, to_single_register
 from cerf.forecast import (
     Pst,
     SymbolMap,

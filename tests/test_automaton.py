@@ -33,7 +33,7 @@ from cerf.automaton import (
 )
 from random import Random
 
-from cerf import algebra, automaton, compiler
+from cerf import algebra, automaton, compiler, construct
 from cerf.diagram import UNSET, SubsetRunner, lag
 from cerf.oracle import Oracle
 from cerf.pattern import (
@@ -188,7 +188,7 @@ class TestStreamEngine:
 
     def test_match_indexes_on_table1(self, table1):
         _, e1 = parse(E1_TEXT)
-        a = compiler.eliminate_epsilon(compiler.compile_expr(to_streaming(e1)))
+        a = construct.eliminate_epsilon(construct.compile_expr(to_streaming(e1)))
         engine = StreamEngine(a)
         hits = [i + 1 for i, ev in enumerate(table1) if engine.step(ev)]
         assert hits == [4, 5]
@@ -197,17 +197,17 @@ class TestStreamEngine:
     def test_matched_at_start(self):
         lib = universe_library()
         _, e = parse("KindA(~)*", lib)
-        a = compiler.eliminate_epsilon(compiler.compile_expr(to_streaming(e)))
+        a = construct.eliminate_epsilon(construct.compile_expr(to_streaming(e)))
         engine = StreamEngine(a)
         assert engine.matched_at_start
         # and a non-nullable pattern does not match the empty prefix
         _, e2 = parse("KindA(~)", lib)
-        a2 = compiler.eliminate_epsilon(compiler.compile_expr(to_streaming(e2)))
+        a2 = construct.eliminate_epsilon(construct.compile_expr(to_streaming(e2)))
         assert not StreamEngine(a2).matched_at_start
 
     def test_cap_applies_per_step(self, table1):
         _, e1 = parse(E1_TEXT)
-        a = compiler.eliminate_epsilon(compiler.compile_expr(to_streaming(e1)))
+        a = construct.eliminate_epsilon(construct.compile_expr(to_streaming(e1)))
         engine = StreamEngine(a, cap=2)
         with pytest.raises(ConfigurationCapExceeded):
             for ev in table1:
@@ -215,7 +215,7 @@ class TestStreamEngine:
 
     def test_live_configurations_exposed(self, table1):
         _, e1 = parse(E1_TEXT)
-        a = compiler.eliminate_epsilon(compiler.compile_expr(to_streaming(e1)))
+        a = construct.eliminate_epsilon(construct.compile_expr(to_streaming(e1)))
         engine = StreamEngine(a)
         engine.step(table1[0])
         assert len(engine.live_configurations) >= 2
@@ -306,7 +306,7 @@ class TestDeterministicRunner:
             "\n"
             "(TRUE* ; (KindA(~) -> r1) ; TRUE* ; SameNum(~, r1)) within 3"
         )
-        d = compiler.complete(compiler.determinize(compiler.compile_windowed(e3)))
+        d = compiler.complete(compiler.determinize(construct.compile_windowed(e3)))
         return DeterministicRunner(d), d
 
     def test_requires_deterministic_flag(self, t_then_h):
@@ -376,7 +376,7 @@ class TestDeterministicRunner:
         # the step cost is exactly the 1-based position of the taken
         # transition among the state's outgoing transitions
         _, e3 = parse(E3_TEXT)
-        d = compiler.complete(compiler.determinize(compiler.compile_windowed(Window(e3.body, 4))))
+        d = compiler.complete(compiler.determinize(construct.compile_windowed(Window(e3.body, 4))))
         rng = Random(7)
         positions = []
         for _ in range(40):
@@ -405,7 +405,7 @@ class TestRegisterProjection:
 
     def test_e1_keeps_a_bounded_configuration_set(self):
         _, e1 = parse(E1_TEXT)
-        a = compiler.streaming_automaton(compiler.eliminate_epsilon(compiler.compile_expr(e1)))
+        a = construct.streaming_automaton(construct.eliminate_epsilon(construct.compile_expr(e1)))
         assert a.observed_attributes == {R1: frozenset({"id"})}
         engine = StreamEngine(a)
         peak = 0
@@ -460,7 +460,7 @@ class TestRegisterProjection:
     def test_parameter_its_predicate_ignores_is_cut_to_nothing(self):
         # the register stays bound, so the atom still holds on it
         _, e = parse('pred NowA(x, y): x.kind == "A"\n\n(TRUE -> r1) ; NowA(~, r1)')
-        a = compiler.eliminate_epsilon(compiler.compile_expr(e))
+        a = construct.eliminate_epsilon(construct.compile_expr(e))
         (register,) = a.registers
         assert a.observed_attributes == {register: frozenset()}
         stream = [Event.of(kind="B", num=1), Event.of(kind="A", num=2)]
@@ -468,7 +468,7 @@ class TestRegisterProjection:
 
     def test_map_is_built_on_first_write_only(self):
         _, e3 = parse(E3_TEXT)
-        d = compiler.determinize(compiler.compile_windowed(e3))
+        d = compiler.determinize(construct.compile_windowed(e3))
         assert "observed_attributes" not in vars(d)
         runner = DeterministicRunner(d)
         runner.step(Event.of(type="H", id=1))
@@ -478,7 +478,7 @@ class TestRegisterProjection:
 
     def test_conditions_are_compiled_once_as_states_are_reached(self, monkeypatch):
         _, e3 = parse(E3_TEXT)
-        d = compiler.complete(compiler.determinize(compiler.compile_windowed(Window(e3.body, 4))))
+        d = compiler.complete(compiler.determinize(construct.compile_windowed(Window(e3.body, 4))))
         compiled = []
         original = algebra._compile_node
         monkeypatch.setattr(
@@ -505,7 +505,7 @@ class TestRegisterProjection:
 
     def test_each_event_is_cut_once_per_step(self, monkeypatch):
         _, e3 = parse(E3_TEXT)
-        a = compiler.streaming_automaton(compiler.compile_windowed(Window(e3.body, 4)))
+        a = construct.streaming_automaton(construct.compile_windowed(Window(e3.body, 4)))
         cuts = []
         original = Event.project
         monkeypatch.setattr(Event, "project", lambda ev, names: cuts.append(ev) or original(ev, names))
@@ -518,7 +518,7 @@ class TestRegisterProjection:
 
     def test_shared_condition_nodes_are_walked_once(self, monkeypatch):
         _, e3 = parse(E3_TEXT)
-        d = compiler.complete(compiler.determinize(compiler.compile_windowed(Window(e3.body, 4))))
+        d = compiler.complete(compiler.determinize(construct.compile_windowed(Window(e3.body, 4))))
         conditions = [t.condition for t in d.transitions]
         nodes = [node for c in conditions for node in algebra._walk(c)]
         distinct = {id(node) for node in nodes}
@@ -540,7 +540,7 @@ class TestRegisterProjection:
 
 
 def _runner(e: Window) -> SubsetRunner:
-    return SubsetRunner(compiler.compile_windowed(e))
+    return SubsetRunner(construct.compile_windowed(e))
 
 
 def _tree(*edges, finals=()) -> Sra:
@@ -569,7 +569,7 @@ class TestSubsetRunner:
         """The runner, `StreamEngine` on the streaming automaton and the
         oracle agree at every index, and on the empty prefix."""
         runner = _runner(e)
-        engine = StreamEngine(compiler.streaming_automaton(compiler.compile_windowed(e)))
+        engine = StreamEngine(construct.streaming_automaton(construct.compile_windowed(e)))
         oracle = Oracle(to_streaming(e))
         pairs = oracle.start()
         expected = bool(Oracle.derived(pairs))
@@ -604,7 +604,7 @@ class TestSubsetRunner:
             CondWrite(_atom("KindA", CURRENT), R1),
             Concat(Star(Cond(TRUE)), Cond(Atom(same_tag, (CURRENT, R1)))),
         )
-        tree = compiler.compile_windowed(Window(body, width))
+        tree = construct.compile_windowed(Window(body, width))
         # whole events; at width 1 the body is pruned away with its register
         assert set(tree.observed_attributes.values()) == ({None} if width > 1 else set())
         rng = Random(1820 + width)
@@ -628,7 +628,7 @@ class TestSubsetRunner:
         for body in [random_expr(rng, 3, lib) for _ in range(40)] + [footprintless]:
             e = Window(body, width)
             runner = _runner(e)
-            engine = StreamEngine(compiler.streaming_automaton(compiler.compile_windowed(e)))
+            engine = StreamEngine(construct.streaming_automaton(construct.compile_windowed(e)))
             stream = [rng.choice(self.RICH) for _ in range(30)]
             for k, ev in enumerate(stream, start=1):
                 before = len(cuts)
@@ -676,9 +676,9 @@ class TestSubsetRunner:
         rng = Random(2100 + width)
         for _ in range(25):
             e = Window(random_expr(rng, 3, lib), width)
-            self._check_signs(compiler.compile_windowed(e), rng, 10)
+            self._check_signs(construct.compile_windowed(e), rng, 10)
         _, e3 = parse(E3_TEXT)
-        tree = compiler.compile_windowed(Window(e3.body, width))
+        tree = construct.compile_windowed(Window(e3.body, width))
         self._check_signs(tree, rng, 40, _sensor_events(width, 12))
 
     def test_diagram_branches_once_on_the_most_shared_head(self):
@@ -702,7 +702,7 @@ class TestSubsetRunner:
         _, e3 = parse(E3_TEXT)
         e = Window(e3.body, width)
         runner = _runner(e)
-        engine = StreamEngine(compiler.streaming_automaton(compiler.compile_windowed(e)))
+        engine = StreamEngine(construct.streaming_automaton(construct.compile_windowed(e)))
         for k, ev in enumerate(_sensor_events(2100 + width, 5000), start=1):
             assert runner.step(ev) == engine.step(ev), (width, k)
 
@@ -714,7 +714,7 @@ class TestSubsetRunner:
         for ids in (5, 10**5):
             rng = Random(18)
             runner, engine = _runner(e), StreamEngine(
-                compiler.streaming_automaton(compiler.compile_windowed(e))
+                construct.streaming_automaton(construct.compile_windowed(e))
             )
             for _ in range(20_000):
                 ev = Event.of(type=rng.choice("TH"), id=rng.randint(1, ids), value=rng.randint(0, 100))
@@ -725,7 +725,7 @@ class TestSubsetRunner:
 
     def test_machine_shape(self):
         _, e3 = parse(E3_TEXT)
-        tree = compiler.compile_windowed(e3)
+        tree = construct.compile_windowed(e3)
         runner = SubsetRunner(tree)
         lagged = runner._lagged
         # the same tree, writing nothing, reading by lag
@@ -745,7 +745,7 @@ class TestSubsetRunner:
 
     def test_each_lag_condition_is_compiled_once(self, monkeypatch):
         _, e3 = parse(E3_TEXT)
-        tree = compiler.compile_windowed(Window(e3.body, 4))
+        tree = construct.compile_windowed(Window(e3.body, 4))
         compiled = []
         original = algebra._compile_node
         monkeypatch.setattr(
@@ -778,7 +778,7 @@ class TestSubsetRunner:
         reads = {t.target: t.condition.args[1] for t in runner._lagged.transitions
                  if t.condition.__class__ is Atom and len(t.condition.args) == 2}
         assert reads == {"a3": lag(2), "b3": lag(1), "c3": lag(1), "d2": UNSET}
-        engine = StreamEngine(compiler.streaming_automaton(tree))
+        engine = StreamEngine(construct.streaming_automaton(tree))
         rng = Random(31)
         for k in range(1, 400):
             ev = rng.choice(self.RICH)
@@ -786,16 +786,16 @@ class TestSubsetRunner:
 
     def test_refuses_a_state_reached_twice(self):
         _, e3 = parse(E3_TEXT)
-        tree = compiler.compile_windowed(e3)
-        looped = compiler.streaming_automaton(tree)
-        with pytest.raises(compiler.NotUnrolled):
+        tree = construct.compile_windowed(e3)
+        looped = construct.streaming_automaton(tree)
+        with pytest.raises(construct.NotUnrolled):
             SubsetRunner(Sra(looped.states, looped.start, looped.finals, looped.registers,
                              looped.transitions, tree.window))
         # reached at depths 1 and 2, and twice at depth 1
         kind_a = _atom("KindA", CURRENT)
         for edges in ((("n0", "x", TRUE, ()), ("x", "y", TRUE, ()), ("n0", "y", kind_a, ())),
                       (("n0", "x", TRUE, ()), ("n0", "x", kind_a, ()))):
-            with pytest.raises(compiler.NotUnrolled):
+            with pytest.raises(construct.NotUnrolled):
                 SubsetRunner(_tree(*edges))
 
     def test_rejects_epsilon_automata(self):
@@ -806,7 +806,7 @@ class TestSubsetRunner:
             registers=frozenset(),
             transitions=(Transition("s", "f", None),),
         )
-        with pytest.raises(compiler.NotUnrolled):
+        with pytest.raises(construct.NotUnrolled):
             SubsetRunner(a)
 
 

@@ -10,21 +10,20 @@ from cerf.algebra import (
     TRUE,
     Atom,
     Event,
+    Not,
     Register,
     compile_condition,
     evaluate_condition,
 )
 from cerf.automaton import Sra, StreamEngine, Transition, run_accepts
 from cerf.closure import concat_of, intersect, rename_registers, sra_to_srem, star_of, union_of
-from cerf.compiler import (
+from cerf.compiler import complete, complete_and_complement, determinize
+from cerf.construct import (
     NotUnrolled,
     NotWindowed,
     WindowedInput,
     compile_expr,
     compile_windowed,
-    complete,
-    complete_and_complement,
-    determinize,
     eliminate_epsilon,
     streaming_automaton,
     to_single_register,
@@ -411,6 +410,20 @@ class TestComplete:
         dead = next(q for q in c.states if q not in determinize(compile_windowed(e3)).states)
         loops = [t for t in c.out(dead) if t.target == dead]
         assert len(loops) == 1 and loops[0].condition is TRUE
+
+    def test_one_guard_per_condition_tuple(self, monkeypatch):
+        calls = []
+        original = compiler.conjoin
+        monkeypatch.setattr(compiler, "conjoin", lambda conds: calls.append(1) or original(conds))
+        _, e3 = parse(E3_TEXT)
+        d = determinize(compile_windowed(Window(e3.body, 6)))
+        c = complete(d)
+        outgoing = {q: tuple(t.condition for t in d.out(q)) for q in d.states}
+        assert len(calls) == len(set(outgoing.values()) - {()}) < len(d.states)
+        (dead,) = c.states - d.states
+        for q, conds in outgoing.items():
+            (guard,) = [t.condition for t in c.out(q) if t.target == dead]
+            assert guard is (original([Not(x) for x in conds]) if conds else TRUE)
 
 
 def _satisfied(cond, ev, v):

@@ -6,7 +6,8 @@ import pytest
 
 from cerf.algebra import CURRENT, Atom, Event, comparison_predicate
 from cerf.automaton import DeterministicRunner, NoTransition, NotDeterministic, Sra, Transition
-from cerf.compiler import compile_windowed, complete, determinize
+from cerf.compiler import complete, determinize
+from cerf.construct import compile_windowed
 from cerf.forecast import (
     InsufficientData,
     NotComplete,

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 import tracemalloc
 from pathlib import Path
 
@@ -34,14 +35,8 @@ from cerf.automaton import (
     run_accepts,
 )
 from cerf.cli import main
-from cerf.compiler import (
-    NotUnrolled,
-    NotWindowed,
-    WindowedInput,
-    compile_windowed,
-    complete,
-    determinize,
-)
+from cerf.compiler import complete, determinize
+from cerf.construct import NotUnrolled, NotWindowed, WindowedInput, compile_windowed
 from cerf.forecast import (
     NotComplete,
     Pst,
@@ -1986,21 +1981,24 @@ class TestFreshProcess:
             (["oracle", "e3.pat", "--input", "events.jsonl"],
              ["algebra", "cmd_oracle", "oracle", "pattern", "shell"]),
             (["recognize", "e3.pat", "--input", "events.jsonl"],
-             ["algebra", "automaton", "cmd_stream", "compiler", "diagram", "pattern", "shell"]),
+             ["algebra", "automaton", "cmd_stream", "construct", "diagram", "pattern", "shell"]),
             (["determinize", "e3.pat"],
-             ["algebra", "automaton", "cmd_automata", "compiler", "pattern", "serialize", "shell"]),
+             ["algebra", "automaton", "cmd_automata", "compiler", "construct", "pattern",
+              "serialize", "shell"]),
             (["compile", "e3.pat", "--stage", "dsra"],
-             ["algebra", "automaton", "cmd_automata", "compiler", "pattern", "serialize", "shell"]),
+             ["algebra", "automaton", "cmd_automata", "compiler", "construct", "pattern",
+              "serialize", "shell"]),
             (["complement", "e3.pat"],
-             ["algebra", "automaton", "cmd_automata", "compiler", "pattern", "serialize", "shell"]),
+             ["algebra", "automaton", "cmd_automata", "compiler", "construct", "pattern",
+              "serialize", "shell"]),
             (["to-srem", "e3.pat"],
-             ["algebra", "automaton", "closure", "cmd_automata", "compiler", "pattern", "shell"]),
+             ["algebra", "automaton", "closure", "cmd_automata", "construct", "pattern", "shell"]),
             (["forecast", "--model", "model.json", "--input", "events.jsonl"],
              ["algebra", "automaton", "cmd_stream", "forecast", "pattern", "serialize", "shell"]),
             (["learn", "e3.pat", "--train", "train.jsonl", "--max-order", "1",
               "--out", "again.json"],
-             ["algebra", "automaton", "cmd_stream", "compiler", "forecast", "pattern",
-              "serialize", "shell"]),
+             ["algebra", "automaton", "cmd_stream", "compiler", "construct", "forecast",
+              "pattern", "serialize", "shell"]),
         ],
         ids=["oracle", "recognize", "determinize", "compile", "complement", "to-srem",
              "forecast", "learn"],
@@ -2020,6 +2018,33 @@ class TestFreshProcess:
         # too would compile it a second time
         assert "cerf.cli" not in modules
         assert modules == ["cerf", *(f"cerf.{name}" for name in loaded)]
+
+    def test_modules_loaded_after_click_stay_under_4096_tokens(self):
+        # Run from source without cached bytecode, a module is compiled when
+        # it loads, and the parser holds its tokens in an array that doubles
+        # at 4,096. Compiled alone, one source raised a bare interpreter's
+        # peak RSS by about 0.08 MB at 3,016 tokens (`automaton`), 0.8 MB
+        # at 4,575 (`compiler` before `construct` was split from it) and
+        # 1.0 MB at 5,287 (`algebra`). A module compiled after click loads
+        # adds that on top of click, and so to the peak of every command
+        # that loads it. `shell` loads `algebra` and `pattern` before click,
+        # so they alone may be larger. Tokens are counted as `tokenize`
+        # gives them, less COMMENT, NL and ENCODING.
+        early = ("algebra", "pattern")
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, cerf.cli; print(' '.join(sys.modules))"],
+            env=_cerf_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        order = done.stdout.split()
+        assert all(order.index(f"cerf.{name}") < order.index("click") for name in early)
+        skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+        sizes = {}
+        for path in Path(cerf.__file__).parent.glob("*.py"):
+            with path.open("rb") as fp:
+                sizes[path.stem] = sum(t.type not in skipped for t in tokenize.tokenize(fp.readline))
+        assert {"compiler", "construct", *early} <= sizes.keys()
+        assert {name: n for name, n in sizes.items() if n >= 4096 and name not in early} == {}
 
     @pytest.mark.parametrize(
         "args, code",

@@ -30,7 +30,7 @@ from cerf.algebra import (
     declared_predicate,
 )
 from cerf.automaton import Sra, Transition
-from cerf.compiler import UnrollMaps
+from cerf.construct import UnrollMaps
 from cerf.forecast import WaitingTimeDistribution
 from cerf.pattern import (
     Alt,
