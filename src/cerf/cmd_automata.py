@@ -4,14 +4,14 @@ one of them."""
 
 from __future__ import annotations
 
+import argparse
+import sys
 from typing import Callable, Optional
-
-import click
 
 from . import construct
 from .automaton import Sra
 from .pattern import Expr, Window, unparse_pattern
-from .shell import _build_stage, _load_pattern, _mapped_errors, _open, _output
+from .shell import _build_stage, _load_pattern, _mapped_errors, _open, _output, _parser, _ranged
 
 
 def _emit_automaton(a: Sra, out: Optional[str], dot: Optional[str], stats: bool) -> None:
@@ -30,91 +30,91 @@ def _emit_automaton(a: Sra, out: Optional[str], dot: Optional[str], stats: bool)
             serialize.to_dot(a, dot_fp, memo=memo)
     if stats:
         parts = ", ".join(f"{k}={v}" for k, v in a.stats().items())
-        click.echo(parts, err=True)
+        print(parts, file=sys.stderr)
 
 
-def _load_source(pattern, automaton_path, window, build: Callable[[Expr], Sra]):
+def _source_arguments(parser: argparse.ArgumentParser, automaton_help: str) -> None:
+    """PATTERN, or a saved automaton to work on instead; exactly one."""
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("pattern", metavar="PATTERN", nargs="?")
+    source.add_argument("--automaton", help=automaton_help)
+
+
+def _automaton_arguments(parser: argparse.ArgumentParser) -> None:
+    """The window of the pattern, and where the automaton is written."""
+    parser.add_argument("--window", type=_ranged(int, 1),
+                        help="Window width; overrides any 'within' in the pattern.")
+    parser.add_argument("--out", help="Write the automaton document here instead of stdout.")
+    parser.add_argument("--dot", help="Also write a Graphviz rendering.")
+    parser.add_argument("--stats", action="store_true",
+                        help="Print state and transition counts to stderr.")
+
+
+def _load_source(args: argparse.Namespace, window, build: Callable[[Expr], Sra]):
     """The predicate library and the automaton a command works on: the one
-    saved at automaton_path, else `build` applied to the pattern."""
-    if (pattern is None) == (automaton_path is None):
-        raise click.UsageError("give either PATTERN or --automaton")
-    if automaton_path is None:
-        library, expr = _load_pattern(pattern, window)
+    saved at --automaton, else `build` applied to PATTERN."""
+    if args.automaton is None:
+        library, expr = _load_pattern(args.pattern, window)
         return library, build(expr)
     from . import serialize
 
-    with _open(automaton_path) as fp:
+    with _open(args.automaton) as fp:
         a, library = serialize.automaton_from_doc(serialize.load(fp))
     return library, a
 
 
-@click.command(name="compile")
-@click.argument("pattern", type=click.Path(exists=True, dir_okay=False))
-@click.option("--stage", type=click.Choice(["sra", "nsra-unrolled", "dsra", "complement"]),
-              default="sra", show_default=True, help="How far to take the pipeline.")
-@click.option("--window", type=click.IntRange(min=1), default=None,
-              help="Window width; overrides any 'within' in the pattern.")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
-              help="Write the automaton document here instead of stdout.")
-@click.option("--dot", type=click.Path(dir_okay=False, writable=True), default=None,
-              help="Also write a Graphviz rendering.")
-@click.option("--stats", is_flag=True, help="Print state and transition counts to stderr.")
-def compile_cmd(pattern, stage, window, out, dot, stats):
+def compile_cmd(argv: list[str]) -> None:
     """Compile a pattern file into an automaton document."""
+    parser = _parser("compile", compile_cmd)
+    parser.add_argument("pattern", metavar="PATTERN")
+    parser.add_argument("--stage", choices=["sra", "nsra-unrolled", "dsra", "complement"],
+                        default="sra", help="How far to take the pipeline. (default: %(default)s)")
+    _automaton_arguments(parser)
+    args = parser.parse_args(argv)
     with _mapped_errors():
-        _, expr = _load_pattern(pattern, window)
-        a = _build_stage(expr, stage)
-        _emit_automaton(a, out, dot, stats)
+        _, expr = _load_pattern(args.pattern, args.window)
+        a = _build_stage(expr, args.stage)
+        _emit_automaton(a, args.out, args.dot, args.stats)
 
 
-@click.command()
-@click.argument("pattern", required=False, type=click.Path(exists=True, dir_okay=False))
-@click.option("--automaton", "automaton_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Determinize a saved unrolled automaton instead.")
-@click.option("--window", type=click.IntRange(min=1), default=None)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-@click.option("--dot", type=click.Path(dir_okay=False, writable=True), default=None)
-@click.option("--stats", is_flag=True)
-def determinize(pattern, automaton_path, window, out, dot, stats):
+def determinize(argv: list[str]) -> None:
     """Determinize a windowed pattern (or saved unrolled automaton)."""
+    parser = _parser("determinize", determinize)
+    _source_arguments(parser, "Determinize a saved unrolled automaton instead.")
+    _automaton_arguments(parser)
+    args = parser.parse_args(argv)
     from . import compiler
 
     with _mapped_errors():
-        _, a = _load_source(pattern, automaton_path, window, construct.compile_windowed)
-        _emit_automaton(compiler.determinize(a), out, dot, stats)
+        _, a = _load_source(args, args.window, construct.compile_windowed)
+        _emit_automaton(compiler.determinize(a), args.out, args.dot, args.stats)
 
 
-@click.command()
-@click.argument("pattern", required=False, type=click.Path(exists=True, dir_okay=False))
-@click.option("--automaton", "automaton_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Complement a saved deterministic automaton instead.")
-@click.option("--window", type=click.IntRange(min=1), default=None)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-@click.option("--dot", type=click.Path(dir_okay=False, writable=True), default=None)
-@click.option("--stats", is_flag=True)
-def complement(pattern, automaton_path, window, out, dot, stats):
+def complement(argv: list[str]) -> None:
     """Complete and complement a windowed pattern (or saved deterministic automaton)."""
+    parser = _parser("complement", complement)
+    _source_arguments(parser, "Complement a saved deterministic automaton instead.")
+    _automaton_arguments(parser)
+    args = parser.parse_args(argv)
     from . import compiler
 
     with _mapped_errors():
-        _, a = _load_source(pattern, automaton_path, window, lambda e: _build_stage(e, "dsra"))
-        _emit_automaton(compiler.complete_and_complement(a), out, dot, stats)
+        _, a = _load_source(args, args.window, lambda e: _build_stage(e, "dsra"))
+        _emit_automaton(compiler.complete_and_complement(a), args.out, args.dot, args.stats)
 
 
-@click.command(name="to-srem")
-@click.argument("pattern", required=False, type=click.Path(exists=True, dir_okay=False))
-@click.option("--automaton", "automaton_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Translate a saved automaton instead.")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-def to_srem(pattern, automaton_path, out):
+def to_srem(argv: list[str]) -> None:
     """Translate an automaton back into an equivalent pattern."""
+    parser = _parser("to-srem", to_srem)
+    _source_arguments(parser, "Translate a saved automaton instead.")
+    parser.add_argument("--out", help="Write the pattern here instead of stdout.")
+    args = parser.parse_args(argv)
     from .closure import sra_to_srem
 
     with _mapped_errors():
         library, a = _load_source(
-            pattern, automaton_path, None,
-            lambda e: construct.compile_expr(e.body if isinstance(e, Window) else e),
+            args, None, lambda e: construct.compile_expr(e.body if isinstance(e, Window) else e)
         )
         expr_back = sra_to_srem(a)
-        with _output(out) as fp:
+        with _output(args.out) as fp:
             fp.write(unparse_pattern(library, expr_back) + "\n")

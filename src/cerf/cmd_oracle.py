@@ -10,15 +10,16 @@ import random
 import sys
 from typing import Iterable, Iterator, Optional
 
-import click
-
 from .algebra import Event
 from .oracle import Oracle
 from .shell import (
     _emit_record,
+    _event_arguments,
     _load_pattern,
     _mapped_errors,
     _open_input,
+    _parser,
+    _ranged,
     _stderr_diagnostic,
     read_events,
 )
@@ -71,23 +72,7 @@ def _verdicts(
         yield digits, accepting[state]
 
 
-@click.command()
-@click.argument("pattern", type=click.Path(exists=True, dir_okay=False))
-@click.option("--input", "input_path", default=None,
-              help="Event stream to test for membership as one complete string.")
-@click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default="jsonl",
-              show_default=True)
-@click.option("--enumerate", "enumerate_", is_flag=True,
-              help="Enumerate strings over a finite universe instead.")
-@click.option("--universe", type=click.Path(exists=True, dir_okay=False, allow_dash=True),
-              default=None, help="Events making up the enumeration universe, '-' for stdin.")
-@click.option("--max-len", type=click.IntRange(min=0), default=3, show_default=True)
-@click.option("--sample", type=click.IntRange(min=1), default=None,
-              help="Randomly sample this many strings instead of all of them.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for --sample.")
-@click.option("--strict", is_flag=True, help="Abort on the first malformed input line.")
-def oracle(pattern, input_path, fmt, enumerate_, universe, max_len, sample, seed, strict):
+def oracle(argv: list[str]) -> None:
     """Decide membership directly from the pattern, without automata.
 
     The ground truth for checking the pipeline: it folds the pattern's
@@ -96,20 +81,36 @@ def oracle(pattern, input_path, fmt, enumerate_, universe, max_len, sample, seed
     length. --enumerate numbers each configuration the strings over the
     universe reach and steps each (configuration, event) once, so a string
     costs one table lookup per event."""
+    parser = _parser("oracle", oracle)
+    parser.add_argument("pattern", metavar="PATTERN")
+    parser.add_argument("--input",
+                        help="Event stream to test for membership as one complete string.")
+    _event_arguments(parser)
+    parser.add_argument("--enumerate", action="store_true",
+                        help="Enumerate strings over a finite universe instead.")
+    parser.add_argument("--universe",
+                        help="Events making up the enumeration universe, '-' for stdin.")
+    parser.add_argument("--max-len", type=_ranged(int, 0), default=3,
+                        help="(default: %(default)s)")
+    parser.add_argument("--sample", type=_ranged(int, 1),
+                        help="Randomly sample this many strings instead of all of them.")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="Seed for --sample. (default: %(default)s)")
+    args = parser.parse_args(argv)
     with _mapped_errors():
-        _, expr = _load_pattern(pattern, None)
+        _, expr = _load_pattern(args.pattern, None)
         derivatives = Oracle(expr)
-        if enumerate_:
-            if universe is None:
-                raise click.UsageError("--enumerate needs --universe")
-            with contextlib.closing(_open_input(universe)) as fp:
-                events = list(read_events(fp, fmt, strict, _stderr_diagnostic))
-            total = sum(len(events) ** n for n in range(max_len + 1))
+        if args.enumerate:
+            if args.universe is None:
+                parser.error("--enumerate needs --universe")
+            with contextlib.closing(_open_input(args.universe)) as fp:
+                events = list(read_events(fp, args.format, args.strict, _stderr_diagnostic))
+            total = sum(len(events) ** n for n in range(args.max_len + 1))
             picked = range(total)
-            if sample is not None and sample < total:
+            if args.sample is not None and args.sample < total:
                 # sample() only indexes its population, so drawing indices
                 # picks the strings a drawn list of all strings would.
-                picked = random.Random(seed).sample(picked, sample)
+                picked = random.Random(args.seed).sample(picked, args.sample)
             # Each event is encoded once; a record is then the text
             # json.dumps would make of {"events": [...], "accepts": ...}.
             # The universe is read in full before the first record, so no
@@ -129,10 +130,10 @@ def oracle(pattern, input_path, fmt, enumerate_, universe, max_len, sample, seed
             sys.stdout.write("".join(block))
             sys.stdout.flush()
         else:
-            if input_path is None:
-                raise click.UsageError("give --input or --enumerate")
+            if args.input is None:
+                parser.error("give --input or --enumerate")
             pairs = derivatives.start()
-            with contextlib.closing(_open_input(input_path)) as fp:
-                for event in read_events(fp, fmt, strict, _stderr_diagnostic):
+            with contextlib.closing(_open_input(args.input)) as fp:
+                for event in read_events(fp, args.format, args.strict, _stderr_diagnostic):
                     pairs = derivatives.step(pairs, event)
             _emit_record({"accepts": bool(Oracle.derived(pairs))})

@@ -3,14 +3,15 @@ outputs, writing records, the chain of pipeline stages, and the mapping of
 failures to exit codes. Every command module imports this one; none of
 them imports `cerf.cli`, which `python -m cerf.cli` runs as `__main__`.
 
-Exit codes: 0 success, 2 bad option value (a path that cannot be opened
-among them) or pattern, input or document parse failure, 3 pipeline
+Exit codes: 0 success, 2 usage error, bad option value (a path that cannot
+be opened among them) or pattern, input or document parse failure, 3 pipeline
 precondition failure (window, determinism, completeness; any
 PreconditionFailed), 4 configuration cap exceeded, 5 not enough training
 data."""
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import itertools
 import json
@@ -18,7 +19,7 @@ import math
 import os
 import stat
 import sys
-from typing import IO, TYPE_CHECKING, Callable, Iterator, Optional
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 from .algebra import Event, UnknownPredicate, _adopt
 from .pattern import Expr, PatternSyntaxError, UnknownRegister, Window, parse
@@ -26,11 +27,10 @@ from .pattern import Expr, PatternSyntaxError, UnknownRegister, Window, parse
 # Every command reads pattern syntax (a pattern file, or the conditions of a
 # saved document), so `algebra` and `pattern` load here; each command imports
 # the other modules it runs when it runs. Run from source, each module is
-# compiled on import, and compiling these two before click is loaded keeps
-# their compile off every command's peak RSS. They are the only modules
-# over 4,096 tokens, where the parser's token array doubles: each module
-# loaded after click stays under it, and tests/test_shell.py checks that.
-import click
+# compiled on import. These two are the only modules over 4,096 tokens,
+# where the parser's token array doubles, and their compiles, first in
+# every command, set the high-water mark of its start-up: each module
+# loaded after them stays under 4,096, and tests/test_shell.py checks that.
 
 if TYPE_CHECKING:
     from .automaton import Sra
@@ -41,7 +41,7 @@ class MalformedInput(ValueError):
 
 
 def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     raise SystemExit(code)
 
 
@@ -71,6 +71,45 @@ def _mapped_errors():
         if isinstance(exc, PreconditionFailed):
             _fail(3, str(exc))
         raise
+
+
+# --- command-line arguments --------------------------------------------
+
+
+def _parser(name: str, command: Callable) -> argparse.ArgumentParser:
+    """The argument parser of `cerf NAME`, whose help is the command's
+    docstring. A usage error prints the usage and exits 2."""
+    return argparse.ArgumentParser(
+        prog=f"cerf {name}",
+        description=command.__doc__.replace("\n    ", "\n"),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
+    )
+
+
+def _event_arguments(parser: argparse.ArgumentParser) -> None:
+    """How the command reads its event stream."""
+    parser.add_argument("--format", choices=["jsonl", "csv"], default="jsonl",
+                        help="(default: %(default)s)")
+    parser.add_argument("--strict", action="store_true",
+                        help="Abort on the first malformed input line.")
+
+
+def _ranged(kind: type, low, high=math.inf) -> Callable[[str], Any]:
+    """The type of an option whose value `kind` (int or float) reads, and
+    that must lie in [low, high]. NaN lies in no range: it is refused."""
+
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid {kind.__name__}") from None
+        if not low <= value <= high:
+            bounds = f"x>={low}" if high == math.inf else f"{low}<=x<={high}"
+            raise argparse.ArgumentTypeError(f"{text} is not in the range {bounds}")
+        return value
+
+    return convert
 
 
 # --- event ingestion ---------------------------------------------------
@@ -258,7 +297,7 @@ def _output(path: Optional[str]) -> Iterator[IO[str]]:
 
 
 def _stderr_diagnostic(message: str) -> None:
-    click.echo(message, err=True)
+    print(message, file=sys.stderr)
 
 
 def _emit_line(line: str) -> None:
@@ -269,7 +308,8 @@ def _emit_line(line: str) -> None:
 
 
 def _emit_record(record: dict) -> None:
-    """One JSON line, as `click.echo` writes it, through `_emit_line`."""
+    """One JSON line, the text `json.dumps` makes of the record, through
+    `_emit_line`."""
     _emit_line(json.dumps(record) + "\n")
 
 

@@ -4,13 +4,13 @@ import json
 import sys
 from pathlib import Path
 
-from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from cerf.cli import main
 from cerf.shell import MalformedInput, _event_from_json_line
 
 import json_lines
+from cli_runner import CliRunner
 from conftest import E3_TEXT
 
 # Past the recursion limit however deep the caller's stack is.

@@ -9,6 +9,7 @@ import os
 import random
 import selectors
 import shutil
+import signal
 import socket
 import subprocess
 import sys
@@ -19,7 +20,6 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
 import cerf
@@ -56,6 +56,7 @@ from cerf.pattern import (
 )
 from cerf.shell import MalformedInput, read_events
 
+from cli_runner import CliRunner
 from conftest import E1_TEXT, E3_TEXT, make_table1, make_two_state_dfa
 from determinism import UnverifiableDeterminism
 from gen import markov2_symbols, random_expr, universe_library
@@ -573,7 +574,8 @@ NOTHING_TO_CUT = {
 
 
 @pytest.fixture()
-def runner():
+def runner(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     return CliRunner()
 
 
@@ -1131,6 +1133,11 @@ class TestPipelineCommands:
             sys.setrecursionlimit(limit)
 
 
+_LEARN = ["learn", "e3.pat", "--train", "train.jsonl", "--out", "model.json"]
+_OPTIONS = [("--gamma", "1.5"), ("--gamma", "nan"), ("--p-min", "-1"), ("--ratio", "0"),
+            ("--alpha", "-1"), ("--window", "0"), ("--format", "xml")]
+
+
 class TestLearnAndForecast:
     def _train_file(self, copies=200):
         rows = TABLE1_JSONL * copies
@@ -1401,18 +1408,27 @@ class TestLearnAndForecast:
 
 
     @pytest.mark.parametrize(
-        "option, value",
-        [("--gamma", "1.5"), ("--gamma", "nan"), ("--p-min", "-1"), ("--ratio", "0"),
-         ("--alpha", "-1")],
+        "args, named",
+        [
+            *(([*_LEARN, option, value], option) for option, value in _OPTIONS),
+            (["learns", "e3.pat", "--train", "train.jsonl", "--out", "model.json"], "learns"),
+            (_LEARN[:1] + _LEARN[2:], "PATTERN"),
+            (["learn", "adir", *_LEARN[2:]], "adir"),
+            ([*_LEARN[:3], "missing.jsonl", *_LEARN[4:]], "missing.jsonl"),
+            (["oracle", "e3.pat", "--input", "events.jsonl", "--max-len", "-1"], "--max-len"),
+        ],
+        ids=[*(f"{option}-{value}" for option, value in _OPTIONS), "unknown-command",
+             "no-pattern", "directory-pattern", "missing-train", "oracle---max-len--1"],
     )
-    def test_learn_option_out_of_range_exits_2(self, runner, workdir, option, value):
+    def test_learn_option_out_of_range_exits_2(self, runner, workdir, args, named):
+        # and every other usage error: it exits 2 with one error line, after
+        # the usage, that names the argument or path at fault
         self._train_file()
-        result = runner.invoke(
-            main,
-            ["learn", "e3.pat", "--train", "train.jsonl", option, value, "--out", "model.json"],
-        )
-        assert result.exit_code == 2
-        assert option in result.stderr
+        Path("adir").mkdir()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2 and result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert named in result.stderr.splitlines()[-1]
         assert not Path("model.json").exists()
 
     def test_classify_window_beyond_horizon_exits_2_before_reading(self, runner, workdir):
@@ -1862,11 +1878,11 @@ def _cerf_env() -> dict:
 
 
 # Runs cerf.cli as `python -m cerf.cli` does, then writes the cerf modules
-# loaded, and dataclasses if it was loaded, to loaded.txt, whether or not the
-# command failed.
+# loaded, and dataclasses and click if they were loaded, to loaded.txt,
+# whether or not the command failed.
 _RUN_CLI = (
     "import runpy, sys\n"
-    "LISTED = ('cerf', 'dataclasses')\n"
+    "LISTED = ('cerf', 'dataclasses', 'click')\n"
     "try:\n"
     "    runpy.run_module('cerf.cli', run_name='__main__', alter_sys=True)\n"
     "finally:\n"
@@ -1878,7 +1894,7 @@ _RUN_CLI = (
 def _run_fresh(*args):
     """The command run in a new interpreter, where only the modules it
     imports are loaded, and the cerf modules it loaded, with `dataclasses`
-    if it was loaded too."""
+    and `click` if they were loaded too."""
     done = subprocess.run(
         [sys.executable, "-c", _RUN_CLI, *args],
         env=_cerf_env(), capture_output=True, text=True, timeout=60,
@@ -1949,6 +1965,34 @@ class TestRecordOutput:
             proc.stderr.close()
         assert proc.returncode == 0
 
+    def test_a_reader_that_goes_away_ends_the_command_quietly(self, tmp_path):
+        proc = _recognize_e3_from_stdin(tmp_path, subprocess.PIPE)
+        proc.stdout.close()
+        try:
+            proc.stdin.write(self.MATCH * 1000)
+            proc.stdin.close()
+        except BrokenPipeError:  # it ended before it read all of them
+            pass
+        proc.wait(timeout=60)
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.returncode == 1 and stderr == b""
+
+    def test_an_interrupt_ends_the_command_in_one_line(self, tmp_path):
+        proc = _recognize_e3_from_stdin(tmp_path, subprocess.PIPE)
+        try:
+            proc.stdin.write(self.MATCH)
+            proc.stdin.flush()
+            assert proc.stdout.readline() == b'{"index": 2}\n'  # it is reading
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=60)
+            stderr = proc.stderr.read()
+        finally:
+            proc.stdin.close()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert proc.returncode == 1 and stderr == b"\nAborted!\n"
+
     def test_a_file_gets_what_json_dumps_makes_of_each_record(self, tmp_path):
         Path(tmp_path, "e3.pat").write_text(E3_TEXT)
         rng = random.Random(21)
@@ -2014,30 +2058,49 @@ class TestFreshProcess:
         assert done.returncode == 0, done.stderr
         # value types are written-out classes: nothing generates them
         assert "dataclasses" not in modules
+        # the command line is parsed by argparse
+        assert "click" not in modules
         # `python -m cerf.cli` runs cli.py as __main__; importing `cerf.cli`
         # too would compile it a second time
         assert "cerf.cli" not in modules
         assert modules == ["cerf", *(f"cerf.{name}" for name in loaded)]
 
-    def test_modules_loaded_after_click_stay_under_4096_tokens(self):
+    @pytest.mark.parametrize(
+        "args, code, command",
+        [(["--help"], 0, []), (["--version"], 0, []), (["compiles", "e3.pat"], 2, []),
+         (["recognize", "e3.pat", "--window", "0"], 2, ["cmd_stream"])],
+        ids=["help", "version", "unknown-command", "usage-error"],
+    )
+    def test_the_command_line_loads_no_more_than_the_command(self, workdir, args, code, command):
+        done, modules = _run_fresh(*args)
+        assert done.returncode == code, done.stderr
+        # a command's module declares its arguments, and a usage error is
+        # found before the command loads what it runs
+        assert modules == ["cerf", "cerf.algebra", *(f"cerf.{name}" for name in command),
+                           "cerf.pattern", "cerf.shell"]
+
+    def test_modules_loaded_after_algebra_stay_under_4096_tokens(self):
         # Run from source without cached bytecode, a module is compiled when
         # it loads, and the parser holds its tokens in an array that doubles
         # at 4,096. Compiled alone, one source raised a bare interpreter's
         # peak RSS by about 0.08 MB at 3,016 tokens (`automaton`), 0.8 MB
         # at 4,575 (`compiler` before `construct` was split from it) and
-        # 1.0 MB at 5,287 (`algebra`). A module compiled after click loads
-        # adds that on top of click, and so to the peak of every command
-        # that loads it. `shell` loads `algebra` and `pattern` before click,
-        # so they alone may be larger. Tokens are counted as `tokenize`
-        # gives them, less COMMENT, NL and ENCODING.
+        # 1.0 MB at 5,287 (`algebra`). Every command loads `algebra` first,
+        # through `shell`, and `pattern` next: in a command, their compiles
+        # set the high-water mark that a module loaded later compiles
+        # within, while it stays under 4,096. So they alone may be larger.
+        # Tokens are counted as `tokenize` gives them, less COMMENT, NL and
+        # ENCODING.
         early = ("algebra", "pattern")
         done = subprocess.run(
             [sys.executable, "-c", "import sys, cerf.cli; print(' '.join(sys.modules))"],
             env=_cerf_env(), capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        order = done.stdout.split()
-        assert all(order.index(f"cerf.{name}") < order.index("click") for name in early)
+        # a module takes its place in sys.modules when it has loaded: `cli`
+        # and `shell`, compiled before `algebra`, come after it
+        order = [name for name in done.stdout.split() if name.startswith("cerf")]
+        assert order == ["cerf", *(f"cerf.{name}" for name in early), "cerf.shell", "cerf.cli"]
         skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
         sizes = {}
         for path in Path(cerf.__file__).parent.glob("*.py"):
