@@ -78,10 +78,11 @@ def _mapped_errors():
 
 def _parser(name: str, command: Callable) -> argparse.ArgumentParser:
     """The argument parser of `cerf NAME`, whose help is the command's
-    docstring. A usage error prints the usage and exits 2."""
+    docstring (none under `python -OO`). A usage error prints the usage
+    and exits 2."""
     return argparse.ArgumentParser(
         prog=f"cerf {name}",
-        description=command.__doc__.replace("\n    ", "\n"),
+        description=(command.__doc__ or "").replace("\n    ", "\n"),
         formatter_class=argparse.RawDescriptionHelpFormatter,
         allow_abbrev=False,
     )

@@ -1966,16 +1966,14 @@ class TestRecordOutput:
         assert proc.returncode == 0
 
     def test_a_reader_that_goes_away_ends_the_command_quietly(self, tmp_path):
-        proc = _recognize_e3_from_stdin(tmp_path, subprocess.PIPE)
-        proc.stdout.close()
-        try:
-            proc.stdin.write(self.MATCH * 1000)
-            proc.stdin.close()
-        except BrokenPipeError:  # it ended before it read all of them
-            pass
-        proc.wait(timeout=60)
-        stderr = proc.stderr.read()
-        proc.stderr.close()
+        Path(tmp_path, "e3.pat").write_text(E3_TEXT)
+        Path(tmp_path, "in.jsonl").write_bytes(self.MATCH * 1000)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cerf.cli", "recognize", "e3.pat", "--input", "in.jsonl"],
+            cwd=tmp_path, env=_buffered_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # before the first record
+        _, stderr = proc.communicate(timeout=60)
         assert proc.returncode == 1 and stderr == b""
 
     def test_an_interrupt_ends_the_command_in_one_line(self, tmp_path):
